@@ -3,7 +3,9 @@
 # ThreadSanitizer build of the vprof runtime tests so the lock-free probe
 # hot path (epoch handshake, chunked buffers, full-tracer rings) is
 # race-checked on every run, then an ASan+UBSan build of the fault-injection
-# suite (crash recovery, torn tails, arena-cap overflow, quarantine).
+# suite (crash recovery, torn tails, arena-cap overflow, quarantine) and of
+# the trace-analysis tests (the variance tree's overlap walk and position
+# search are index arithmetic over loaded trace records).
 # --online runs only the vprofd service suite (harvester, streaming tree,
 # controller, convergence) under ThreadSanitizer — the epoch rotation and
 # snapshot paths are all cross-thread.
@@ -157,16 +159,19 @@ if [[ "${MODE}" != "--asan-only" ]]; then
 fi
 
 if [[ "${MODE}" != "--tsan-only" ]]; then
-  echo "== asan+ubsan: fault-injection suite =="
+  echo "== asan+ubsan: fault-injection suite and trace analysis =="
   cmake -B build-asan -S . -DVPROF_ASAN=ON >/dev/null
   ASAN_TARGETS=(fault_failpoint_test simio_disk_test vprof_runtime_test
                 minidb_redo_crash_test minipg_wal_crash_test
-                httpd_server_test integration_failure_injection_test)
+                httpd_server_test integration_failure_injection_test
+                vprof_variance_tree_test vprof_analysis_edge_test
+                vprof_critical_path_test vprof_cross_thread_test
+                vprof_trace_io_test)
   cmake --build build-asan -j "${JOBS}" --target "${ASAN_TARGETS[@]}"
   (cd build-asan &&
    ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
    ctest --output-on-failure -R \
-     '^(fault_failpoint|simio_disk|vprof_runtime|minidb_redo_crash|minipg_wal_crash|httpd_server|integration_failure_injection)_test$')
+     '^(fault_failpoint|simio_disk|vprof_runtime|minidb_redo_crash|minipg_wal_crash|httpd_server|integration_failure_injection|vprof_variance_tree|vprof_analysis_edge|vprof_critical_path|vprof_cross_thread|vprof_trace_io)_test$')
 fi
 
 echo "== check.sh: all green =="

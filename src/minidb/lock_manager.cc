@@ -1,9 +1,9 @@
 #include "src/minidb/lock_manager.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "src/minidb/transaction.h"
-#include "src/vprof/fastclock.h"
 #include "src/vprof/probe.h"
 
 namespace minidb {
@@ -153,12 +153,15 @@ LockResult LockManager::LockEx(Transaction* trx, uint64_t object_id,
   } else {
     // Sleep on the per-request event; the releasing thread Sets it,
     // producing the os_event_wait invocation + wake-up edge the profiler
-    // analyzes.
-    const int64_t wait_start = vprof::fastclock::NowNs();
+    // analyzes. The wait is timed on steady_clock, not the profiler's fast
+    // clock: StartTracing re-anchors that one to zero, so a wait spanning a
+    // tracing rotation would read as a huge wrapped value.
+    const auto wait_start = std::chrono::steady_clock::now();
     granted = wait_event->WaitFor(wait_timeout_ns_);
-    shard.wait_ns.fetch_add(
-        static_cast<uint64_t>(vprof::fastclock::NowNs() - wait_start),
-        std::memory_order_relaxed);
+    const auto waited = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::chrono::steady_clock::now() - wait_start);
+    shard.wait_ns.fetch_add(static_cast<uint64_t>(waited.count()),
+                            std::memory_order_relaxed);
   }
   {
     std::lock_guard<std::mutex> lock(waiting_for_mu_);

@@ -1,40 +1,117 @@
 #include "src/vprof/analysis/variance_tree.h"
 
 #include <algorithm>
-#include <unordered_map>
 
-#include "src/statkit/covariance.h"
-#include "src/statkit/welford.h"
+#include "src/vprof/runtime.h"
 
 namespace vprof {
 
 namespace {
 
-// Per-thread helper that maps invocation records to tree nodes and finds
-// invocations overlapping a time window.
-struct ThreadView {
-  const ThreadTrace* thread = nullptr;
-  std::vector<NodeId> invocation_nodes;  // parallel to thread->invocations
-};
-
-// True when any invocation on the thread overlaps [lo, hi]. Walks backwards
-// from the last invocation starting before `hi`; a completed top-level
-// invocation entirely before the window bounds the scan.
-bool AnyInvocationCovers(const ThreadTrace& thread, TimeNs lo, TimeNs hi) {
-  const std::vector<Invocation>& invocations = thread.invocations;
-  auto upper = std::upper_bound(
-      invocations.begin(), invocations.end(), hi,
-      [](TimeNs value, const Invocation& inv) { return value <= inv.start; });
-  for (auto rit = std::make_reverse_iterator(upper); rit != invocations.rend();
-       ++rit) {
-    if (rit->end > lo) {
-      return true;
+// Index of the first invocation starting at or after `t`. The search gallops
+// out from `*cursor`, the previous answer on the same thread, and leaves the
+// new answer there: consecutive windows on one thread are close in time, so
+// it touches a few records near the last answer instead of binary-searching
+// the whole per-thread array from cold.
+size_t SeekFirstAtOrAfter(const std::vector<Invocation>& invocations, TimeNs t,
+                          size_t* cursor) {
+  const auto before = [t](const Invocation& inv) { return inv.start < t; };
+  const size_t n = invocations.size();
+  const size_t pos = std::min(*cursor, n);
+  size_t lo = 0;  // the answer lies in [lo, hi]
+  size_t hi = n;
+  if (pos < n && before(invocations[pos])) {
+    lo = pos + 1;
+    for (size_t step = 1; pos + step < n; step *= 2) {
+      if (!before(invocations[pos + step])) {
+        hi = pos + step;
+        break;
+      }
+      lo = pos + step + 1;
     }
-    if (rit->parent < 0) {
-      break;
+  } else {
+    hi = pos;
+    for (size_t step = 1; step <= pos; step *= 2) {
+      if (before(invocations[pos - step])) {
+        lo = pos - step + 1;
+        break;
+      }
+      hi = pos - step;
     }
   }
-  return false;
+  *cursor = static_cast<size_t>(
+      std::partition_point(invocations.begin() + static_cast<ptrdiff_t>(lo),
+                           invocations.begin() + static_cast<ptrdiff_t>(hi),
+                           before) -
+      invocations.begin());
+  return *cursor;
+}
+
+// Calls visit(record, overlap_ns) for every invocation that runs for a
+// positive time inside the window [lo, hi). Relies on call nesting: records
+// are ordered by start and every invocation lies within its parent's span.
+// So the invocations still running at `lo` are the last one that started
+// before `lo` and its parent chain, and every other overlapping invocation
+// starts inside the window. The work is the overlaps plus one ancestor chain.
+template <typename Visit>
+void ForEachOverlap(const std::vector<Invocation>& invocations, TimeNs lo,
+                    TimeNs hi, size_t* cursor, Visit&& visit) {
+  const size_t first = SeekFirstAtOrAfter(invocations, lo, cursor);
+  for (size_t i = first; i < invocations.size() && invocations[i].start < hi;
+       ++i) {
+    const TimeNs end = std::min(invocations[i].end, hi);
+    if (end > invocations[i].start) {
+      visit(i, end - invocations[i].start);
+    }
+  }
+  if (first == 0) {
+    return;
+  }
+  const auto visit_if_running = [&](size_t i) {
+    if (invocations[i].end > lo) {
+      visit(i, std::min(invocations[i].end, hi) - lo);
+    }
+  };
+  // An ancestor can still be running after a nearer one has ended, so the
+  // walk goes all the way up.
+  const size_t last = first - 1;
+  int chain = 0;
+  for (int32_t i = static_cast<int32_t>(last); i >= 0;
+       i = invocations[static_cast<size_t>(i)].parent) {
+    visit_if_running(static_cast<size_t>(i));
+    ++chain;
+  }
+  // Frames past kMaxProbeDepth all link to the deepest tracked ancestor, not
+  // to the frame that encloses them; when `last` is one of them, the frames
+  // enclosing it are among the records between that ancestor and `last`.
+  if (chain > kMaxProbeDepth) {
+    const int32_t ancestor = invocations[last].parent;
+    for (int32_t i = static_cast<int32_t>(last) - 1; i > ancestor; --i) {
+      visit_if_running(static_cast<size_t>(i));
+    }
+  }
+}
+
+// Population mean and (co)variance, two-pass over the series.
+double Mean(std::span<const double> xs) {
+  double sum = 0.0;
+  for (const double x : xs) {
+    sum += x;
+  }
+  return xs.empty() ? 0.0 : sum / static_cast<double>(xs.size());
+}
+
+double Covariance(std::span<const double> xs, double mean_x,
+                  std::span<const double> ys, double mean_y) {
+  double sum = 0.0;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    sum += (xs[i] - mean_x) * (ys[i] - mean_y);
+  }
+  return xs.empty() ? 0.0 : sum / static_cast<double>(xs.size());
+}
+
+size_t ThreadPosition(const Trace& trace, const ThreadTrace* thread) {
+  return static_cast<size_t>(thread - trace.threads.data());
 }
 
 }  // namespace
@@ -47,10 +124,19 @@ VarianceAnalysis::VarianceAnalysis(const Trace& trace,
 
   TraceIndex index(trace);
   CriticalPathOptions path_options = options;
+  std::vector<size_t> coverage_cursors(trace.threads.size(), 0);
   if (!path_options.has_coverage) {
-    path_options.has_coverage = [&index](ThreadId tid, TimeNs lo, TimeNs hi) {
+    path_options.has_coverage = [&trace, &index, &coverage_cursors](
+                                    ThreadId tid, TimeNs lo, TimeNs hi) {
       const ThreadTrace* thread = index.Thread(tid);
-      return thread != nullptr && AnyInvocationCovers(*thread, lo, hi);
+      if (thread == nullptr) {
+        return false;
+      }
+      bool covered = false;
+      ForEachOverlap(thread->invocations, lo, hi,
+                     &coverage_cursors[ThreadPosition(trace, thread)],
+                     [&covered](size_t, TimeNs) { covered = true; });
+      return covered;
     };
   }
   const std::vector<IntervalBreakdown> breakdowns =
@@ -115,26 +201,35 @@ void VarianceAnalysis::AttributeWindows(
 
   // Precompute, per thread, the tree node of every recorded invocation.
   // Parents precede children in the record order, so one forward pass works.
-  std::vector<ThreadView> views(trace.threads.size());
+  // Nearly every record repeats a (parent node, func) pair seen before, so a
+  // direct-mapped memo answers most of them without Intern's child scan.
+  struct MemoSlot {
+    NodeId parent = -1;
+    FuncId func = kInvalidFunc;
+    NodeId child = kRootNode;
+  };
+  constexpr int kMemoBits = 10;
+  std::vector<MemoSlot> memo(size_t{1} << kMemoBits);
+  std::vector<std::vector<NodeId>> invocation_nodes(trace.threads.size());
   for (size_t t = 0; t < trace.threads.size(); ++t) {
-    const ThreadTrace& thread = trace.threads[t];
-    views[t].thread = &thread;
-    views[t].invocation_nodes.resize(thread.invocations.size());
-    for (size_t i = 0; i < thread.invocations.size(); ++i) {
-      const Invocation& inv = thread.invocations[i];
-      const NodeId parent_node =
-          inv.parent >= 0 ? views[t].invocation_nodes[static_cast<size_t>(inv.parent)]
-                          : kRootNode;
-      views[t].invocation_nodes[i] = Intern(parent_node, inv.func, /*is_body=*/false);
+    const std::vector<Invocation>& invocations = trace.threads[t].invocations;
+    std::vector<NodeId>& nodes = invocation_nodes[t];
+    nodes.resize(invocations.size());
+    for (size_t i = 0; i < invocations.size(); ++i) {
+      const Invocation& inv = invocations[i];
+      const NodeId parent =
+          inv.parent >= 0 ? nodes[static_cast<size_t>(inv.parent)] : kRootNode;
+      const uint64_t key = (static_cast<uint64_t>(parent) << 32) | inv.func;
+      MemoSlot& slot = memo[(key * 0x9e3779b97f4a7c15ull) >> (64 - kMemoBits)];
+      if (slot.parent != parent || slot.func != inv.func) {
+        slot = MemoSlot{parent, inv.func,
+                        Intern(parent, inv.func, /*is_body=*/false)};
+      }
+      nodes[i] = slot.child;
     }
   }
 
-  // Map tid -> view.
-  std::unordered_map<ThreadId, ThreadView*> by_tid;
-  for (ThreadView& view : views) {
-    by_tid[view.thread->tid] = &view;
-  }
-
+  std::vector<size_t> cursors(trace.threads.size(), 0);
   for (size_t interval_idx = 0; interval_idx < breakdowns.size(); ++interval_idx) {
     const IntervalBreakdown& b = breakdowns[interval_idx];
     node_times_[kRootNode][interval_idx] = b.latency_ns();
@@ -143,40 +238,18 @@ void VarianceAnalysis::AttributeWindows(
     total_descheduled_ns_ += b.descheduled_ns;
 
     for (const PathWindow& window : b.windows) {
-      auto it = by_tid.find(window.tid);
-      if (it == by_tid.end()) {
+      const ThreadTrace* thread = index.Thread(window.tid);
+      if (thread == nullptr) {
         continue;
       }
-      const ThreadView& view = *it->second;
-      const std::vector<Invocation>& invocations = view.thread->invocations;
-      if (invocations.empty()) {
-        continue;
-      }
-      // Last invocation starting before the window's end, then walk
-      // backwards. Stop at a completed top-level invocation entirely before
-      // the window: everything earlier also ends before it.
-      auto upper = std::upper_bound(
-          invocations.begin(), invocations.end(), window.hi,
-          [](TimeNs value, const Invocation& inv) { return value <= inv.start; });
-      for (auto rit = std::make_reverse_iterator(upper);
-           rit != invocations.rend(); ++rit) {
-        const Invocation& inv = *rit;
-        if (inv.end <= window.lo) {
-          if (inv.parent < 0) {
-            break;
-          }
-          continue;
-        }
-        const TimeNs lo = std::max(inv.start, window.lo);
-        const TimeNs hi = std::min(inv.end, window.hi);
-        if (hi > lo) {
-          const size_t record_idx =
-              static_cast<size_t>(&inv - invocations.data());
-          const NodeId node = view.invocation_nodes[record_idx];
-          node_times_[static_cast<size_t>(node)][interval_idx] +=
-              static_cast<double>(hi - lo);
-        }
-      }
+      const size_t t = ThreadPosition(trace, thread);
+      const std::vector<NodeId>& nodes = invocation_nodes[t];
+      ForEachOverlap(
+          thread->invocations, window.lo, window.hi, &cursors[t],
+          [&](size_t record, TimeNs overlap_ns) {
+            const size_t node = static_cast<size_t>(nodes[record]);
+            node_times_[node][interval_idx] += static_cast<double>(overlap_ns);
+          });
     }
   }
 }
@@ -209,12 +282,10 @@ void VarianceAnalysis::AddBodiesAndStats() {
   node_variance_.resize(nodes_.size());
   node_mean_.resize(nodes_.size());
   for (size_t id = 0; id < nodes_.size(); ++id) {
-    statkit::StreamingMoments m;
-    for (double x : node_times_[id]) {
-      m.Add(x);
-    }
-    node_variance_[id] = m.variance();
-    node_mean_[id] = m.mean();
+    const std::vector<double>& series = node_times_[id];
+    node_mean_[id] = Mean(series);
+    node_variance_[id] =
+        Covariance(series, node_mean_[id], series, node_mean_[id]);
   }
 
   // Sibling covariances per expanded parent.
@@ -222,14 +293,12 @@ void VarianceAnalysis::AddBodiesAndStats() {
     const std::vector<NodeId>& kids = nodes_[id].children;
     for (size_t a = 0; a < kids.size(); ++a) {
       for (size_t b = a + 1; b < kids.size(); ++b) {
-        statkit::StreamingCovariance cov;
-        const auto& sa = node_times_[static_cast<size_t>(kids[a])];
-        const auto& sb = node_times_[static_cast<size_t>(kids[b])];
-        for (size_t i = 0; i < interval_count_; ++i) {
-          cov.Add(sa[i], sb[i]);
-        }
+        const size_t ka = static_cast<size_t>(kids[a]);
+        const size_t kb = static_cast<size_t>(kids[b]);
         covariances_.push_back(SiblingCovariance{
-            static_cast<NodeId>(id), kids[a], kids[b], cov.covariance()});
+            static_cast<NodeId>(id), kids[a], kids[b],
+            Covariance(node_times_[ka], node_mean_[ka], node_times_[kb],
+                       node_mean_[kb])});
       }
     }
   }

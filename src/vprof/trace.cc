@@ -1,6 +1,9 @@
 #include "src/vprof/trace.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 
 #include "src/vprof/registry.h"
@@ -80,10 +83,60 @@ bool WriteString(std::FILE* f, const std::string& s) {
   return WritePod(f, size) && WriteBytes(f, s.data(), s.size());
 }
 
+// Records are stored in the in-memory struct layout LoadTrace reads back,
+// but encoded field by field into a zero-filled buffer: written raw, the
+// structs' padding bytes would carry whatever their storage held into the
+// file, so equal traces could save to different bytes.
+template <typename Field>
+void Put(char* record, size_t offset, const Field& value) {
+  std::memcpy(record + offset, &value, sizeof(value));
+}
+
+void Encode(const Invocation& inv, char* out) {
+  Put(out, offsetof(Invocation, start), inv.start);
+  Put(out, offsetof(Invocation, end), inv.end);
+  Put(out, offsetof(Invocation, func), inv.func);
+  Put(out, offsetof(Invocation, parent), inv.parent);
+  Put(out, offsetof(Invocation, sid), inv.sid);
+}
+
+void Encode(const Segment& seg, char* out) {
+  Put(out, offsetof(Segment, start), seg.start);
+  Put(out, offsetof(Segment, end), seg.end);
+  Put(out, offsetof(Segment, sid), seg.sid);
+  Put(out, offsetof(Segment, state), seg.state);
+  Put(out, offsetof(Segment, waker_tid), seg.waker_tid);
+  Put(out, offsetof(Segment, waker_time), seg.waker_time);
+  Put(out, offsetof(Segment, generator_tid), seg.generator_tid);
+  Put(out, offsetof(Segment, generator_time), seg.generator_time);
+}
+
+void Encode(const IntervalEvent& e, char* out) {
+  Put(out, offsetof(IntervalEvent, sid), e.sid);
+  Put(out, offsetof(IntervalEvent, time), e.time);
+  Put(out, offsetof(IntervalEvent, kind), e.kind);
+  Put(out, offsetof(IntervalEvent, label), e.label);
+}
+
 template <typename T>
-bool WriteVector(std::FILE* f, const std::vector<T>& v) {
-  const uint64_t size = v.size();
-  return WritePod(f, size) && WriteBytes(f, v.data(), v.size() * sizeof(T));
+bool WriteRecords(std::FILE* f, const std::vector<T>& records) {
+  const uint64_t size = records.size();
+  if (!WritePod(f, size)) {
+    return false;
+  }
+  constexpr size_t kChunk = 1024;  // records encoded per write
+  std::vector<char> buf(kChunk * sizeof(T));
+  for (size_t first = 0; first < records.size(); first += kChunk) {
+    const size_t n = std::min(kChunk, records.size() - first);
+    std::fill(buf.begin(), buf.end(), 0);
+    for (size_t i = 0; i < n; ++i) {
+      Encode(records[first + i], buf.data() + i * sizeof(T));
+    }
+    if (!WriteBytes(f, buf.data(), n * sizeof(T))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // Bytes left between the cursor and EOF; bounds every length-prefixed read
@@ -260,9 +313,9 @@ bool SaveTrace(const Trace& trace, const std::string& path) {
     return false;
   }
   for (const ThreadTrace& t : trace.threads) {
-    if (!WritePod(f.get(), t.tid) || !WriteVector(f.get(), t.invocations) ||
-        !WriteVector(f.get(), t.segments) ||
-        !WriteVector(f.get(), t.interval_events)) {
+    if (!WritePod(f.get(), t.tid) || !WriteRecords(f.get(), t.invocations) ||
+        !WriteRecords(f.get(), t.segments) ||
+        !WriteRecords(f.get(), t.interval_events)) {
       return false;
     }
   }

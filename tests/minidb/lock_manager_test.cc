@@ -1,6 +1,7 @@
 #include "src/minidb/lock_manager.h"
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -8,6 +9,7 @@
 
 #include "src/minidb/transaction.h"
 #include "src/simio/disk.h"
+#include "src/vprof/runtime.h"
 
 namespace minidb {
 namespace {
@@ -62,6 +64,33 @@ TEST(LockManagerTest, ExclusiveBlocksUntilRelease) {
   waiter.join();
   EXPECT_TRUE(acquired.load());
   EXPECT_GE(lm.stats().waits, 1u);
+}
+
+TEST(LockManagerTest, WaitSpanningATracingRotationIsNotWrapped) {
+  // StartTracing re-anchors the profiler's fast clock to zero. A lock wait
+  // that spans a rotation (as vprofd's harvester makes them every epoch)
+  // must still add its true duration, not a wrapped negative one.
+  LockManager lm(LockScheduling::kFcfs);
+  Transaction holder(1, 100);
+  ASSERT_TRUE(lm.Lock(&holder, 9, LockMode::kExclusive));
+  simio::SleepUs(20000);  // the fast clock now reads well past zero
+  const auto start = std::chrono::steady_clock::now();
+  std::thread waiter([&] {
+    Transaction t2(2, 200);
+    EXPECT_TRUE(lm.Lock(&t2, 9, LockMode::kExclusive));
+    lm.ReleaseAll(&t2);
+  });
+  while (lm.stats().waits == 0) {
+    std::this_thread::yield();
+  }
+  vprof::StartTracing();
+  (void)vprof::StopTracing();
+  lm.ReleaseAll(&holder);
+  waiter.join();
+  const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_GT(lm.stats().wait_ns, 0u);
+  EXPECT_LE(lm.stats().wait_ns, static_cast<uint64_t>(elapsed.count()));
 }
 
 TEST(LockManagerTest, TimeoutReturnsFalse) {

@@ -93,6 +93,75 @@ TEST(TraceIoTest, RoundTrip) {
   }
 }
 
+template <typename T>
+void FillWithAB(std::vector<T>* records) {
+  if (!records->empty()) {
+    std::memset(static_cast<void*>(records->data()), 0xAB,
+                records->size() * sizeof(T));
+  }
+}
+
+// A copy of `clean` whose record storage was filled with 0xAB before each
+// field was written back, so every padding byte in it holds 0xAB.
+Trace WithDirtyPadding(const Trace& clean) {
+  Trace dirty = clean;
+  for (size_t t = 0; t < dirty.threads.size(); ++t) {
+    const ThreadTrace& c = clean.threads[t];
+    ThreadTrace& d = dirty.threads[t];
+    FillWithAB(&d.invocations);
+    for (size_t i = 0; i < c.invocations.size(); ++i) {
+      d.invocations[i].start = c.invocations[i].start;
+      d.invocations[i].end = c.invocations[i].end;
+      d.invocations[i].func = c.invocations[i].func;
+      d.invocations[i].parent = c.invocations[i].parent;
+      d.invocations[i].sid = c.invocations[i].sid;
+    }
+    FillWithAB(&d.segments);
+    for (size_t i = 0; i < c.segments.size(); ++i) {
+      d.segments[i].start = c.segments[i].start;
+      d.segments[i].end = c.segments[i].end;
+      d.segments[i].sid = c.segments[i].sid;
+      d.segments[i].state = c.segments[i].state;
+      d.segments[i].waker_tid = c.segments[i].waker_tid;
+      d.segments[i].waker_time = c.segments[i].waker_time;
+      d.segments[i].generator_tid = c.segments[i].generator_tid;
+      d.segments[i].generator_time = c.segments[i].generator_time;
+    }
+    FillWithAB(&d.interval_events);
+    for (size_t i = 0; i < c.interval_events.size(); ++i) {
+      d.interval_events[i].sid = c.interval_events[i].sid;
+      d.interval_events[i].time = c.interval_events[i].time;
+      d.interval_events[i].kind = c.interval_events[i].kind;
+      d.interval_events[i].label = c.interval_events[i].label;
+    }
+  }
+  return dirty;
+}
+
+TEST(TraceIoTest, PaddingBytesNeverReachTheFile) {
+  const Trace clean = MakeSampleTrace();
+  const Trace dirty = WithDirtyPadding(clean);
+  // The records differ from the clean copy, but only in their padding.
+  ASSERT_NE(std::memcmp(dirty.threads[0].segments.data(),
+                        clean.threads[0].segments.data(),
+                        clean.threads[0].segments.size() * sizeof(Segment)),
+            0);
+  ASSERT_NE(std::memcmp(dirty.threads[0].interval_events.data(),
+                        clean.threads[0].interval_events.data(),
+                        clean.threads[0].interval_events.size() *
+                            sizeof(IntervalEvent)),
+            0);
+
+  const std::string clean_path = TempPath("padding_clean.bin");
+  const std::string dirty_path = TempPath("padding_dirty.bin");
+  ASSERT_TRUE(SaveTrace(clean, clean_path));
+  ASSERT_TRUE(SaveTrace(dirty, dirty_path));
+  EXPECT_EQ(ReadFile(clean_path), ReadFile(dirty_path));
+  Trace loaded;
+  ASSERT_EQ(LoadTraceChecked(dirty_path, &loaded), TraceLoadStatus::kOk);
+  EXPECT_EQ(loaded.threads[0].segments[1].waker_time, 400);
+}
+
 TEST(TraceIoTest, LoadRejectsMissingFile) {
   Trace trace;
   EXPECT_FALSE(LoadTrace(TempPath("does_not_exist.bin"), &trace));

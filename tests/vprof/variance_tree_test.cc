@@ -1,9 +1,16 @@
 #include "src/vprof/analysis/variance_tree.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <map>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/statkit/rng.h"
+#include "src/vprof/runtime.h"
 #include "tests/vprof/trace_builder.h"
 
 namespace vprof {
@@ -172,6 +179,416 @@ TEST(VarianceAnalysisTest, BreadthIsSquaredWidestFanout) {
   VarianceAnalysis va(trace);
   // txn has children {a, b, body} -> breadth 9.
   EXPECT_EQ(va.TreeBreadth(), 9u);
+}
+
+// --- Differential test: attribution against a brute-force reference -------
+//
+// VarianceAnalysis finds the invocations overlapping a critical-path window
+// by call nesting. The reference below checks every invocation against every
+// window instead, on seeded random traces shaped the way the runtime records
+// them.
+
+constexpr int kRandomThreads = 3;
+constexpr int kSlots = 40;
+constexpr TimeNs kSlot = 20000;
+const char* const kRandomFuncs[] = {"dt_a", "dt_b", "dt_c", "dt_d", "dt_e"};
+
+// Generates one thread's call forest as the runtime records it: records in
+// start order, each linked to the record of the frame below it, except that
+// frames deeper than kMaxProbeDepth link to the deepest tracked ancestor.
+class ForestGen {
+ public:
+  ForestGen(TraceBuilder* tb, ThreadId tid, statkit::Rng* rng, bool deep)
+      : tb_(tb), tid_(tid), rng_(rng), deep_(deep), stack_(kMaxProbeDepth) {}
+
+  // Siblings at `depth` inside [lo, hi], each possibly with children.
+  void Children(TimeNs lo, TimeNs hi, int depth) {
+    for (TimeNs t = lo;;) {
+      if (rng_->NextBool(0.75)) {
+        t += rng_->NextInRange(1, 400);  // otherwise: same start as before
+      }
+      if (t > hi) {
+        return;
+      }
+      const TimeNs room = std::min<TimeNs>(hi - t, 8000);
+      TimeNs dur = 0;  // zero-length
+      if (room > 0 && !rng_->NextBool(0.1)) {
+        dur = rng_->NextBool(0.1) ? room : rng_->NextInRange(1, room);
+      }
+      Open(t, t + dur, depth);
+      if (deep_ && depth == 0 && dur >= 2000 && rng_->NextBool(0.05)) {
+        Nest(t, t + dur, depth + 1);
+      } else if (dur > 0 && depth < 4 && rng_->NextBool(0.6)) {
+        Children(t, t + dur, depth + 1);
+      }
+      t += dur;
+      if (t >= hi) {
+        return;
+      }
+    }
+  }
+
+ private:
+  // A chain of frames down past kMaxProbeDepth, with short frames that have
+  // ended before the next level starts.
+  void Nest(TimeNs lo, TimeNs hi, int depth) {
+    if (depth > kMaxProbeDepth + 8 || hi - lo < 8) {
+      Children(lo, hi, depth);
+      return;
+    }
+    TimeNs start = lo;
+    if (rng_->NextBool(0.3)) {
+      Open(start, start + 1, depth);
+      start += 1;
+    }
+    start += rng_->NextInRange(0, 1);
+    const TimeNs end = hi - rng_->NextInRange(0, 1);
+    Open(start, end, depth);
+    Nest(start, end, depth + 1);
+  }
+
+  void Open(TimeNs start, TimeNs end, int depth) {
+    const int parent =
+        depth == 0 ? -1 : stack_[std::min(depth, kMaxProbeDepth) - 1];
+    const int record = tb_->Invoke(
+        tid_, kRandomFuncs[rng_->NextBelow(std::size(kRandomFuncs))], start,
+        end, parent);
+    if (depth < kMaxProbeDepth) {
+      stack_[depth] = record;
+    }
+  }
+
+  TraceBuilder* tb_;
+  ThreadId tid_;
+  statkit::Rng* rng_;
+  bool deep_;
+  std::vector<int> stack_;
+};
+
+// Segment cut points strictly inside (lo, hi): some of the thread's
+// invocation boundaries there, plus `extra` random times.
+std::vector<TimeNs> Cuts(const ThreadTrace& thread, TimeNs lo, TimeNs hi,
+                         statkit::Rng* rng, int extra) {
+  std::vector<TimeNs> cuts;
+  for (const Invocation& inv : thread.invocations) {
+    for (const TimeNs t : {inv.start, inv.end}) {
+      if (t > lo && t < hi && rng->NextBool(0.1)) {
+        cuts.push_back(t);
+      }
+    }
+  }
+  for (int i = 0; i < extra && hi - lo >= 2; ++i) {
+    cuts.push_back(rng->NextInRange(lo + 1, hi - 1));
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  return cuts;
+}
+
+// Executing segments of no interval over [lo, hi), split at cut points; some
+// pieces are blocked and woken by another thread at their end.
+void Filler(TraceBuilder* tb, ThreadId tid, TimeNs lo, TimeNs hi,
+            statkit::Rng* rng) {
+  if (lo >= hi) {
+    return;
+  }
+  std::vector<TimeNs> cuts = Cuts(tb->Thread(tid), lo, hi, rng, 2);
+  cuts.insert(cuts.begin(), lo);
+  cuts.push_back(hi);
+  for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+    if (rng->NextBool(0.2)) {
+      const ThreadId waker = (tid + 1) % kRandomThreads;
+      tb->Blocked(tid, kNoInterval, cuts[i], cuts[i + 1], waker, cuts[i + 1]);
+    } else {
+      tb->Exec(tid, kNoInterval, cuts[i], cuts[i + 1]);
+    }
+  }
+}
+
+// Segments of interval `sid` over [cuts.front(), cuts.back()): executing,
+// blocked (with no waker, or woken by `waker`) and queue-wait pieces. With
+// `generator` set, the first piece is a dequeued task created by it.
+void Task(TraceBuilder* tb, ThreadId tid, IntervalId sid,
+          const std::vector<TimeNs>& cuts, ThreadId waker, statkit::Rng* rng,
+          ThreadId generator = kNoThread, TimeNs enqueue_time = -1) {
+  for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+    const TimeNs lo = cuts[i];
+    const TimeNs hi = cuts[i + 1];
+    const double kind = rng->NextDouble();
+    if (i == 0 && generator != kNoThread) {
+      tb->ExecGenerated(tid, sid, lo, hi, generator, enqueue_time);
+    } else if (kind < 0.55) {
+      tb->Exec(tid, sid, lo, hi);
+    } else if (kind < 0.7) {
+      tb->Blocked(tid, sid, lo, hi);
+    } else if (kind < 0.9) {
+      tb->Blocked(tid, sid, lo, hi, waker,
+                  rng->NextBool(0.5) ? hi : rng->NextInRange(lo + 1, hi));
+    } else {
+      tb->QueueWait(tid, sid, lo, hi);
+    }
+  }
+}
+
+// A random trace: three threads, one interval per time slot, run on one
+// thread, with blocked time handed to another (waker chains) or begun on
+// another thread that enqueued it (created-by edges). Thread 0 nests past
+// kMaxProbeDepth; thread 2 is capped by the arena, losing a suffix of its
+// records; invocations still open at the end are clamped to it.
+Trace RandomTrace(uint64_t seed) {
+  statkit::Rng rng(seed);
+  TraceBuilder tb;
+  const TimeNs duration = kSlots * kSlot;
+  for (ThreadId tid = 0; tid < kRandomThreads; ++tid) {
+    ForestGen(&tb, tid, &rng, /*deep=*/tid == 0)
+        .Children(0, duration + kSlot, 0);
+    std::vector<Invocation>& invocations = tb.Thread(tid).invocations;
+    while (!invocations.empty() && invocations.back().start > duration) {
+      invocations.pop_back();
+    }
+    for (Invocation& inv : invocations) {
+      inv.end = std::min(inv.end, duration);
+    }
+  }
+  const size_t kept = tb.Thread(2).invocations.size() * 4 / 5;
+  tb.Thread(2).dropped_records = tb.Thread(2).invocations.size() - kept;
+  tb.Thread(2).invocations.resize(kept);
+
+  for (int slot = 0; slot < kSlots; ++slot) {
+    const TimeNs lo = slot * kSlot;
+    const TimeNs hi = lo + kSlot;
+    const IntervalId sid = static_cast<IntervalId>(slot + 1);
+    const ThreadId main = static_cast<ThreadId>(rng.NextBelow(kRandomThreads));
+    const ThreadId other =
+        (main + 1 + static_cast<ThreadId>(rng.NextBelow(2))) % kRandomThreads;
+    const bool created_by = rng.NextBool(0.3);
+    // The task runs from the first cut to the last one on `main`.
+    const std::vector<TimeNs> cuts =
+        Cuts(tb.Thread(main), lo + kSlot / 2, hi, &rng, 4);
+    const TimeNs begin = cuts.front();
+    const TimeNs end = cuts.back();
+    const TimeNs enqueue = begin - rng.NextInRange(1, kSlot / 4);
+    for (ThreadId tid = 0; tid < kRandomThreads; ++tid) {
+      if (tid == main) {
+        Filler(&tb, tid, lo, begin, &rng);
+        if (created_by) {
+          Task(&tb, tid, sid, cuts, other, &rng, other, enqueue);
+        } else {
+          tb.Begin(tid, sid, begin);
+          Task(&tb, tid, sid, cuts, other, &rng);
+        }
+        tb.End(tid, sid, end);
+        Filler(&tb, tid, end, hi, &rng);
+      } else if (tid == other && created_by) {
+        // The producer begins the interval and works on it until it
+        // enqueues the task; the walk reaches it over the created-by edge.
+        std::vector<TimeNs> producer =
+            Cuts(tb.Thread(tid), lo, enqueue, &rng, 2);
+        producer.push_back(enqueue);
+        Filler(&tb, tid, lo, producer.front(), &rng);
+        tb.Begin(tid, sid, producer.front());
+        Task(&tb, tid, sid, producer, main, &rng);
+        Filler(&tb, tid, enqueue, hi, &rng);
+      } else {
+        Filler(&tb, tid, lo, hi, &rng);
+      }
+    }
+  }
+  return tb.Build(duration);
+}
+
+TimeNs Overlap(const Invocation& inv, TimeNs lo, TimeNs hi) {
+  return std::min(inv.end, hi) - std::max(inv.start, lo);
+}
+
+// Call path (functions from the top-level frame down) of every record.
+std::vector<std::vector<FuncId>> CallPaths(const ThreadTrace& thread) {
+  std::vector<std::vector<FuncId>> paths(thread.invocations.size());
+  for (size_t i = 0; i < thread.invocations.size(); ++i) {
+    const Invocation& inv = thread.invocations[i];
+    if (inv.parent >= 0) {
+      paths[i] = paths[static_cast<size_t>(inv.parent)];
+    }
+    paths[i].push_back(inv.func);
+  }
+  return paths;
+}
+
+struct Reference {
+  std::map<std::vector<FuncId>, std::vector<double>> series;  // by call path
+  std::vector<IntervalBreakdown> breakdowns;
+  double queue_wait_ns = 0.0;
+  double blocked_wait_ns = 0.0;
+  double descheduled_ns = 0.0;
+};
+
+// O(windows x invocations): every invocation is checked against every
+// window, for coverage and for attribution alike.
+Reference BruteForce(const Trace& trace) {
+  const TraceIndex index(trace);
+  CriticalPathOptions options;
+  options.has_coverage = [&index](ThreadId tid, TimeNs lo, TimeNs hi) {
+    const ThreadTrace* thread = index.Thread(tid);
+    if (thread == nullptr) {
+      return false;
+    }
+    return std::any_of(
+        thread->invocations.begin(), thread->invocations.end(),
+        [&](const Invocation& inv) { return Overlap(inv, lo, hi) > 0; });
+  };
+  Reference ref;
+  ref.breakdowns = BuildBreakdowns(index, options);
+  std::map<ThreadId, std::vector<std::vector<FuncId>>> paths;
+  for (const ThreadTrace& thread : trace.threads) {
+    paths[thread.tid] = CallPaths(thread);
+    for (const std::vector<FuncId>& path : paths[thread.tid]) {
+      ref.series.try_emplace(path, ref.breakdowns.size(), 0.0);
+    }
+  }
+  for (size_t i = 0; i < ref.breakdowns.size(); ++i) {
+    const IntervalBreakdown& b = ref.breakdowns[i];
+    ref.queue_wait_ns += b.queue_wait_ns;
+    ref.blocked_wait_ns += b.blocked_wait_ns;
+    ref.descheduled_ns += b.descheduled_ns;
+    for (const PathWindow& w : b.windows) {
+      const ThreadTrace* thread = index.Thread(w.tid);
+      for (size_t j = 0; j < thread->invocations.size(); ++j) {
+        const TimeNs overlap = Overlap(thread->invocations[j], w.lo, w.hi);
+        if (overlap > 0) {
+          ref.series[paths[w.tid][j]][i] += static_cast<double>(overlap);
+        }
+      }
+    }
+  }
+  return ref;
+}
+
+// How often each case the overlap walk must get right occurs in a trace.
+struct Exercised {
+  int same_start_as_parent = 0;
+  int zero_length = 0;
+  int clamped_at_end = 0;
+  int window_on_boundary = 0;
+  int window_on_other_thread = 0;
+  // The last record starting before the window has ended, but an ancestor
+  // is still running.
+  int ancestor_outlives_last = 0;
+  // Two or more frames past kMaxProbeDepth are running at the window start.
+  int nested_past_max_depth = 0;
+};
+
+Exercised Survey(const Trace& trace, const Reference& ref) {
+  Exercised e;
+  const TraceIndex index(trace);
+  std::map<IntervalId, ThreadId> end_tid;
+  for (const TraceIndex::IntervalInfo& info : index.Intervals()) {
+    end_tid[info.sid] = info.end_tid;
+  }
+  std::map<ThreadId, std::vector<size_t>> chain_length;
+  for (const ThreadTrace& thread : trace.threads) {
+    std::vector<size_t>& len = chain_length[thread.tid];
+    len.resize(thread.invocations.size());
+    for (size_t i = 0; i < thread.invocations.size(); ++i) {
+      const Invocation& inv = thread.invocations[i];
+      len[i] = inv.parent >= 0 ? len[static_cast<size_t>(inv.parent)] + 1 : 1;
+      const size_t parent = static_cast<size_t>(inv.parent);
+      if (inv.parent >= 0 && inv.start == thread.invocations[parent].start) {
+        ++e.same_start_as_parent;
+      }
+      e.zero_length += inv.start == inv.end ? 1 : 0;
+      e.clamped_at_end += inv.end == trace.duration ? 1 : 0;
+    }
+  }
+  for (const IntervalBreakdown& b : ref.breakdowns) {
+    for (const PathWindow& w : b.windows) {
+      const std::vector<Invocation>& invs = index.Thread(w.tid)->invocations;
+      e.window_on_other_thread += w.tid != end_tid[b.sid] ? 1 : 0;
+      int capped_running = 0;
+      bool on_boundary = false;
+      for (size_t j = 0; j < invs.size(); ++j) {
+        on_boundary = on_boundary || invs[j].start == w.lo ||
+                      invs[j].end == w.lo || invs[j].start == w.hi ||
+                      invs[j].end == w.hi;
+        if (invs[j].start < w.lo && invs[j].end > w.lo &&
+            chain_length[w.tid][j] > static_cast<size_t>(kMaxProbeDepth)) {
+          ++capped_running;
+        }
+      }
+      e.window_on_boundary += on_boundary ? 1 : 0;
+      e.nested_past_max_depth += capped_running >= 2 ? 1 : 0;
+      const auto last = std::partition_point(
+          invs.begin(), invs.end(),
+          [&](const Invocation& inv) { return inv.start < w.lo; });
+      if (last != invs.begin() && std::prev(last)->end <= w.lo) {
+        for (int32_t p = std::prev(last)->parent; p >= 0;
+             p = invs[static_cast<size_t>(p)].parent) {
+          if (invs[static_cast<size_t>(p)].end > w.lo) {
+            ++e.ancestor_outlives_last;
+            break;
+          }
+        }
+      }
+    }
+  }
+  return e;
+}
+
+TEST(VarianceAnalysisTest, AttributionMatchesBruteForceOnRandomTraces) {
+  Exercised total;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Trace trace = RandomTrace(seed);
+    ASSERT_GT(trace.dropped_record_count(), 0u);
+    const Reference ref = BruteForce(trace);
+    const VarianceAnalysis va(trace);
+    ASSERT_EQ(va.interval_count(), ref.breakdowns.size());
+    ASSERT_EQ(va.interval_count(), static_cast<size_t>(kSlots));
+    // Coverage decides whether blocked time becomes a window or a wait, so
+    // equal wait totals mean the two coverage checks agreed.
+    EXPECT_EQ(va.total_queue_wait_ns(), ref.queue_wait_ns);
+    EXPECT_EQ(va.total_blocked_wait_ns(), ref.blocked_wait_ns);
+    EXPECT_EQ(va.total_descheduled_ns(), ref.descheduled_ns);
+
+    size_t function_nodes = 0;
+    for (size_t id = 1; id < va.node_count(); ++id) {
+      if (va.node(static_cast<NodeId>(id)).is_body) {
+        continue;
+      }
+      ++function_nodes;
+      std::vector<FuncId> path;
+      for (NodeId n = static_cast<NodeId>(id); n != kRootNode;
+           n = va.node(n).parent) {
+        path.insert(path.begin(), va.node(n).func);
+      }
+      const auto it = ref.series.find(path);
+      ASSERT_NE(it, ref.series.end()) << va.NodeLabel(static_cast<NodeId>(id));
+      const std::span<const double> series = va.Series(static_cast<NodeId>(id));
+      ASSERT_EQ(series.size(), it->second.size());
+      for (size_t i = 0; i < series.size(); ++i) {
+        ASSERT_EQ(series[i], it->second[i])
+            << va.NodeLabel(static_cast<NodeId>(id)) << " depth "
+            << path.size() << " interval " << i;
+      }
+    }
+    EXPECT_EQ(function_nodes, ref.series.size());
+
+    const Exercised e = Survey(trace, ref);
+    total.same_start_as_parent += e.same_start_as_parent;
+    total.zero_length += e.zero_length;
+    total.clamped_at_end += e.clamped_at_end;
+    total.window_on_boundary += e.window_on_boundary;
+    total.window_on_other_thread += e.window_on_other_thread;
+    total.ancestor_outlives_last += e.ancestor_outlives_last;
+    total.nested_past_max_depth += e.nested_past_max_depth;
+  }
+  // The sweep must actually reach every case.
+  EXPECT_GT(total.same_start_as_parent, 0);
+  EXPECT_GT(total.zero_length, 0);
+  EXPECT_GT(total.clamped_at_end, 0);
+  EXPECT_GT(total.window_on_boundary, 0);
+  EXPECT_GT(total.window_on_other_thread, 0);
+  EXPECT_GT(total.ancestor_outlives_last, 0);
+  EXPECT_GT(total.nested_past_max_depth, 0);
 }
 
 }  // namespace
