@@ -49,13 +49,13 @@ RequestStatus HttpServer::HandleRequestBlocking(uint64_t file_id) {
   if (owns_interval) {
     sid = vprof::BeginInterval();
   }
-  vprof::Event done;
+  const auto done = std::make_shared<vprof::Event>();
   bool accepted = true;
   if (config_.max_queue_depth > 0) {
-    accepted = queue_.PushIfBelow(PendingRequest{sid, file_id, &done},
+    accepted = queue_.PushIfBelow(PendingRequest{sid, file_id, done},
                                   static_cast<size_t>(config_.max_queue_depth));
   } else {
-    queue_.Push(PendingRequest{sid, file_id, &done});
+    queue_.Push(PendingRequest{sid, file_id, done});
   }
   if (!accepted) {
     // Shed: answer 503 immediately rather than deepening the backlog. The
@@ -66,7 +66,7 @@ RequestStatus HttpServer::HandleRequestBlocking(uint64_t file_id) {
     }
     return RequestStatus::kServiceUnavailable;
   }
-  done.Wait();
+  done->Wait();
   if (owns_interval) {
     vprof::EndInterval(sid);
   }

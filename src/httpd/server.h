@@ -108,7 +108,10 @@ class HttpServer {
   struct PendingRequest {
     vprof::IntervalId sid = vprof::kNoInterval;
     uint64_t file_id = 0;
-    vprof::Event* done = nullptr;
+    // Shared with the worker: the caller returns, and drops its reference,
+    // as soon as Wait sees the event set, which can be before the worker's
+    // Set has finished notifying.
+    std::shared_ptr<vprof::Event> done;
   };
 
   void WorkerLoop();

@@ -1,7 +1,6 @@
 #include "src/vprof/analysis/critical_path.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace vprof {
 
@@ -15,35 +14,53 @@ TraceIndex::TraceIndex(const Trace& trace) : trace_(&trace) {
     tid_to_index_[static_cast<size_t>(trace.threads[i].tid)] = static_cast<int>(i);
   }
 
-  // Match begin/end events into completed intervals.
-  std::unordered_map<IntervalId, IntervalInfo> open;
+  // Match begin/end events into completed intervals. A stable sort by sid
+  // keeps each interval's events in trace order (thread by thread), so when
+  // an event is duplicated the last one wins, and the intervals come out
+  // ordered by sid.
+  struct Event {
+    IntervalId sid;
+    ThreadId tid;
+    const IntervalEvent* event;
+  };
+  size_t event_count = 0;
+  for (const ThreadTrace& t : trace.threads) {
+    event_count += t.interval_events.size();
+  }
+  std::vector<Event> events;
+  events.reserve(event_count);
   for (const ThreadTrace& t : trace.threads) {
     for (const IntervalEvent& e : t.interval_events) {
-      IntervalInfo& info = open[e.sid];
-      info.sid = e.sid;
+      events.push_back(Event{e.sid, t.tid, &e});
+    }
+  }
+  std::stable_sort(
+      events.begin(), events.end(),
+      [](const Event& a, const Event& b) { return a.sid < b.sid; });
+  for (size_t i = 0; i < events.size();) {
+    IntervalInfo info;
+    info.sid = events[i].sid;
+    for (; i < events.size() && events[i].sid == info.sid; ++i) {
+      const IntervalEvent& e = *events[i].event;
       if (e.kind == IntervalEventKind::kBegin) {
         info.begin_time = e.time;
-        info.begin_tid = t.tid;
+        info.begin_tid = events[i].tid;
         info.label = e.label;
         info.has_begin = true;
       } else {
         info.end_time = e.time;
-        info.end_tid = t.tid;
+        info.end_tid = events[i].tid;
         info.has_end = true;
       }
     }
-  }
-  // Only fully observed intervals are analyzable. Filtering on the event
-  // flags (not on end_time > 0) keeps an end-without-begin orphan — whose
-  // zero-initialized begin_time would misattribute the whole run prefix —
-  // out of the index when the trace is truncated.
-  for (auto& [sid, info] : open) {
+    // Only fully observed intervals are analyzable. Filtering on the event
+    // flags (not on end_time > 0) keeps an end-without-begin orphan — whose
+    // zero-initialized begin_time would misattribute the whole run prefix —
+    // out of the index when the trace is truncated.
     if (info.has_begin && info.has_end && info.end_time >= info.begin_time) {
       intervals_.push_back(info);
     }
   }
-  std::sort(intervals_.begin(), intervals_.end(),
-            [](const IntervalInfo& a, const IntervalInfo& b) { return a.sid < b.sid; });
 }
 
 const ThreadTrace* TraceIndex::Thread(ThreadId tid) const {
@@ -180,10 +197,9 @@ std::vector<IntervalBreakdown> BuildBreakdowns(const TraceIndex& index,
   std::vector<IntervalBreakdown> out;
   out.reserve(index.Intervals().size());
   for (const auto& info : index.Intervals()) {
-    if (options.filter_by_label && info.label != options.label_filter) {
-      continue;
+    if (options.Selects(info.label)) {
+      out.push_back(BuildBreakdown(index, info, options));
     }
-    out.push_back(BuildBreakdown(index, info, options));
   }
   return out;
 }

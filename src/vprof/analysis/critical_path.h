@@ -56,6 +56,8 @@ struct CriticalPathOptions {
   // lets Table 4 report os_event_wait as a variance factor. Uncovered
   // blocked segments fall back to the wake-up-edge jump into the waker
   // thread (essential for cross-thread handoffs with no instrumented wait).
+  // VarianceAnalysis walks blocks of intervals on the analysis pool, so it
+  // may call a caller-supplied has_coverage from several threads at once.
   std::function<bool(ThreadId tid, TimeNs lo, TimeNs hi)> has_coverage;
 
   // Optional: analyze only intervals whose begin annotation carried this
@@ -63,6 +65,10 @@ struct CriticalPathOptions {
   // analyzes everything.
   bool filter_by_label = false;
   IntervalLabel label_filter = kNoLabel;
+  // Whether an interval whose begin annotation carried `label` is analyzed.
+  bool Selects(IntervalLabel label) const {
+    return !filter_by_label || label == label_filter;
+  }
 
   // Optional: the name of a registered function that receives each
   // interval's critical-path queue wait (enqueue-to-dequeue gaps and

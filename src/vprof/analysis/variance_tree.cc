@@ -1,7 +1,9 @@
 #include "src/vprof/analysis/variance_tree.h"
 
 #include <algorithm>
+#include <functional>
 
+#include "src/vprof/analysis/pool.h"
 #include "src/vprof/runtime.h"
 
 namespace vprof {
@@ -114,6 +116,92 @@ size_t ThreadPosition(const Trace& trace, const ThreadTrace* thread) {
   return static_cast<size_t>(thread - trace.threads.data());
 }
 
+// Intervals per pool block of the critical-path walk and the attribution.
+// A trace of fewer than two blocks is analyzed inline at every stage: it
+// costs less than waking the pool. (vprofd's epoch fold runs inline at any
+// size; see OnlineVarianceTree::Fold.)
+constexpr size_t kBlockIntervals = 1024;
+
+// Runs body(i) for every i in [0, n) of a per-thread or per-node stage:
+// each as a pool block when the trace has two or more interval blocks, else
+// in order on this thread.
+void ForEachItem(size_t interval_blocks, size_t n,
+                 const std::function<void(size_t)>& body) {
+  if (interval_blocks >= 2) {
+    RunBlocks(n, body);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    body(i);
+  }
+}
+
+// The child of `parent` labeled (func, is_body), or -1.
+NodeId FindChild(const std::vector<TreeNode>& nodes, NodeId parent,
+                 FuncId func, bool is_body) {
+  for (const NodeId child : nodes[static_cast<size_t>(parent)].children) {
+    const TreeNode& n = nodes[static_cast<size_t>(child)];
+    if (n.func == func && n.is_body == is_body) {
+      return child;
+    }
+  }
+  return -1;
+}
+
+NodeId AddChild(std::vector<TreeNode>* nodes, NodeId parent, FuncId func,
+                bool is_body) {
+  const NodeId id = static_cast<NodeId>(nodes->size());
+  TreeNode node;
+  node.parent = parent;
+  node.func = func;
+  node.is_body = is_body;
+  node.depth = (*nodes)[static_cast<size_t>(parent)].depth + 1;
+  nodes->push_back(node);
+  (*nodes)[static_cast<size_t>(parent)].children.push_back(id);
+  return id;
+}
+
+// One trace thread's records interned into a call tree of its own, whose
+// nodes are numbered in order of first appearance. Merging the threads'
+// trees in thread order then numbers the nodes as one pass over every
+// thread's records would.
+struct ThreadTree {
+  std::vector<TreeNode> nodes{TreeNode{}};  // node 0: the root
+  std::vector<NodeId> record_node;          // per invocation record
+};
+
+void BuildThreadTree(const std::vector<Invocation>& invocations,
+                     ThreadTree* tree) {
+  // Parents precede children in the record order, so one forward pass
+  // works. Nearly every record repeats a (parent node, func) pair seen
+  // before, so a direct-mapped memo answers most of them without the child
+  // scan.
+  struct MemoSlot {
+    NodeId parent = -1;
+    FuncId func = kInvalidFunc;
+    NodeId child = kRootNode;
+  };
+  constexpr int kMemoBits = 10;
+  std::vector<MemoSlot> memo(size_t{1} << kMemoBits);
+  tree->record_node.resize(invocations.size());
+  for (size_t i = 0; i < invocations.size(); ++i) {
+    const Invocation& inv = invocations[i];
+    const NodeId parent =
+        inv.parent >= 0 ? tree->record_node[static_cast<size_t>(inv.parent)]
+                        : kRootNode;
+    const uint64_t key = (static_cast<uint64_t>(parent) << 32) | inv.func;
+    MemoSlot& slot = memo[(key * 0x9e3779b97f4a7c15ull) >> (64 - kMemoBits)];
+    if (slot.parent != parent || slot.func != inv.func) {
+      NodeId child = FindChild(tree->nodes, parent, inv.func, false);
+      if (child < 0) {
+        child = AddChild(&tree->nodes, parent, inv.func, false);
+      }
+      slot = MemoSlot{parent, inv.func, child};
+    }
+    tree->record_node[i] = slot.child;
+  }
+}
+
 }  // namespace
 
 VarianceAnalysis::VarianceAnalysis(const Trace& trace,
@@ -122,32 +210,53 @@ VarianceAnalysis::VarianceAnalysis(const Trace& trace,
   nodes_.push_back(TreeNode{});  // synthetic root
   node_times_.emplace_back();
 
-  TraceIndex index(trace);
-  CriticalPathOptions path_options = options;
-  std::vector<size_t> coverage_cursors(trace.threads.size(), 0);
-  if (!path_options.has_coverage) {
-    path_options.has_coverage = [&trace, &index, &coverage_cursors](
-                                    ThreadId tid, TimeNs lo, TimeNs hi) {
-      const ThreadTrace* thread = index.Thread(tid);
-      if (thread == nullptr) {
-        return false;
-      }
-      bool covered = false;
-      ForEachOverlap(thread->invocations, lo, hi,
-                     &coverage_cursors[ThreadPosition(trace, thread)],
-                     [&covered](size_t, TimeNs) { covered = true; });
-      return covered;
-    };
+  const TraceIndex index(trace);
+  std::vector<const TraceIndex::IntervalInfo*> intervals;
+  for (const TraceIndex::IntervalInfo& info : index.Intervals()) {
+    if (options.Selects(info.label)) {
+      intervals.push_back(&info);
+    }
   }
-  const std::vector<IntervalBreakdown> breakdowns =
-      BuildBreakdowns(index, path_options);
-  interval_count_ = breakdowns.size();
+  interval_count_ = intervals.size();
+  const size_t blocks =
+      (interval_count_ + kBlockIntervals - 1) / kBlockIntervals;
+
+  // Critical paths, one block of intervals at a time. The coverage cursors
+  // only speed up the position search, so each block keeps its own.
+  std::vector<IntervalBreakdown> breakdowns(interval_count_);
+  RunBlocks(blocks, [&](size_t block) {
+    std::vector<size_t> cursors(trace.threads.size(), 0);
+    CriticalPathOptions block_options = options;
+    if (!block_options.has_coverage) {
+      block_options.has_coverage = [&](ThreadId tid, TimeNs lo, TimeNs hi) {
+        const ThreadTrace* thread = index.Thread(tid);
+        if (thread == nullptr) {
+          return false;
+        }
+        bool covered = false;
+        ForEachOverlap(thread->invocations, lo, hi,
+                       &cursors[ThreadPosition(trace, thread)],
+                       [&covered](size_t, TimeNs) { covered = true; });
+        return covered;
+      };
+    }
+    const size_t end =
+        std::min(interval_count_, (block + 1) * kBlockIntervals);
+    for (size_t i = block * kBlockIntervals; i < end; ++i) {
+      breakdowns[i] = BuildBreakdown(index, *intervals[i], block_options);
+    }
+  });
   for (auto& series : node_times_) {
     series.assign(interval_count_, 0.0);
   }
-  AttributeWindows(index, breakdowns);
+  for (const IntervalBreakdown& b : breakdowns) {
+    total_queue_wait_ns_ += b.queue_wait_ns;
+    total_blocked_wait_ns_ += b.blocked_wait_ns;
+    total_descheduled_ns_ += b.descheduled_ns;
+  }
+  AttributeWindows(index, breakdowns, blocks);
   MaterializeQueueWait(options.queue_wait_factor, breakdowns);
-  AddBodiesAndStats();
+  AddBodiesAndStats(blocks);
 }
 
 void VarianceAnalysis::MaterializeQueueWait(
@@ -176,132 +285,126 @@ void VarianceAnalysis::MaterializeQueueWait(
 }
 
 NodeId VarianceAnalysis::Intern(NodeId parent, FuncId func, bool is_body) {
-  const TreeNode& parent_node = nodes_[static_cast<size_t>(parent)];
-  for (NodeId child : parent_node.children) {
-    const TreeNode& n = nodes_[static_cast<size_t>(child)];
-    if (n.func == func && n.is_body == is_body) {
-      return child;
-    }
+  const NodeId found = FindChild(nodes_, parent, func, is_body);
+  if (found >= 0) {
+    return found;
   }
-  const NodeId id = static_cast<NodeId>(nodes_.size());
-  TreeNode node;
-  node.parent = parent;
-  node.func = func;
-  node.is_body = is_body;
-  node.depth = nodes_[static_cast<size_t>(parent)].depth + 1;
-  nodes_.push_back(node);
-  nodes_[static_cast<size_t>(parent)].children.push_back(id);
   node_times_.emplace_back(interval_count_, 0.0);
-  return id;
+  return AddChild(&nodes_, parent, func, is_body);
 }
 
 void VarianceAnalysis::AttributeWindows(
-    const TraceIndex& index, const std::vector<IntervalBreakdown>& breakdowns) {
+    const TraceIndex& index, const std::vector<IntervalBreakdown>& breakdowns,
+    size_t blocks) {
   const Trace& trace = index.trace();
+  const size_t thread_count = trace.threads.size();
 
-  // Precompute, per thread, the tree node of every recorded invocation.
-  // Parents precede children in the record order, so one forward pass works.
-  // Nearly every record repeats a (parent node, func) pair seen before, so a
-  // direct-mapped memo answers most of them without Intern's child scan.
-  struct MemoSlot {
-    NodeId parent = -1;
-    FuncId func = kInvalidFunc;
-    NodeId child = kRootNode;
-  };
-  constexpr int kMemoBits = 10;
-  std::vector<MemoSlot> memo(size_t{1} << kMemoBits);
-  std::vector<std::vector<NodeId>> invocation_nodes(trace.threads.size());
-  for (size_t t = 0; t < trace.threads.size(); ++t) {
-    const std::vector<Invocation>& invocations = trace.threads[t].invocations;
-    std::vector<NodeId>& nodes = invocation_nodes[t];
-    nodes.resize(invocations.size());
-    for (size_t i = 0; i < invocations.size(); ++i) {
-      const Invocation& inv = invocations[i];
-      const NodeId parent =
-          inv.parent >= 0 ? nodes[static_cast<size_t>(inv.parent)] : kRootNode;
-      const uint64_t key = (static_cast<uint64_t>(parent) << 32) | inv.func;
-      MemoSlot& slot = memo[(key * 0x9e3779b97f4a7c15ull) >> (64 - kMemoBits)];
-      if (slot.parent != parent || slot.func != inv.func) {
-        slot = MemoSlot{parent, inv.func,
-                        Intern(parent, inv.func, /*is_body=*/false)};
-      }
-      nodes[i] = slot.child;
+  // The tree node of every recorded invocation: each thread's records are
+  // interned into a tree of their own, and the trees are merged in thread
+  // order.
+  std::vector<ThreadTree> trees(thread_count);
+  ForEachItem(blocks, thread_count, [&](size_t t) {
+    BuildThreadTree(trace.threads[t].invocations, &trees[t]);
+  });
+  std::vector<std::vector<NodeId>> to_node(thread_count);
+  for (size_t t = 0; t < thread_count; ++t) {
+    const std::vector<TreeNode>& local = trees[t].nodes;
+    to_node[t].resize(local.size());
+    to_node[t][kRootNode] = kRootNode;
+    for (size_t n = 1; n < local.size(); ++n) {
+      to_node[t][n] = Intern(to_node[t][static_cast<size_t>(local[n].parent)],
+                             local[n].func, /*is_body=*/false);
     }
   }
 
-  std::vector<size_t> cursors(trace.threads.size(), 0);
-  for (size_t interval_idx = 0; interval_idx < breakdowns.size(); ++interval_idx) {
-    const IntervalBreakdown& b = breakdowns[interval_idx];
-    node_times_[kRootNode][interval_idx] = b.latency_ns();
-    total_queue_wait_ns_ += b.queue_wait_ns;
-    total_blocked_wait_ns_ += b.blocked_wait_ns;
-    total_descheduled_ns_ += b.descheduled_ns;
-
-    for (const PathWindow& window : b.windows) {
-      const ThreadTrace* thread = index.Thread(window.tid);
-      if (thread == nullptr) {
-        continue;
+  // Each interval's series entries are written by the one block that holds
+  // the interval, adding its overlaps in window order.
+  RunBlocks(blocks, [&](size_t block) {
+    std::vector<size_t> cursors(thread_count, 0);
+    const size_t end =
+        std::min(interval_count_, (block + 1) * kBlockIntervals);
+    for (size_t interval_idx = block * kBlockIntervals; interval_idx < end;
+         ++interval_idx) {
+      const IntervalBreakdown& b = breakdowns[interval_idx];
+      node_times_[kRootNode][interval_idx] = b.latency_ns();
+      for (const PathWindow& window : b.windows) {
+        const ThreadTrace* thread = index.Thread(window.tid);
+        if (thread == nullptr) {
+          continue;
+        }
+        const size_t t = ThreadPosition(trace, thread);
+        const std::vector<NodeId>& record_node = trees[t].record_node;
+        const std::vector<NodeId>& nodes = to_node[t];
+        ForEachOverlap(
+            thread->invocations, window.lo, window.hi, &cursors[t],
+            [&](size_t record, TimeNs overlap_ns) {
+              const size_t node = static_cast<size_t>(
+                  nodes[static_cast<size_t>(record_node[record])]);
+              node_times_[node][interval_idx] +=
+                  static_cast<double>(overlap_ns);
+            });
       }
-      const size_t t = ThreadPosition(trace, thread);
-      const std::vector<NodeId>& nodes = invocation_nodes[t];
-      ForEachOverlap(
-          thread->invocations, window.lo, window.hi, &cursors[t],
-          [&](size_t record, TimeNs overlap_ns) {
-            const size_t node = static_cast<size_t>(nodes[record]);
-            node_times_[node][interval_idx] += static_cast<double>(overlap_ns);
-          });
     }
-  }
+  });
 }
 
-void VarianceAnalysis::AddBodiesAndStats() {
+void VarianceAnalysis::AddBodiesAndStats(size_t blocks) {
   // Add a body pseudo-node under every node that has children (including the
   // synthetic root, whose body captures critical-path time outside any
   // instrumented function: waits, queueing, uninstrumented code).
   const size_t original_count = nodes_.size();
   for (size_t id = 0; id < original_count; ++id) {
-    if (nodes_[id].children.empty()) {
-      continue;
-    }
-    const NodeId body = Intern(static_cast<NodeId>(id),
-                               nodes_[id].func, /*is_body=*/true);
-    std::vector<double>& body_series = node_times_[static_cast<size_t>(body)];
-    const std::vector<double>& self_series = node_times_[id];
-    for (size_t i = 0; i < interval_count_; ++i) {
-      double children_sum = 0.0;
-      for (NodeId child : nodes_[id].children) {
-        if (child != body) {
-          children_sum += node_times_[static_cast<size_t>(child)][i];
-        }
-      }
-      body_series[i] = self_series[i] - children_sum;
+    if (!nodes_[id].children.empty()) {
+      Intern(static_cast<NodeId>(id), nodes_[id].func, /*is_body=*/true);
     }
   }
 
-  // Per-node variance and mean.
+  // Per node: a body's series (its parent's time less its siblings'), then
+  // every node's mean and variance.
   node_variance_.resize(nodes_.size());
   node_mean_.resize(nodes_.size());
-  for (size_t id = 0; id < nodes_.size(); ++id) {
-    const std::vector<double>& series = node_times_[id];
+  ForEachItem(blocks, nodes_.size(), [&](size_t id) {
+    std::vector<double>& series = node_times_[id];
+    if (nodes_[id].is_body) {
+      const size_t parent = static_cast<size_t>(nodes_[id].parent);
+      const std::vector<double>& parent_series = node_times_[parent];
+      for (size_t i = 0; i < interval_count_; ++i) {
+        double children_sum = 0.0;
+        for (const NodeId child : nodes_[parent].children) {
+          if (static_cast<size_t>(child) != id) {
+            children_sum += node_times_[static_cast<size_t>(child)][i];
+          }
+        }
+        series[i] = parent_series[i] - children_sum;
+      }
+    }
     node_mean_[id] = Mean(series);
     node_variance_[id] =
         Covariance(series, node_mean_[id], series, node_mean_[id]);
-  }
+  });
 
-  // Sibling covariances per expanded parent.
+  // Sibling covariances per expanded parent, in (parent, a, b) order.
+  std::vector<size_t> first_pair(nodes_.size() + 1, 0);
   for (size_t id = 0; id < nodes_.size(); ++id) {
+    const size_t kids = nodes_[id].children.size();
+    first_pair[id + 1] =
+        first_pair[id] + (kids < 2 ? 0 : kids * (kids - 1) / 2);
+  }
+  covariances_.resize(first_pair.back());
+  ForEachItem(blocks, nodes_.size(), [&](size_t id) {
     const std::vector<NodeId>& kids = nodes_[id].children;
+    size_t slot = first_pair[id];
     for (size_t a = 0; a < kids.size(); ++a) {
       for (size_t b = a + 1; b < kids.size(); ++b) {
         const size_t ka = static_cast<size_t>(kids[a]);
         const size_t kb = static_cast<size_t>(kids[b]);
-        covariances_.push_back(SiblingCovariance{
+        covariances_[slot++] = SiblingCovariance{
             static_cast<NodeId>(id), kids[a], kids[b],
             Covariance(node_times_[ka], node_mean_[ka], node_times_[kb],
-                       node_mean_[kb])});
+                       node_mean_[kb])};
       }
     }
-  }
+  });
 }
 
 std::string VarianceAnalysis::NodeLabel(NodeId id) const {

@@ -106,14 +106,19 @@ class VarianceAnalysis {
 
  private:
   NodeId Intern(NodeId parent, FuncId func, bool is_body);
+  // Interns every recorded invocation's node and fills the per-interval
+  // series, `blocks` pool blocks of intervals at a time.
   void AttributeWindows(const TraceIndex& index,
-                        const std::vector<IntervalBreakdown>& breakdowns);
+                        const std::vector<IntervalBreakdown>& breakdowns,
+                        size_t blocks);
   // Turns per-interval critical-path queue wait into a named leaf node under
   // the root (CriticalPathOptions::queue_wait_factor); no-op for the empty
   // name or an unregistered one.
   void MaterializeQueueWait(const std::string& factor_name,
                             const std::vector<IntervalBreakdown>& breakdowns);
-  void AddBodiesAndStats();
+  // Adds body nodes and computes moments, per node on the pool when the
+  // trace has two or more `blocks` of intervals.
+  void AddBodiesAndStats(size_t blocks);
 
   std::vector<TreeNode> nodes_;
   std::vector<std::vector<double>> node_times_;  // [node][interval]

@@ -4,6 +4,7 @@
 #include <span>
 #include <sstream>
 
+#include "src/vprof/analysis/pool.h"
 #include "src/vprof/service/prom.h"
 
 namespace vprof {
@@ -93,7 +94,12 @@ NodeId OnlineVarianceTree::Intern(NodeId parent, FuncId func, bool is_body,
 
 void OnlineVarianceTree::Fold(const Trace& trace) {
   // The expensive part — critical-path walk and per-interval attribution —
-  // runs unlocked so Snapshot() readers are never blocked behind it.
+  // runs unlocked so Snapshot() readers are never blocked behind it. It
+  // runs on this thread only. The fold runs inside the profiled server, and
+  // a saturated server's epoch (about 10,000 intervals per 100 ms at 90k
+  // req/s) is large enough to wake the analysis pool, whose workers would
+  // run on every CPU next to the server's threads.
+  const InlineBlocks inline_only;
   const VarianceAnalysis epoch(trace, options_.path_options);
   const size_t n_intervals = epoch.interval_count();
 

@@ -96,7 +96,9 @@ class CondVar {
 };
 
 // Binary event in the style of InnoDB's os_event: Set wakes all current and
-// future waiters until Reset.
+// future waiters until Reset. Set notifies after releasing the lock, so a
+// waiter can return from Wait while Set is still running: the event must
+// outlive the Set call, not only the Wait.
 class Event {
  public:
   Event() = default;

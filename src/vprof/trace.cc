@@ -1,11 +1,15 @@
 #include "src/vprof/trace.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 
+#include "src/vprof/analysis/pool.h"
 #include "src/vprof/registry.h"
 
 namespace vprof {
@@ -166,9 +170,20 @@ TraceLoadStatus ReadStringChecked(std::FILE* f, uint64_t file_size,
                                        : TraceLoadStatus::kTruncated;
 }
 
+// Where one record vector lies in the file.
+struct Extent {
+  uint64_t offset = 0;
+  uint64_t count = 0;
+};
+
+// Reads one record vector's length, checks it against the bytes left, and
+// skips over the records. The vector gets its storage here, on the calling
+// thread: the pool block that fills it would otherwise allocate it from
+// that worker's malloc arena, which keeps the memory after the trace is
+// freed.
 template <typename T>
-TraceLoadStatus ReadVectorChecked(std::FILE* f, uint64_t file_size,
-                                  std::vector<T>* v) {
+TraceLoadStatus SkipVectorChecked(std::FILE* f, uint64_t file_size,
+                                  std::vector<T>* v, Extent* extent) {
   uint64_t size = 0;
   if (!ReadPod(f, &size)) {
     return TraceLoadStatus::kTruncated;
@@ -176,40 +191,68 @@ TraceLoadStatus ReadVectorChecked(std::FILE* f, uint64_t file_size,
   if (size > (1ull << 32)) {
     return TraceLoadStatus::kCorrupt;
   }
-  if (size * sizeof(T) > RemainingBytes(f, file_size)) {
+  const uint64_t bytes = size * sizeof(T);
+  if (bytes > RemainingBytes(f, file_size)) {
     return TraceLoadStatus::kTruncated;
   }
-  v->resize(size);
-  return ReadBytes(f, v->data(), v->size() * sizeof(T))
-             ? TraceLoadStatus::kOk
-             : TraceLoadStatus::kTruncated;
+  extent->offset = static_cast<uint64_t>(std::ftell(f));
+  extent->count = size;
+  if (std::fseek(f, static_cast<long>(bytes), SEEK_CUR) != 0) {
+    return TraceLoadStatus::kTruncated;
+  }
+  v->reserve(size);
+  return TraceLoadStatus::kOk;
 }
 
-// Field-level validation of one thread's records. Everything checked here
-// is indexed or switched on by the analysis layer without further guards.
-TraceLoadStatus ValidateThread(const ThreadTrace& t, uint64_t name_count) {
-  for (size_t i = 0; i < t.invocations.size(); ++i) {
-    const Invocation& inv = t.invocations[i];
-    if (inv.func == kInvalidFunc ||
-        static_cast<uint64_t>(inv.func) >= name_count) {
-      return TraceLoadStatus::kCorrupt;
+// Field-level validation of one record. Everything checked here is indexed
+// or switched on by the analysis layer without further guards.
+bool Valid(const Invocation& inv, size_t index, uint64_t name_count) {
+  // Parents are earlier records on the same thread; a forward or self
+  // reference would make the analysis chase a cycle.
+  return inv.func != kInvalidFunc &&
+         static_cast<uint64_t>(inv.func) < name_count && inv.parent >= -1 &&
+         inv.parent < static_cast<int64_t>(index);
+}
+
+bool Valid(const Segment& seg, size_t, uint64_t) {
+  return seg.state == SegmentState::kExecuting ||
+         seg.state == SegmentState::kBlocked ||
+         seg.state == SegmentState::kQueueWait;
+}
+
+bool Valid(const IntervalEvent& e, size_t, uint64_t) {
+  return e.kind == IntervalEventKind::kBegin ||
+         e.kind == IntervalEventKind::kEnd;
+}
+
+bool ReadAt(int fd, uint64_t offset, void* data, size_t size) {
+  char* out = static_cast<char*>(data);
+  while (size > 0) {
+    const ssize_t n = ::pread(fd, out, size, static_cast<off_t>(offset));
+    if (n < 0 && errno == EINTR) {
+      continue;
     }
-    // Parents are earlier records on the same thread; a forward or self
-    // reference would make the analysis chase a cycle.
-    if (inv.parent < -1 || inv.parent >= static_cast<int32_t>(i)) {
-      return TraceLoadStatus::kCorrupt;
+    if (n <= 0) {
+      return false;
     }
+    out += n;
+    offset += static_cast<uint64_t>(n);
+    size -= static_cast<size_t>(n);
   }
-  for (const Segment& seg : t.segments) {
-    if (seg.state != SegmentState::kExecuting &&
-        seg.state != SegmentState::kBlocked &&
-        seg.state != SegmentState::kQueueWait) {
-      return TraceLoadStatus::kCorrupt;
-    }
+  return true;
+}
+
+// Fills a vector whose storage SkipVectorChecked reserved, and validates
+// every record.
+template <typename T>
+TraceLoadStatus ReadRecords(int fd, const Extent& extent, uint64_t name_count,
+                            std::vector<T>* v) {
+  v->resize(extent.count);
+  if (!ReadAt(fd, extent.offset, v->data(), v->size() * sizeof(T))) {
+    return TraceLoadStatus::kTruncated;  // the file shrank under the reader
   }
-  for (const IntervalEvent& e : t.interval_events) {
-    if (e.kind != IntervalEventKind::kBegin &&
-        e.kind != IntervalEventKind::kEnd) {
+  for (size_t i = 0; i < v->size(); ++i) {
+    if (!Valid((*v)[i], i, name_count)) {
       return TraceLoadStatus::kCorrupt;
     }
   }
@@ -266,21 +309,56 @@ TraceLoadStatus LoadTraceImpl(std::FILE* f, Trace* trace) {
   if (thread_count > (1u << 20)) {
     return TraceLoadStatus::kCorrupt;
   }
+  // The layout pass: every length is checked against the bytes left, in
+  // file order, before any record is read.
+  constexpr size_t kVectorsPerThread = 3;
+  constexpr uint64_t kMinThreadBytes =
+      sizeof(ThreadId) + kVectorsPerThread * sizeof(uint64_t);
+  if (thread_count > RemainingBytes(f, file_size) / kMinThreadBytes) {
+    return TraceLoadStatus::kTruncated;
+  }
   trace->threads.resize(thread_count);
-  for (ThreadTrace& t : trace->threads) {
-    if (!ReadPod(f, &t.tid)) {
+  std::vector<Extent> extents(kVectorsPerThread * thread_count);
+  for (size_t t = 0; t < thread_count; ++t) {
+    ThreadTrace& thread = trace->threads[t];
+    Extent* const at = &extents[kVectorsPerThread * t];
+    if (!ReadPod(f, &thread.tid)) {
       return TraceLoadStatus::kTruncated;
     }
-    TraceLoadStatus status = ReadVectorChecked(f, file_size, &t.invocations);
+    TraceLoadStatus status =
+        SkipVectorChecked(f, file_size, &thread.invocations, &at[0]);
     if (status == TraceLoadStatus::kOk) {
-      status = ReadVectorChecked(f, file_size, &t.segments);
+      status = SkipVectorChecked(f, file_size, &thread.segments, &at[1]);
     }
     if (status == TraceLoadStatus::kOk) {
-      status = ReadVectorChecked(f, file_size, &t.interval_events);
+      status = SkipVectorChecked(f, file_size, &thread.interval_events, &at[2]);
     }
-    if (status == TraceLoadStatus::kOk) {
-      status = ValidateThread(t, name_count);
+    if (status != TraceLoadStatus::kOk) {
+      return status;
     }
+  }
+
+  // The records: one pool block per vector.
+  const int fd = ::fileno(f);
+  std::vector<TraceLoadStatus> statuses(extents.size(), TraceLoadStatus::kOk);
+  RunBlocks(extents.size(), [&](size_t block) {
+    ThreadTrace& thread = trace->threads[block / kVectorsPerThread];
+    const Extent& extent = extents[block];
+    switch (block % kVectorsPerThread) {
+      case 0:
+        statuses[block] =
+            ReadRecords(fd, extent, name_count, &thread.invocations);
+        break;
+      case 1:
+        statuses[block] = ReadRecords(fd, extent, name_count, &thread.segments);
+        break;
+      default:
+        statuses[block] =
+            ReadRecords(fd, extent, name_count, &thread.interval_events);
+        break;
+    }
+  });
+  for (const TraceLoadStatus status : statuses) {
     if (status != TraceLoadStatus::kOk) {
       return status;
     }

@@ -113,6 +113,11 @@ const char* TraceLoadStatusName(TraceLoadStatus status);
 // As LoadTrace, but reports what went wrong. On any non-kOk status `*trace`
 // is left cleared, never partially filled. LoadTrace() is equivalent to
 // LoadTraceChecked() == kOk.
+//
+// The header and every length field are checked, in file order, before any
+// record's fields are: a file that is both truncated and holds a forbidden
+// field value reports kTruncated. The records are then read and validated
+// on the analysis pool (analysis/pool.h), one vector per block.
 TraceLoadStatus LoadTraceChecked(const std::string& path, Trace* trace);
 
 }  // namespace vprof

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/vprof/analysis/pool.h"
 #include "src/vprof/analysis/variance_tree.h"
 #include "tests/vprof/trace_builder.h"
 
@@ -79,6 +80,31 @@ TEST(OnlineVarianceTreeTest, SingleFoldMatchesBatchAnalysis) {
   ASSERT_GE(a_node, 0);
   EXPECT_NEAR(snap.node_mean[static_cast<size_t>(a_node)], 100.0, 1e-9);
   EXPECT_NEAR(snap.node_variance[static_cast<size_t>(a_node)], 0.0, 1e-9);
+}
+
+TEST(OnlineVarianceTreeTest, LargeEpochFoldsOnTheCallingThread) {
+  // A saturated server's epoch spans several analysis-pool blocks; folding
+  // it inside the server must still leave the pool's workers asleep. Had the
+  // pool been used, its workers would likely have run some block of one of
+  // the five folds.
+  std::vector<TimeNs> b(8192);
+  for (size_t i = 0; i < b.size(); ++i) {
+    b[i] = 100 + static_cast<TimeNs>(i % 97) * 10;
+  }
+  const Trace trace = BuildTwoChildTrace(b);
+  OnlineVarianceTree tree;
+  constexpr size_t kEpochs = 5;
+  const uint64_t before = BlocksRunOnWorkers();
+  for (size_t e = 0; e < kEpochs; ++e) {
+    tree.Fold(trace);
+  }
+  EXPECT_EQ(BlocksRunOnWorkers(), before);
+
+  const VarianceAnalysis batch(trace);
+  const OnlineTreeSnapshot snap = tree.Snapshot();
+  EXPECT_EQ(snap.intervals, kEpochs * b.size());
+  EXPECT_NEAR(snap.overall_mean(), batch.overall_mean(), 1e-6);
+  EXPECT_NEAR(snap.overall_variance(), batch.overall_variance(), 1e-3);
 }
 
 TEST(OnlineVarianceTreeTest, TwoEpochFoldMatchesBatchConcat) {

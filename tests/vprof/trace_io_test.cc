@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/vprof/analysis/pool.h"
 #include "src/vprof/trace.h"
 #include "tests/vprof/trace_builder.h"
 
@@ -296,6 +297,74 @@ TEST(TraceIoTest, InvalidIntervalEventKindIsRejected) {
   const std::string path = TempPath("bad_kind.bin");
   ASSERT_TRUE(SaveTrace(trace, path));
   Trace loaded;
+  EXPECT_EQ(LoadTraceChecked(path, &loaded), TraceLoadStatus::kCorrupt);
+}
+
+// Threads 0..threads-1, each with one interval and `invocations` records,
+// every record after the first linked to the first.
+Trace MakeWideTrace(int threads, size_t invocations) {
+  TraceBuilder tb;
+  tb.Func("wide_root");
+  const FuncId func = tb.Func("wide_leaf");
+  for (ThreadId tid = 0; tid < threads; ++tid) {
+    tb.Begin(tid, static_cast<IntervalId>(tid + 1), 0)
+        .End(tid, static_cast<IntervalId>(tid + 1), 100);
+    tb.Exec(tid, static_cast<IntervalId>(tid + 1), 0, 100);
+    std::vector<Invocation>& records = tb.Thread(tid).invocations;
+    for (size_t i = 0; i < invocations; ++i) {
+      Invocation inv;
+      inv.start = static_cast<TimeNs>(i);
+      inv.end = static_cast<TimeNs>(i + 1);
+      inv.func = func;
+      inv.parent = i == 0 ? -1 : 0;
+      records.push_back(inv);
+    }
+  }
+  return tb.Build();
+}
+
+TEST(TraceIoTest, BadFieldInTheLastThreadIsCorruptAndClears) {
+  // The first thread's records keep the caller busy while the pool's
+  // workers take the later vectors, the last thread's among them.
+  Trace trace = MakeWideTrace(4, 200000);
+  trace.threads.back().invocations.back().parent = 1 << 30;  // forward link
+  const std::string path = TempPath("bad_last_thread.bin");
+  ASSERT_TRUE(SaveTrace(trace, path));
+  const uint64_t worker_blocks = BlocksRunOnWorkers();
+  for (int attempt = 0;
+       attempt < 20 && BlocksRunOnWorkers() == worker_blocks; ++attempt) {
+    Trace loaded;
+    loaded.duration = 42;  // must be wiped on failure
+    EXPECT_EQ(LoadTraceChecked(path, &loaded), TraceLoadStatus::kCorrupt);
+    EXPECT_EQ(loaded.duration, 0);
+    EXPECT_TRUE(loaded.threads.empty());
+    EXPECT_TRUE(loaded.function_names.empty());
+  }
+  EXPECT_GT(BlocksRunOnWorkers(), worker_blocks);
+
+  // Repaired, the same file loads in full.
+  trace.threads.back().invocations.back().parent = 0;
+  ASSERT_TRUE(SaveTrace(trace, path));
+  Trace loaded;
+  ASSERT_EQ(LoadTraceChecked(path, &loaded), TraceLoadStatus::kOk);
+  ASSERT_EQ(loaded.threads.size(), 4u);
+  EXPECT_EQ(loaded.threads.back().invocations.size(), 200000u);
+  EXPECT_EQ(loaded.threads.back().invocations.back().end, 200000);
+}
+
+TEST(TraceIoTest, TruncationOutranksABadField) {
+  // Every length is checked before any record's fields, so a bad field in
+  // the first thread does not hide a file cut short in the last one.
+  Trace trace = MakeWideTrace(2, 10);
+  trace.threads[0].segments[0].state = static_cast<SegmentState>(7);
+  const std::string path = TempPath("truncated_and_corrupt.bin");
+  ASSERT_TRUE(SaveTrace(trace, path));
+  const std::vector<char> bytes = ReadFile(path);
+  WriteFile(path, bytes, bytes.size() - 1);
+  Trace loaded;
+  EXPECT_EQ(LoadTraceChecked(path, &loaded), TraceLoadStatus::kTruncated);
+  EXPECT_TRUE(loaded.threads.empty());
+  WriteFile(path, bytes, bytes.size());
   EXPECT_EQ(LoadTraceChecked(path, &loaded), TraceLoadStatus::kCorrupt);
 }
 

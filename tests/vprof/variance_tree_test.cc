@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iterator>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/statkit/rng.h"
+#include "src/vprof/analysis/pool.h"
 #include "src/vprof/runtime.h"
 #include "tests/vprof/trace_builder.h"
 
@@ -198,8 +201,16 @@ const char* const kRandomFuncs[] = {"dt_a", "dt_b", "dt_c", "dt_d", "dt_e"};
 // frames deeper than kMaxProbeDepth link to the deepest tracked ancestor.
 class ForestGen {
  public:
-  ForestGen(TraceBuilder* tb, ThreadId tid, statkit::Rng* rng, bool deep)
-      : tb_(tb), tid_(tid), rng_(rng), deep_(deep), stack_(kMaxProbeDepth) {}
+  // With `deep`, some frames nest past kMaxProbeDepth; the others nest up
+  // to `max_depth` levels below the top-level frames.
+  ForestGen(TraceBuilder* tb, ThreadId tid, statkit::Rng* rng, bool deep,
+            int max_depth)
+      : tb_(tb),
+        tid_(tid),
+        rng_(rng),
+        deep_(deep),
+        max_depth_(max_depth),
+        stack_(kMaxProbeDepth) {}
 
   // Siblings at `depth` inside [lo, hi], each possibly with children.
   void Children(TimeNs lo, TimeNs hi, int depth) {
@@ -218,7 +229,7 @@ class ForestGen {
       Open(t, t + dur, depth);
       if (deep_ && depth == 0 && dur >= 2000 && rng_->NextBool(0.05)) {
         Nest(t, t + dur, depth + 1);
-      } else if (dur > 0 && depth < 4 && rng_->NextBool(0.6)) {
+      } else if (dur > 0 && depth < max_depth_ && rng_->NextBool(0.6)) {
         Children(t, t + dur, depth + 1);
       }
       t += dur;
@@ -262,6 +273,7 @@ class ForestGen {
   ThreadId tid_;
   statkit::Rng* rng_;
   bool deep_;
+  int max_depth_;
   std::vector<int> stack_;
 };
 
@@ -333,14 +345,16 @@ void Task(TraceBuilder* tb, ThreadId tid, IntervalId sid,
 // A random trace: three threads, one interval per time slot, run on one
 // thread, with blocked time handed to another (waker chains) or begun on
 // another thread that enqueued it (created-by edges). Thread 0 nests past
-// kMaxProbeDepth; thread 2 is capped by the arena, losing a suffix of its
-// records; invocations still open at the end are clamped to it.
-Trace RandomTrace(uint64_t seed) {
+// kMaxProbeDepth, unless `shallow`, which keeps every call within three
+// levels; thread 2 is capped by the arena, losing a suffix of its records;
+// invocations still open at the end are clamped to it.
+Trace RandomTrace(uint64_t seed, bool shallow = false) {
   statkit::Rng rng(seed);
   TraceBuilder tb;
   const TimeNs duration = kSlots * kSlot;
   for (ThreadId tid = 0; tid < kRandomThreads; ++tid) {
-    ForestGen(&tb, tid, &rng, /*deep=*/tid == 0)
+    ForestGen(&tb, tid, &rng, /*deep=*/!shallow && tid == 0,
+              /*max_depth=*/shallow ? 2 : 4)
         .Children(0, duration + kSlot, 0);
     std::vector<Invocation>& invocations = tb.Thread(tid).invocations;
     while (!invocations.empty() && invocations.back().start > duration) {
@@ -589,6 +603,259 @@ TEST(VarianceAnalysisTest, AttributionMatchesBruteForceOnRandomTraces) {
   EXPECT_GT(total.window_on_other_thread, 0);
   EXPECT_GT(total.ancestor_outlives_last, 0);
   EXPECT_GT(total.nested_past_max_depth, 0);
+}
+
+// --- The pooled path ------------------------------------------------------
+//
+// The random traces above hold 40 intervals, under the pool's grain, so the
+// test above checks the analysis run inline. A trace of several blocks of
+// intervals is analyzed on the pool: the critical-path walk and attribution
+// per block of intervals, interning per thread, moments per node.
+
+constexpr int kSeeds = 6;
+
+// Lays the random traces in `seeds`, cycled, end to end in time into one
+// trace of `tiles` tiles, on the same threads. Tile k's interval ids follow
+// tile k-1's, so its intervals are k * kSlots onwards in the index.
+Trace TileRandomTraces(const std::vector<Trace>& seeds, int tiles) {
+  constexpr TimeNs kStride = (kSlots + 1) * kSlot;
+  Trace out;
+  for (const Trace& part : seeds) {
+    if (part.function_names.size() > out.function_names.size()) {
+      out.function_names = part.function_names;
+    }
+  }
+  out.duration = tiles * kStride;
+  out.threads.resize(kRandomThreads);
+  for (int k = 0; k < tiles; ++k) {
+    const Trace& part = seeds[static_cast<size_t>(k % kSeeds)];
+    const TimeNs shift = k * kStride;
+    const IntervalId sid_shift = static_cast<IntervalId>(k) * kSlots;
+    for (const ThreadTrace& from : part.threads) {
+      ThreadTrace& to = out.threads[static_cast<size_t>(from.tid)];
+      to.tid = from.tid;
+      to.dropped_records += from.dropped_records;
+      const int32_t base = static_cast<int32_t>(to.invocations.size());
+      for (Invocation inv : from.invocations) {
+        inv.start += shift;
+        inv.end += shift;
+        inv.parent = inv.parent >= 0 ? inv.parent + base : -1;
+        to.invocations.push_back(inv);
+      }
+      for (Segment seg : from.segments) {
+        seg.start += shift;
+        seg.end += shift;
+        seg.sid += seg.sid == kNoInterval ? 0 : sid_shift;
+        seg.waker_time += seg.waker_time >= 0 ? shift : 0;
+        seg.generator_time += seg.generator_time >= 0 ? shift : 0;
+        to.segments.push_back(seg);
+      }
+      for (IntervalEvent e : from.interval_events) {
+        e.sid += sid_shift;
+        e.time += shift;
+        to.interval_events.push_back(e);
+      }
+    }
+  }
+  return out;
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// Whether two analyses agree bit for bit: tree, series, moments and waits.
+bool BitIdentical(const VarianceAnalysis& a, const VarianceAnalysis& b) {
+  if (a.node_count() != b.node_count() ||
+      a.interval_count() != b.interval_count() ||
+      a.covariances().size() != b.covariances().size() ||
+      Bits(a.total_queue_wait_ns()) != Bits(b.total_queue_wait_ns()) ||
+      Bits(a.total_blocked_wait_ns()) != Bits(b.total_blocked_wait_ns()) ||
+      Bits(a.total_descheduled_ns()) != Bits(b.total_descheduled_ns())) {
+    return false;
+  }
+  for (size_t i = 0; i < a.node_count(); ++i) {
+    const NodeId id = static_cast<NodeId>(i);
+    const TreeNode& x = a.node(id);
+    const TreeNode& y = b.node(id);
+    if (x.parent != y.parent || x.func != y.func || x.is_body != y.is_body ||
+        x.depth != y.depth || x.children != y.children ||
+        Bits(a.NodeMean(id)) != Bits(b.NodeMean(id)) ||
+        Bits(a.NodeVariance(id)) != Bits(b.NodeVariance(id)) ||
+        !std::equal(a.Series(id).begin(), a.Series(id).end(),
+                    b.Series(id).begin(), b.Series(id).end(),
+                    [](double u, double v) { return Bits(u) == Bits(v); })) {
+      return false;
+    }
+  }
+  for (size_t i = 0; i < a.covariances().size(); ++i) {
+    const SiblingCovariance& x = a.covariances()[i];
+    const SiblingCovariance& y = b.covariances()[i];
+    if (x.parent != y.parent || x.a != y.a || x.b != y.b ||
+        Bits(x.covariance) != Bits(y.covariance)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Shallow: the tree gets a node for every call path in any tile, each with
+// a series over every interval of the tiled trace, and deep random call
+// chains would make that thousands of nodes.
+std::vector<Trace> SeedTraces() {
+  std::vector<Trace> seeds;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    seeds.push_back(RandomTrace(seed, /*shallow=*/true));
+  }
+  return seeds;
+}
+
+// 103 tiles of 40 intervals: four full blocks of 1024 and a partial fifth.
+constexpr int kTiles = 103;
+
+TEST(VarianceAnalysisTest, PooledAttributionMatchesBruteForceOnTiledTraces) {
+  const std::vector<Trace> seeds = SeedTraces();
+  std::vector<Reference> refs;
+  for (const Trace& trace : seeds) {
+    refs.push_back(BruteForce(trace));
+  }
+  const Trace tiled = TileRandomTraces(seeds, kTiles);
+  const uint64_t worker_blocks = BlocksRunOnWorkers();
+  const VarianceAnalysis va(tiled);
+  ASSERT_EQ(va.interval_count(), static_cast<size_t>(kTiles * kSlots));
+  ASSERT_GE(va.interval_count(), size_t{4} * 1024);
+
+  double queue_wait_ns = 0.0;
+  double blocked_wait_ns = 0.0;
+  double descheduled_ns = 0.0;
+  for (int k = 0; k < kTiles; ++k) {
+    queue_wait_ns += refs[static_cast<size_t>(k % kSeeds)].queue_wait_ns;
+    blocked_wait_ns += refs[static_cast<size_t>(k % kSeeds)].blocked_wait_ns;
+    descheduled_ns += refs[static_cast<size_t>(k % kSeeds)].descheduled_ns;
+  }
+  EXPECT_EQ(va.total_queue_wait_ns(), queue_wait_ns);
+  EXPECT_EQ(va.total_blocked_wait_ns(), blocked_wait_ns);
+  EXPECT_EQ(va.total_descheduled_ns(), descheduled_ns);
+
+  // Function nodes are numbered in order of first appearance, thread by
+  // thread and record by record, as one pass over the records would.
+  std::vector<std::vector<FuncId>> first_seen;
+  for (const ThreadTrace& thread : tiled.threads) {
+    for (std::vector<FuncId>& path : CallPaths(thread)) {
+      if (std::find(first_seen.begin(), first_seen.end(), path) ==
+          first_seen.end()) {
+        first_seen.push_back(std::move(path));
+      }
+    }
+  }
+  size_t function_nodes = 0;
+  for (size_t id = 1; id < va.node_count(); ++id) {
+    if (va.node(static_cast<NodeId>(id)).is_body) {
+      continue;
+    }
+    std::vector<FuncId> path;
+    for (NodeId n = static_cast<NodeId>(id); n != kRootNode;
+         n = va.node(n).parent) {
+      path.insert(path.begin(), va.node(n).func);
+    }
+    ASSERT_LT(function_nodes, first_seen.size());
+    ASSERT_EQ(path, first_seen[function_nodes]) << "node " << id;
+    ++function_nodes;
+    const std::span<const double> series = va.Series(static_cast<NodeId>(id));
+    for (int k = 0; k < kTiles; ++k) {
+      const Reference& ref = refs[static_cast<size_t>(k % kSeeds)];
+      const auto it = ref.series.find(path);
+      for (size_t i = 0; i < static_cast<size_t>(kSlots); ++i) {
+        const double expected = it == ref.series.end() ? 0.0 : it->second[i];
+        ASSERT_EQ(series[static_cast<size_t>(k * kSlots) + i], expected)
+            << va.NodeLabel(static_cast<NodeId>(id)) << " tile " << k
+            << " interval " << i;
+      }
+    }
+  }
+  EXPECT_EQ(function_nodes, first_seen.size());
+
+  // Bodies, moments and covariances are computed per node on the pool.
+  const auto near = [](double got, double want) {
+    return std::fabs(got - want) <= 1e-9 * std::max(1.0, std::fabs(want));
+  };
+  const auto moment = [&](NodeId a, NodeId b) {
+    const std::span<const double> x = va.Series(a);
+    const std::span<const double> y = va.Series(b);
+    long double sum = 0.0L;
+    for (size_t i = 0; i < x.size(); ++i) {
+      sum += (x[i] - va.NodeMean(a)) * (y[i] - va.NodeMean(b));
+    }
+    return static_cast<double>(sum / x.size());
+  };
+  size_t pairs = 0;
+  for (size_t id = 0; id < va.node_count(); ++id) {
+    const NodeId node = static_cast<NodeId>(id);
+    const std::span<const double> series = va.Series(node);
+    long double sum = 0.0L;
+    for (const double x : series) {
+      sum += x;
+    }
+    EXPECT_TRUE(near(va.NodeMean(node), static_cast<double>(sum / series.size())))
+        << va.NodeLabel(node);
+    EXPECT_TRUE(near(va.NodeVariance(node), moment(node, node)))
+        << va.NodeLabel(node);
+    const std::vector<NodeId>& kids = va.node(node).children;
+    for (size_t a = 0; a < kids.size(); ++a) {
+      for (size_t b = a + 1; b < kids.size(); ++b) {
+        ASSERT_LT(pairs, va.covariances().size());
+        const SiblingCovariance& c = va.covariances()[pairs++];
+        EXPECT_EQ(c.parent, node);
+        EXPECT_EQ(c.a, kids[a]);
+        EXPECT_EQ(c.b, kids[b]);
+        EXPECT_TRUE(near(c.covariance, moment(kids[a], kids[b])));
+      }
+    }
+    if (va.node(node).is_body) {
+      // Series are sums of integer nanoseconds, so the residual is exact.
+      const TreeNode& parent = va.node(va.node(node).parent);
+      for (size_t i = 0; i < series.size(); ++i) {
+        double total = series[i];
+        for (const NodeId sibling : parent.children) {
+          total += sibling == node ? 0.0 : va.Series(sibling)[i];
+        }
+        ASSERT_EQ(total, va.Series(va.node(node).parent)[i])
+            << va.NodeLabel(node) << " interval " << i;
+      }
+    }
+  }
+  EXPECT_EQ(pairs, va.covariances().size());
+
+  // Workers wake only as fast as the host schedules them, so the caller may
+  // claim every block of one analysis; some analysis must hand blocks over.
+  for (int attempt = 0;
+       attempt < 100 && BlocksRunOnWorkers() == worker_blocks; ++attempt) {
+    ASSERT_TRUE(BitIdentical(VarianceAnalysis(tiled), va));
+  }
+  EXPECT_GT(BlocksRunOnWorkers(), worker_blocks);
+}
+
+TEST(VarianceAnalysisTest, ConcurrentAnalysesAreBitIdentical) {
+  const Trace tiled = TileRandomTraces(SeedTraces(), kTiles);
+  const VarianceAnalysis reference(tiled);
+  // One caller gets the pool, the others find it busy and run inline.
+  constexpr int kCallers = 4;
+  std::vector<int> identical(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      identical[static_cast<size_t>(c)] =
+          BitIdentical(VarianceAnalysis(tiled), reference);
+    });
+  }
+  for (std::thread& t : callers) {
+    t.join();
+  }
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_TRUE(identical[static_cast<size_t>(c)]) << "caller " << c;
+  }
 }
 
 }  // namespace
