@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # One-command verification: the tier-1 build+test cycle, then a
 # ThreadSanitizer build of the vprof runtime tests so the lock-free probe
-# hot path (epoch handshake, chunked buffers, full-tracer rings) is
-# race-checked on every run, together with the analysis pool and the trace
-# loading, variance-tree and streaming-tree tests that run on it, and one
-# real profiling run (httpd, whose 6000-interval traces are analyzed on the
-# pool), then an ASan+UBSan build of the fault-injection
-# suite (crash recovery, torn tails, arena-cap overflow, quarantine) and of
-# the trace-analysis tests (the variance tree's overlap walk and position
-# search are index arithmetic over loaded trace records).
+# hot path (epoch handshake, chunked buffers, full-tracer rings) and the
+# freeing of exited threads' states are race-checked on every run, together
+# with the analysis pool and the trace loading, critical-path sweep
+# (BuildBreakdowns and the variance tree's window sinks), variance-tree and
+# streaming-tree tests that run on it, and one real profiling run (httpd,
+# whose 6000-interval traces are analyzed on the pool), then an ASan+UBSan
+# build of the fault-injection suite (crash recovery, torn tails, arena-cap
+# overflow, quarantine, thread exit) and of the trace-analysis tests (the
+# variance tree's overlap walk and position search are index arithmetic
+# over loaded trace records, also in vprofd's fold).
 # --online runs only the vprofd service suite (harvester, streaming tree,
 # controller, convergence) under ThreadSanitizer — the epoch rotation and
 # snapshot paths are all cross-thread.
@@ -155,13 +157,14 @@ if [[ "${MODE}" != "--asan-only" ]]; then
   cmake -B build-tsan -S . -DVPROF_TSAN=ON >/dev/null
   TSAN_TARGETS=(vprof_runtime_test vprof_stress_test vprof_registry_test
                 vprof_sync_test vprof_task_queue_test vprof_pool_test
-                vprof_variance_tree_test vprof_trace_io_test
-                vprof_online_tree_test integration_httpd_profile_test)
+                vprof_critical_path_test vprof_variance_tree_test
+                vprof_trace_io_test vprof_online_tree_test
+                integration_httpd_profile_test)
   cmake --build build-tsan -j "${JOBS}" --target "${TSAN_TARGETS[@]}"
   (cd build-tsan &&
    TSAN_OPTIONS="halt_on_error=1" \
    ctest --output-on-failure -R \
-     '^(vprof_(runtime|stress|registry|sync|task_queue|pool|variance_tree|trace_io|online_tree)|integration_httpd_profile)_test$')
+     '^(vprof_(runtime|stress|registry|sync|task_queue|pool|critical_path|variance_tree|trace_io|online_tree)|integration_httpd_profile)_test$')
 fi
 
 if [[ "${MODE}" != "--tsan-only" ]]; then
@@ -172,12 +175,12 @@ if [[ "${MODE}" != "--tsan-only" ]]; then
                 httpd_server_test integration_failure_injection_test
                 vprof_variance_tree_test vprof_analysis_edge_test
                 vprof_critical_path_test vprof_cross_thread_test
-                vprof_trace_io_test vprof_pool_test)
+                vprof_trace_io_test vprof_pool_test vprof_online_tree_test)
   cmake --build build-asan -j "${JOBS}" --target "${ASAN_TARGETS[@]}"
   (cd build-asan &&
    ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
    ctest --output-on-failure -R \
-     '^(fault_failpoint|simio_disk|vprof_runtime|minidb_redo_crash|minipg_wal_crash|httpd_server|integration_failure_injection|vprof_variance_tree|vprof_analysis_edge|vprof_critical_path|vprof_cross_thread|vprof_trace_io|vprof_pool)_test$')
+     '^(fault_failpoint|simio_disk|vprof_runtime|minidb_redo_crash|minipg_wal_crash|httpd_server|integration_failure_injection|vprof_variance_tree|vprof_analysis_edge|vprof_critical_path|vprof_cross_thread|vprof_trace_io|vprof_pool|vprof_online_tree)_test$')
 fi
 
 echo "== check.sh: all green =="

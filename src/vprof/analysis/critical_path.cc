@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "src/vprof/analysis/pool.h"
+#include "src/vprof/analysis/seek.h"
+
 namespace vprof {
 
 TraceIndex::TraceIndex(const Trace& trace) : trace_(&trace) {
@@ -71,17 +74,17 @@ const ThreadTrace* TraceIndex::Thread(ThreadId tid) const {
   return idx < 0 ? nullptr : &trace_->threads[static_cast<size_t>(idx)];
 }
 
-int TraceIndex::LastSegmentBefore(ThreadId tid, TimeNs t) const {
+int TraceIndex::LastSegmentBefore(ThreadId tid, TimeNs t,
+                                  size_t* cursor) const {
   const ThreadTrace* thread = Thread(tid);
-  if (thread == nullptr || thread->segments.empty()) {
+  if (thread == nullptr) {
     return -1;
   }
+  size_t from_start = 0;
   // First segment with start >= t, then step back one.
-  const auto it = std::lower_bound(
-      thread->segments.begin(), thread->segments.end(), t,
-      [](const Segment& seg, TimeNs value) { return seg.start < value; });
-  const int idx = static_cast<int>(it - thread->segments.begin()) - 1;
-  return idx;
+  return static_cast<int>(SeekFirstAtOrAfter(
+             thread->segments, t, cursor != nullptr ? cursor : &from_start)) -
+         1;
 }
 
 namespace {
@@ -89,9 +92,15 @@ namespace {
 // Recursive walker implementing the Algorithm 2 traversal.
 class Walker {
  public:
+  // `segment_cursors` holds a segment search cursor per thread position.
   Walker(const TraceIndex& index, const CriticalPathOptions& options,
+         std::vector<size_t>* segment_cursors, PathSink* sink,
          IntervalBreakdown* out)
-      : index_(index), options_(options), out_(out) {}
+      : index_(index),
+        options_(options),
+        segment_cursors_(*segment_cursors),
+        sink_(sink),
+        out_(out) {}
 
   // Walks backwards on `tid` from time `hi` down to `lo`. When
   // `target_thread` is true, only segments labeled with the target interval
@@ -106,7 +115,8 @@ class Walker {
     if (thread == nullptr) {
       return;
     }
-    int idx = index_.LastSegmentBefore(tid, hi);
+    int idx = index_.LastSegmentBefore(
+        tid, hi, &segment_cursors_[index_.Position(thread)]);
     TimeNs cursor = hi;
     while (idx >= 0 && cursor > lo) {
       const Segment& seg = thread->segments[static_cast<size_t>(idx)];
@@ -147,14 +157,12 @@ class Walker {
     }
     switch (seg.state) {
       case SegmentState::kExecuting:
-        out_->windows.push_back(PathWindow{tid, clip_lo, clip_hi});
+        sink_->Window(tid, clip_lo, clip_hi);
         break;
       case SegmentState::kBlocked:
-        if (target_thread && options_.has_coverage &&
-            options_.has_coverage(tid, clip_lo, clip_hi)) {
-          // An instrumented wait function spans this blocked time: attribute
-          // it there (os_event_wait-style accounting).
-          out_->windows.push_back(PathWindow{tid, clip_lo, clip_hi});
+        if (target_thread && sink_->CoveredWait(tid, clip_lo, clip_hi)) {
+          // An instrumented wait function spans this blocked time: the sink
+          // attributed it there (os_event_wait-style accounting).
           break;
         }
         if (seg.waker_tid != kNoThread && seg.waker_tid != tid &&
@@ -174,7 +182,51 @@ class Walker {
 
   const TraceIndex& index_;
   const CriticalPathOptions& options_;
+  std::vector<size_t>& segment_cursors_;
+  PathSink* sink_;
   IntervalBreakdown* out_;
+};
+
+// Fills `out` with the interval's times and waits, handing its windows to
+// `sink`.
+void WalkInterval(const TraceIndex& index,
+                  const TraceIndex::IntervalInfo& info,
+                  const CriticalPathOptions& options, size_t i,
+                  std::vector<size_t>* segment_cursors, PathSink* sink,
+                  IntervalBreakdown* out) {
+  out->sid = info.sid;
+  out->begin_time = info.begin_time;
+  out->end_time = info.end_time;
+  sink->Begin(i, out);
+  Walker(index, options, segment_cursors, sink, out)
+      .Walk(info.end_tid, info.end_time, info.begin_time,
+            /*target_thread=*/true, /*depth=*/0);
+}
+
+// Stores every window in the breakdown. A blocked span is covered when the
+// caller's has_coverage says so; without one, never.
+class CollectingSink final : public PathSink {
+ public:
+  explicit CollectingSink(const CriticalPathOptions& options)
+      : options_(options) {}
+
+  void Begin(size_t, IntervalBreakdown* breakdown) override {
+    out_ = breakdown;
+  }
+  void Window(ThreadId tid, TimeNs lo, TimeNs hi) override {
+    out_->windows.push_back(PathWindow{tid, lo, hi});
+  }
+  bool CoveredWait(ThreadId tid, TimeNs lo, TimeNs hi) override {
+    if (!options_.has_coverage || !options_.has_coverage(tid, lo, hi)) {
+      return false;
+    }
+    Window(tid, lo, hi);
+    return true;
+  }
+
+ private:
+  const CriticalPathOptions& options_;
+  IntervalBreakdown* out_ = nullptr;
 };
 
 }  // namespace
@@ -183,25 +235,44 @@ IntervalBreakdown BuildBreakdown(const TraceIndex& index,
                                  const TraceIndex::IntervalInfo& info,
                                  const CriticalPathOptions& options) {
   IntervalBreakdown out;
-  out.sid = info.sid;
-  out.begin_time = info.begin_time;
-  out.end_time = info.end_time;
-  Walker walker(index, options, &out);
-  walker.Walk(info.end_tid, info.end_time, info.begin_time,
-              /*target_thread=*/true, /*depth=*/0);
+  CollectingSink sink(options);
+  std::vector<size_t> cursors(index.trace().threads.size(), 0);
+  WalkInterval(index, info, options, 0, &cursors, &sink, &out);
   return out;
 }
 
-std::vector<IntervalBreakdown> BuildBreakdowns(const TraceIndex& index,
-                                               const CriticalPathOptions& options) {
-  std::vector<IntervalBreakdown> out;
-  out.reserve(index.Intervals().size());
-  for (const auto& info : index.Intervals()) {
+std::vector<IntervalBreakdown> WalkCriticalPaths(
+    const TraceIndex& index, const CriticalPathOptions& options,
+    const std::function<std::unique_ptr<PathSink>()>& new_sink) {
+  std::vector<const TraceIndex::IntervalInfo*> intervals;
+  for (const TraceIndex::IntervalInfo& info : index.Intervals()) {
     if (options.Selects(info.label)) {
-      out.push_back(BuildBreakdown(index, info, options));
+      intervals.push_back(&info);
     }
   }
+  std::vector<IntervalBreakdown> out(intervals.size());
+  const size_t blocks =
+      (intervals.size() + kPathBlockIntervals - 1) / kPathBlockIntervals;
+  RunBlocks(blocks, [&](size_t block) {
+    const std::unique_ptr<PathSink> sink = new_sink();
+    // Consecutive intervals lie close in time, so each block gallops its
+    // segment searches from where its previous walk left them.
+    std::vector<size_t> cursors(index.trace().threads.size(), 0);
+    const size_t end =
+        std::min(intervals.size(), (block + 1) * kPathBlockIntervals);
+    for (size_t i = block * kPathBlockIntervals; i < end; ++i) {
+      WalkInterval(index, *intervals[i], options, i, &cursors, sink.get(),
+                   &out[i]);
+    }
+  });
   return out;
+}
+
+std::vector<IntervalBreakdown> BuildBreakdowns(
+    const TraceIndex& index, const CriticalPathOptions& options) {
+  return WalkCriticalPaths(index, options, [&options] {
+    return std::make_unique<CollectingSink>(options);
+  });
 }
 
 }  // namespace vprof

@@ -11,7 +11,9 @@
 #ifndef SRC_VPROF_ANALYSIS_CRITICAL_PATH_H_
 #define SRC_VPROF_ANALYSIS_CRITICAL_PATH_H_
 
+#include <cstddef>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,8 @@ struct IntervalBreakdown {
   IntervalId sid = kNoInterval;
   TimeNs begin_time = 0;
   TimeNs end_time = 0;
+  // Filled by BuildBreakdown(s); empty when a walk hands its windows to a
+  // PathSink that does not store them.
   std::vector<PathWindow> windows;
 
   // Wait time (ns) on the critical path that could not be attributed to
@@ -56,8 +60,11 @@ struct CriticalPathOptions {
   // lets Table 4 report os_event_wait as a variance factor. Uncovered
   // blocked segments fall back to the wake-up-edge jump into the waker
   // thread (essential for cross-thread handoffs with no instrumented wait).
-  // VarianceAnalysis walks blocks of intervals on the analysis pool, so it
-  // may call a caller-supplied has_coverage from several threads at once.
+  // Walks run in blocks of intervals on the analysis pool (see
+  // WalkCriticalPaths), so a caller-supplied has_coverage may be called
+  // from several threads at once. Without one, BuildBreakdown(s) treats no
+  // blocked span as covered, and VarianceAnalysis covers a span that
+  // overlaps a recorded invocation for a positive time.
   std::function<bool(ThreadId tid, TimeNs lo, TimeNs hi)> has_coverage;
 
   // Optional: analyze only intervals whose begin annotation carried this
@@ -91,8 +98,16 @@ class TraceIndex {
   // Thread trace for tid, or nullptr.
   const ThreadTrace* Thread(ThreadId tid) const;
 
-  // Index of the last segment on tid with start < t, or -1.
-  int LastSegmentBefore(ThreadId tid, TimeNs t) const;
+  // Index of the last segment on tid with start < t, or -1. A `cursor`
+  // (one per thread, any start value) makes the search gallop out from the
+  // previous answer, which it updates; see SeekFirstAtOrAfter in seek.h.
+  int LastSegmentBefore(ThreadId tid, TimeNs t,
+                        size_t* cursor = nullptr) const;
+
+  // Position of `thread` (one of this trace's) in trace().threads.
+  size_t Position(const ThreadTrace* thread) const {
+    return static_cast<size_t>(thread - trace_->threads.data());
+  }
 
   // All semantic intervals that have both begin and end events, ordered by
   // interval id.
@@ -117,7 +132,39 @@ class TraceIndex {
   std::vector<IntervalInfo> intervals_;
 };
 
-// Builds breakdowns for every completed interval in the trace.
+// Receives one interval's critical path as the walk emits it: the on-path
+// windows, from the interval's end back to its begin. The walk itself keeps
+// the wait totals in the interval's IntervalBreakdown.
+class PathSink {
+ public:
+  virtual ~PathSink() = default;
+  // The walk of the i-th interval of a WalkCriticalPaths sweep starts; the
+  // breakdown's sid and times are set, and it lives until the sweep ends.
+  virtual void Begin(size_t i, IntervalBreakdown* breakdown) = 0;
+  // A span of execution on `tid` on the critical path.
+  virtual void Window(ThreadId tid, TimeNs lo, TimeNs hi) = 0;
+  // A blocked span of the target interval on `tid`. Returns true when an
+  // instrumented invocation covers it, having taken the span as a window;
+  // on false the walk follows the span's wake-up edge instead.
+  virtual bool CoveredWait(ThreadId tid, TimeNs lo, TimeNs hi) = 0;
+};
+
+// Intervals per analysis-pool block of a WalkCriticalPaths sweep. A sweep
+// of fewer than two blocks runs inline: it costs less than waking the pool.
+inline constexpr size_t kPathBlockIntervals = 1024;
+
+// Walks the critical path of every interval `options` selects, in index
+// order, on the analysis pool: blocks of kPathBlockIntervals intervals, each
+// walked on one thread through a sink of its own from new_sink(), which may
+// be called from several threads at once. Returns the breakdowns, i-th for
+// the i-th selected interval; their windows are whatever the sinks stored
+// there.
+std::vector<IntervalBreakdown> WalkCriticalPaths(
+    const TraceIndex& index, const CriticalPathOptions& options,
+    const std::function<std::unique_ptr<PathSink>()>& new_sink);
+
+// Builds breakdowns for every completed interval in the trace: a
+// WalkCriticalPaths sweep whose sinks store every window.
 std::vector<IntervalBreakdown> BuildBreakdowns(
     const TraceIndex& index, const CriticalPathOptions& options = {});
 

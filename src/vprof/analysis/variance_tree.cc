@@ -2,52 +2,15 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 
 #include "src/vprof/analysis/pool.h"
+#include "src/vprof/analysis/seek.h"
 #include "src/vprof/runtime.h"
 
 namespace vprof {
 
 namespace {
-
-// Index of the first invocation starting at or after `t`. The search gallops
-// out from `*cursor`, the previous answer on the same thread, and leaves the
-// new answer there: consecutive windows on one thread are close in time, so
-// it touches a few records near the last answer instead of binary-searching
-// the whole per-thread array from cold.
-size_t SeekFirstAtOrAfter(const std::vector<Invocation>& invocations, TimeNs t,
-                          size_t* cursor) {
-  const auto before = [t](const Invocation& inv) { return inv.start < t; };
-  const size_t n = invocations.size();
-  const size_t pos = std::min(*cursor, n);
-  size_t lo = 0;  // the answer lies in [lo, hi]
-  size_t hi = n;
-  if (pos < n && before(invocations[pos])) {
-    lo = pos + 1;
-    for (size_t step = 1; pos + step < n; step *= 2) {
-      if (!before(invocations[pos + step])) {
-        hi = pos + step;
-        break;
-      }
-      lo = pos + step + 1;
-    }
-  } else {
-    hi = pos;
-    for (size_t step = 1; step <= pos; step *= 2) {
-      if (before(invocations[pos - step])) {
-        lo = pos - step + 1;
-        break;
-      }
-      hi = pos - step;
-    }
-  }
-  *cursor = static_cast<size_t>(
-      std::partition_point(invocations.begin() + static_cast<ptrdiff_t>(lo),
-                           invocations.begin() + static_cast<ptrdiff_t>(hi),
-                           before) -
-      invocations.begin());
-  return *cursor;
-}
 
 // Calls visit(record, overlap_ns) for every invocation that runs for a
 // positive time inside the window [lo, hi). Relies on call nesting: records
@@ -112,19 +75,10 @@ double Covariance(std::span<const double> xs, double mean_x,
   return xs.empty() ? 0.0 : sum / static_cast<double>(xs.size());
 }
 
-size_t ThreadPosition(const Trace& trace, const ThreadTrace* thread) {
-  return static_cast<size_t>(thread - trace.threads.data());
-}
-
-// Intervals per pool block of the critical-path walk and the attribution.
-// A trace of fewer than two blocks is analyzed inline at every stage: it
-// costs less than waking the pool. (vprofd's epoch fold runs inline at any
-// size; see OnlineVarianceTree::Fold.)
-constexpr size_t kBlockIntervals = 1024;
-
 // Runs body(i) for every i in [0, n) of a per-thread or per-node stage:
-// each as a pool block when the trace has two or more interval blocks, else
-// in order on this thread.
+// each as a pool block when the trace has two or more blocks of
+// kPathBlockIntervals intervals, else in order on this thread. (vprofd's
+// epoch fold runs inline at any size; see OnlineVarianceTree::Fold.)
 void ForEachItem(size_t interval_blocks, size_t n,
                  const std::function<void(size_t)>& body) {
   if (interval_blocks >= 2) {
@@ -168,6 +122,7 @@ NodeId AddChild(std::vector<TreeNode>* nodes, NodeId parent, FuncId func,
 struct ThreadTree {
   std::vector<TreeNode> nodes{TreeNode{}};  // node 0: the root
   std::vector<NodeId> record_node;          // per invocation record
+  std::vector<NodeId> merged;  // per node: the node it merged into
 };
 
 void BuildThreadTree(const std::vector<Invocation>& invocations,
@@ -202,59 +157,117 @@ void BuildThreadTree(const std::vector<Invocation>& invocations,
   }
 }
 
+// Adds each critical-path window's overlaps with the recorded invocations
+// to the walked interval's node series, as the walk emits the window. One
+// sink walks one block of intervals, so it writes only their series
+// entries, adding each entry's overlaps in window order.
+class AttributingSink final : public PathSink {
+ public:
+  AttributingSink(const TraceIndex& index, const CriticalPathOptions& options,
+                  const std::vector<ThreadTree>& trees,
+                  std::vector<std::vector<double>>* node_times)
+      : index_(index),
+        has_coverage_(options.has_coverage),
+        trees_(trees),
+        node_times_(*node_times),
+        cursors_(index.trace().threads.size(), 0) {}
+
+  void Begin(size_t i, IntervalBreakdown* breakdown) override {
+    interval_ = i;
+    node_times_[kRootNode][i] = breakdown->latency_ns();
+  }
+
+  void Window(ThreadId tid, TimeNs lo, TimeNs hi) override {
+    Attribute(tid, lo, hi);
+  }
+
+  // Without a caller's has_coverage, a blocked span is covered when an
+  // invocation overlaps it, so the one overlap search that attributes the
+  // span also decides.
+  bool CoveredWait(ThreadId tid, TimeNs lo, TimeNs hi) override {
+    if (!has_coverage_) {
+      return Attribute(tid, lo, hi);
+    }
+    if (!has_coverage_(tid, lo, hi)) {
+      return false;
+    }
+    Attribute(tid, lo, hi);
+    return true;
+  }
+
+ private:
+  // Adds the window's overlaps; returns whether there were any.
+  bool Attribute(ThreadId tid, TimeNs lo, TimeNs hi) {
+    const ThreadTrace* thread = index_.Thread(tid);
+    if (thread == nullptr) {
+      return false;
+    }
+    const size_t t = index_.Position(thread);
+    const ThreadTree& tree = trees_[t];
+    bool any = false;
+    ForEachOverlap(
+        thread->invocations, lo, hi, &cursors_[t],
+        [&](size_t record, TimeNs overlap_ns) {
+          const size_t node = static_cast<size_t>(
+              tree.merged[static_cast<size_t>(tree.record_node[record])]);
+          node_times_[node][interval_] += static_cast<double>(overlap_ns);
+          any = true;
+        });
+    return any;
+  }
+
+  const TraceIndex& index_;
+  const std::function<bool(ThreadId, TimeNs, TimeNs)>& has_coverage_;
+  const std::vector<ThreadTree>& trees_;
+  std::vector<std::vector<double>>& node_times_;
+  // Per thread position: where the last overlap search on it ended.
+  std::vector<size_t> cursors_;
+  size_t interval_ = 0;
+};
+
 }  // namespace
 
 VarianceAnalysis::VarianceAnalysis(const Trace& trace,
                                    const CriticalPathOptions& options) {
   function_names_ = trace.function_names;
-  nodes_.push_back(TreeNode{});  // synthetic root
-  node_times_.emplace_back();
-
   const TraceIndex index(trace);
-  std::vector<const TraceIndex::IntervalInfo*> intervals;
-  for (const TraceIndex::IntervalInfo& info : index.Intervals()) {
-    if (options.Selects(info.label)) {
-      intervals.push_back(&info);
-    }
-  }
-  interval_count_ = intervals.size();
+  interval_count_ = static_cast<size_t>(std::count_if(
+      index.Intervals().begin(), index.Intervals().end(),
+      [&options](const TraceIndex::IntervalInfo& info) {
+        return options.Selects(info.label);
+      }));
   const size_t blocks =
-      (interval_count_ + kBlockIntervals - 1) / kBlockIntervals;
+      (interval_count_ + kPathBlockIntervals - 1) / kPathBlockIntervals;
+  nodes_.push_back(TreeNode{});  // synthetic root
+  node_times_.emplace_back(interval_count_, 0.0);
 
-  // Critical paths, one block of intervals at a time. The coverage cursors
-  // only speed up the position search, so each block keeps its own.
-  std::vector<IntervalBreakdown> breakdowns(interval_count_);
-  RunBlocks(blocks, [&](size_t block) {
-    std::vector<size_t> cursors(trace.threads.size(), 0);
-    CriticalPathOptions block_options = options;
-    if (!block_options.has_coverage) {
-      block_options.has_coverage = [&](ThreadId tid, TimeNs lo, TimeNs hi) {
-        const ThreadTrace* thread = index.Thread(tid);
-        if (thread == nullptr) {
-          return false;
-        }
-        bool covered = false;
-        ForEachOverlap(thread->invocations, lo, hi,
-                       &cursors[ThreadPosition(trace, thread)],
-                       [&covered](size_t, TimeNs) { covered = true; });
-        return covered;
-      };
-    }
-    const size_t end =
-        std::min(interval_count_, (block + 1) * kBlockIntervals);
-    for (size_t i = block * kBlockIntervals; i < end; ++i) {
-      breakdowns[i] = BuildBreakdown(index, *intervals[i], block_options);
-    }
+  // The tree node of every recorded invocation: each thread's records are
+  // interned into a tree of their own, and the trees are merged in thread
+  // order. Every node a window can reach then exists, so one pooled sweep
+  // walks each interval's critical path and attributes its windows.
+  std::vector<ThreadTree> trees(trace.threads.size());
+  ForEachItem(blocks, trees.size(), [&](size_t t) {
+    BuildThreadTree(trace.threads[t].invocations, &trees[t]);
   });
-  for (auto& series : node_times_) {
-    series.assign(interval_count_, 0.0);
+  for (ThreadTree& tree : trees) {
+    tree.merged.resize(tree.nodes.size());
+    tree.merged[kRootNode] = kRootNode;
+    for (size_t n = 1; n < tree.nodes.size(); ++n) {
+      const TreeNode& local = tree.nodes[n];
+      tree.merged[n] = Intern(tree.merged[static_cast<size_t>(local.parent)],
+                              local.func, /*is_body=*/false);
+    }
   }
+  const std::vector<IntervalBreakdown> breakdowns =
+      WalkCriticalPaths(index, options, [&] {
+        return std::make_unique<AttributingSink>(index, options, trees,
+                                                 &node_times_);
+      });
   for (const IntervalBreakdown& b : breakdowns) {
     total_queue_wait_ns_ += b.queue_wait_ns;
     total_blocked_wait_ns_ += b.blocked_wait_ns;
     total_descheduled_ns_ += b.descheduled_ns;
   }
-  AttributeWindows(index, breakdowns, blocks);
   MaterializeQueueWait(options.queue_wait_factor, breakdowns);
   AddBodiesAndStats(blocks);
 }
@@ -291,61 +304,6 @@ NodeId VarianceAnalysis::Intern(NodeId parent, FuncId func, bool is_body) {
   }
   node_times_.emplace_back(interval_count_, 0.0);
   return AddChild(&nodes_, parent, func, is_body);
-}
-
-void VarianceAnalysis::AttributeWindows(
-    const TraceIndex& index, const std::vector<IntervalBreakdown>& breakdowns,
-    size_t blocks) {
-  const Trace& trace = index.trace();
-  const size_t thread_count = trace.threads.size();
-
-  // The tree node of every recorded invocation: each thread's records are
-  // interned into a tree of their own, and the trees are merged in thread
-  // order.
-  std::vector<ThreadTree> trees(thread_count);
-  ForEachItem(blocks, thread_count, [&](size_t t) {
-    BuildThreadTree(trace.threads[t].invocations, &trees[t]);
-  });
-  std::vector<std::vector<NodeId>> to_node(thread_count);
-  for (size_t t = 0; t < thread_count; ++t) {
-    const std::vector<TreeNode>& local = trees[t].nodes;
-    to_node[t].resize(local.size());
-    to_node[t][kRootNode] = kRootNode;
-    for (size_t n = 1; n < local.size(); ++n) {
-      to_node[t][n] = Intern(to_node[t][static_cast<size_t>(local[n].parent)],
-                             local[n].func, /*is_body=*/false);
-    }
-  }
-
-  // Each interval's series entries are written by the one block that holds
-  // the interval, adding its overlaps in window order.
-  RunBlocks(blocks, [&](size_t block) {
-    std::vector<size_t> cursors(thread_count, 0);
-    const size_t end =
-        std::min(interval_count_, (block + 1) * kBlockIntervals);
-    for (size_t interval_idx = block * kBlockIntervals; interval_idx < end;
-         ++interval_idx) {
-      const IntervalBreakdown& b = breakdowns[interval_idx];
-      node_times_[kRootNode][interval_idx] = b.latency_ns();
-      for (const PathWindow& window : b.windows) {
-        const ThreadTrace* thread = index.Thread(window.tid);
-        if (thread == nullptr) {
-          continue;
-        }
-        const size_t t = ThreadPosition(trace, thread);
-        const std::vector<NodeId>& record_node = trees[t].record_node;
-        const std::vector<NodeId>& nodes = to_node[t];
-        ForEachOverlap(
-            thread->invocations, window.lo, window.hi, &cursors[t],
-            [&](size_t record, TimeNs overlap_ns) {
-              const size_t node = static_cast<size_t>(
-                  nodes[static_cast<size_t>(record_node[record])]);
-              node_times_[node][interval_idx] +=
-                  static_cast<double>(overlap_ns);
-            });
-      }
-    }
-  });
 }
 
 void VarianceAnalysis::AddBodiesAndStats(size_t blocks) {

@@ -106,11 +106,6 @@ class VarianceAnalysis {
 
  private:
   NodeId Intern(NodeId parent, FuncId func, bool is_body);
-  // Interns every recorded invocation's node and fills the per-interval
-  // series, `blocks` pool blocks of intervals at a time.
-  void AttributeWindows(const TraceIndex& index,
-                        const std::vector<IntervalBreakdown>& breakdowns,
-                        size_t blocks);
   // Turns per-interval critical-path queue wait into a named leaf node under
   // the root (CriticalPathOptions::queue_wait_factor); no-op for the empty
   // name or an unregistered one.

@@ -1,5 +1,7 @@
 #include "src/vprof/runtime.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -73,7 +75,8 @@ void QuiesceBarrier() {
 
 struct RuntimeState {
   std::mutex mu;
-  std::vector<std::unique_ptr<ThreadState>> threads;
+  std::vector<std::unique_ptr<ThreadState>> threads;  // guarded by mu
+  ThreadId next_tid = 0;                               // guarded by mu
   std::atomic<uint64_t> next_interval{1};
   uint64_t run_epoch = 0;  // guarded by mu
 };
@@ -88,6 +91,29 @@ RuntimeState& State() {
 }
 
 thread_local ThreadState* tls_thread = nullptr;
+
+// Destructor of the key below: runs as a thread exits, after the thread's
+// C++ thread_local destructors, so a probe fired from one of those still
+// records into the state. A probe fired later, from another key's
+// destructor, registers a fresh state and sets the key again, so this runs
+// again for that state.
+void OnThreadExit(void* state) {
+  tls_thread = nullptr;
+  static_cast<ThreadState*>(state)->MarkExited();
+}
+
+// The key whose value is the thread's state; invalid when it could not be
+// created, and then no state is ever freed.
+struct ExitKey {
+  ExitKey() { valid = pthread_key_create(&key, OnThreadExit) == 0; }
+  pthread_key_t key{};
+  bool valid = false;
+};
+
+const ExitKey& ThreadExitKey() {
+  static const ExitKey key;
+  return key;
+}
 
 // Stops recording and drains every in-flight op, waiting at most the
 // configured bound per thread. A thread still mid-op after the bound is
@@ -120,15 +146,24 @@ std::vector<ThreadState*> QuiesceLocked(RuntimeState& state) {
 
 ThreadState* CurrentThread() {
   if (tls_thread == nullptr) {
+    const ExitKey& exit_key = ThreadExitKey();
     RuntimeState& state = State();
     std::lock_guard<std::mutex> lock(state.mu);
-    auto owned =
-        std::make_unique<ThreadState>(static_cast<ThreadId>(state.threads.size()));
+    auto owned = std::make_unique<ThreadState>(state.next_tid++);
     owned->ResetForRun(state.run_epoch);
+    if (exit_key.valid) {
+      pthread_setspecific(exit_key.key, owned.get());
+    }
     tls_thread = owned.get();
     state.threads.push_back(std::move(owned));
   }
   return tls_thread;
+}
+
+size_t ThreadStateCount() {
+  RuntimeState& state = State();
+  std::lock_guard<std::mutex> lock(state.mu);
+  return state.threads.size();
 }
 
 // --- ThreadState ------------------------------------------------------------
@@ -320,6 +355,11 @@ void StartTracing() {
   std::lock_guard<std::mutex> lock(state.mu);
   const std::vector<ThreadState*> wedged = QuiesceLocked(state);
   ++state.run_epoch;
+  // An exited thread records nothing more, and StopTracing has collected
+  // what it recorded in the run it ended in.
+  std::erase_if(state.threads, [](const std::unique_ptr<ThreadState>& t) {
+    return t->exited();
+  });
   for (auto& thread : state.threads) {
     if (std::find(wedged.begin(), wedged.end(), thread.get()) !=
         wedged.end()) {

@@ -174,6 +174,11 @@ class alignas(kCacheLineSize) ThreadState {
   bool quarantined() const { return quarantined_; }
   void set_quarantined(bool value) { quarantined_ = value; }
 
+  // Set by the owning thread as it exits, as its last access to this
+  // state. The first StartTracing that sees it frees the state.
+  void MarkExited() { exited_.store(true, std::memory_order_release); }
+  bool exited() const { return exited_.load(std::memory_order_acquire); }
+
  private:
   // Owner-side half of the epoch handshake; see file header. Returns false
   // (leaving busy_ clear) when tracing is off, i.e. recording must not touch
@@ -237,6 +242,7 @@ class alignas(kCacheLineSize) ThreadState {
   ChunkedBuffer<IntervalEvent> interval_events_;
 
   bool quarantined_ = false;
+  std::atomic<bool> exited_{false};
 
   struct Frame {
     FuncId func;
@@ -246,7 +252,13 @@ class alignas(kCacheLineSize) ThreadState {
 };
 
 // Returns this thread's state, creating and registering it on first use.
+// Each state gets a ThreadId no other state of the process has had. When
+// the thread exits, its state stays until StopTracing has collected its
+// records, and the next StartTracing frees it.
 ThreadState* CurrentThread();
+
+// Per-thread states the runtime holds.
+size_t ThreadStateCount();
 
 // --- run control ----------------------------------------------------------
 

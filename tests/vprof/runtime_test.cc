@@ -311,6 +311,46 @@ TEST_F(RuntimeTest, StopTracingBoundedWhenProbeWedges) {
   fault::ResetCounters();
 }
 
+// Fires a probe from a thread_local destructor, which runs while its
+// thread exits.
+struct ProbeAtThreadExit {
+  ~ProbeAtThreadExit() { InstrumentedLeaf(); }
+};
+
+TEST_F(RuntimeTest, ExitedThreadIsCollectedThenFreed) {
+  SetFunctionEnabled(RegisterFunction("rt_parent"), true);
+  SetFunctionEnabled(RegisterFunction("rt_leaf"), true);
+  CurrentThread();
+  StartTracing();
+  const size_t states = ThreadStateCount();
+  ThreadId exited = kNoThread;
+  std::thread([&exited] {
+    // Constructed before this thread's state, so destroyed after any
+    // thread_local the runtime could tie the state's lifetime to.
+    thread_local ProbeAtThreadExit probe_at_exit;
+    (void)probe_at_exit;
+    InstrumentedParent();
+    exited = CurrentThread()->tid();
+  }).join();
+  EXPECT_EQ(ThreadStateCount(), states + 1);
+
+  const Trace trace = StopTracing();
+  const ThreadTrace* recorded = nullptr;
+  for (const ThreadTrace& t : trace.threads) {
+    if (t.tid == exited) {
+      recorded = &t;
+    }
+  }
+  ASSERT_NE(recorded, nullptr);
+  EXPECT_EQ(recorded->invocations.size(), 4u);  // the last from its exit
+
+  StartTracing();
+  EXPECT_EQ(ThreadStateCount(), states);
+  ThreadId fresh = kNoThread;
+  std::thread([&fresh] { fresh = CurrentThread()->tid(); }).join();
+  EXPECT_GT(fresh, exited);
+}
+
 TEST_F(RuntimeTest, FullTraceModeRecordsEverything) {
   // No functions enabled, but full-trace mode captures all probes.
   EnableFullTrace(true);

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -856,6 +858,108 @@ TEST(VarianceAnalysisTest, ConcurrentAnalysesAreBitIdentical) {
   for (int c = 0; c < kCallers; ++c) {
     EXPECT_TRUE(identical[static_cast<size_t>(c)]) << "caller " << c;
   }
+}
+
+// --- Window sinks ---------------------------------------------------------
+//
+// The walk hands each window to a sink: BuildBreakdowns' stores it,
+// VarianceAnalysis' attributes it as it arrives and, for a blocked span,
+// decides coverage by the same overlap search.
+
+// A caller's coverage check, independent of call nesting: a blocked span
+// [lo, hi) is covered when some invocation starting before `hi` with a
+// positive length ends after `lo`, i.e. when the running maximum of those
+// invocations' ends, over start order, exceeds `lo`.
+CriticalPathOptions PrefixMaxCoverage(const Trace& trace) {
+  struct Thread {
+    std::vector<TimeNs> starts;
+    std::vector<TimeNs> max_end;  // over the invocations up to each start
+  };
+  auto threads = std::make_shared<std::map<ThreadId, Thread>>();
+  for (const ThreadTrace& thread : trace.threads) {
+    Thread& t = (*threads)[thread.tid];
+    TimeNs max_end = std::numeric_limits<TimeNs>::min();
+    for (const Invocation& inv : thread.invocations) {
+      if (inv.end > inv.start) {
+        max_end = std::max(max_end, inv.end);
+      }
+      t.starts.push_back(inv.start);
+      t.max_end.push_back(max_end);
+    }
+  }
+  CriticalPathOptions options;
+  options.has_coverage = [threads](ThreadId tid, TimeNs lo, TimeNs hi) {
+    const auto it = threads->find(tid);
+    if (it == threads->end()) {
+      return false;
+    }
+    const Thread& t = it->second;
+    const size_t before_hi = static_cast<size_t>(
+        std::lower_bound(t.starts.begin(), t.starts.end(), hi) -
+        t.starts.begin());
+    return before_hi > 0 && t.max_end[before_hi - 1] > lo;
+  };
+  return options;
+}
+
+TEST(VarianceAnalysisTest, CallerCoverageAttributesAsTheDefaultDoes) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Trace trace = RandomTrace(seed);
+    EXPECT_TRUE(
+        BitIdentical(VarianceAnalysis(trace, PrefixMaxCoverage(trace)),
+                     VarianceAnalysis(trace)));
+  }
+  const Trace tiled = TileRandomTraces(SeedTraces(), kTiles);
+  EXPECT_TRUE(BitIdentical(VarianceAnalysis(tiled, PrefixMaxCoverage(tiled)),
+                           VarianceAnalysis(tiled)));
+}
+
+// Whether two breakdowns agree bit for bit, window for window.
+bool SameBreakdown(const IntervalBreakdown& a, const IntervalBreakdown& b) {
+  return a.sid == b.sid && a.begin_time == b.begin_time &&
+         a.end_time == b.end_time &&
+         Bits(a.queue_wait_ns) == Bits(b.queue_wait_ns) &&
+         Bits(a.blocked_wait_ns) == Bits(b.blocked_wait_ns) &&
+         Bits(a.descheduled_ns) == Bits(b.descheduled_ns) &&
+         std::equal(a.windows.begin(), a.windows.end(), b.windows.begin(),
+                    b.windows.end(), [](const PathWindow& x, const PathWindow& y) {
+                      return x.tid == y.tid && x.lo == y.lo && x.hi == y.hi;
+                    });
+}
+
+TEST(VarianceAnalysisTest, PooledBuildBreakdownsMatchesEachIntervalsWalk) {
+  const Trace tiled = TileRandomTraces(SeedTraces(), kTiles);
+  const TraceIndex index(tiled);
+  ASSERT_EQ(index.Intervals().size(), static_cast<size_t>(kTiles * kSlots));
+  const uint64_t worker_blocks = BlocksRunOnWorkers();
+  for (const bool covered : {false, true}) {
+    SCOPED_TRACE(covered ? "caller coverage" : "no coverage");
+    const CriticalPathOptions options =
+        covered ? PrefixMaxCoverage(tiled) : CriticalPathOptions{};
+    const std::vector<IntervalBreakdown> pooled =
+        BuildBreakdowns(index, options);
+    ASSERT_EQ(pooled.size(), index.Intervals().size());
+    size_t windows = 0;
+    for (size_t i = 0; i < pooled.size(); ++i) {
+      ASSERT_TRUE(SameBreakdown(
+          pooled[i], BuildBreakdown(index, index.Intervals()[i], options)))
+          << "interval " << i;
+      windows += pooled[i].windows.size();
+    }
+    EXPECT_GT(windows, pooled.size());
+  }
+  // As in PooledAttributionMatchesBruteForceOnTiledTraces: some sweep must
+  // hand blocks to a worker.
+  for (int attempt = 0;
+       attempt < 100 && BlocksRunOnWorkers() == worker_blocks; ++attempt) {
+    const std::vector<IntervalBreakdown> again = BuildBreakdowns(index);
+    for (size_t i = 0; i < again.size(); ++i) {
+      ASSERT_TRUE(SameBreakdown(
+          again[i], BuildBreakdown(index, index.Intervals()[i])));
+    }
+  }
+  EXPECT_GT(BlocksRunOnWorkers(), worker_blocks);
 }
 
 }  // namespace
