@@ -7,7 +7,6 @@
 #include "src/minidb/btree.h"
 #include "src/statkit/covariance.h"
 #include "src/statkit/distributions.h"
-#include "src/statkit/p2_quantile.h"
 #include "src/statkit/welford.h"
 #include "src/vprof/probe.h"
 #include "src/vprof/sync.h"
@@ -108,16 +107,6 @@ void BM_CovarianceMatrixAdd(benchmark::State& state) {
   benchmark::DoNotOptimize(matrix.VarianceOfSum());
 }
 BENCHMARK(BM_CovarianceMatrixAdd)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_P2QuantileAdd(benchmark::State& state) {
-  statkit::P2Quantile q(0.99);
-  statkit::Rng rng(1);
-  for (auto _ : state) {
-    q.Add(rng.NextDouble());
-  }
-  benchmark::DoNotOptimize(q.Value());
-}
-BENCHMARK(BM_P2QuantileAdd);
 
 void BM_ZipfSample(benchmark::State& state) {
   statkit::ZipfGenerator zipf(static_cast<uint64_t>(state.range(0)), 0.99);

@@ -1,6 +1,7 @@
 #include "src/minidb/btree.h"
 
 #include <algorithm>
+#include <mutex>
 
 #include "src/vprof/probe.h"
 
@@ -47,6 +48,7 @@ BTree::Node* BTree::FindLeaf(int64_t key) const {
 
 std::optional<uint64_t> BTree::Search(int64_t key) const {
   VPROF_FUNC("btr_cur_search_to_nth_level");
+  std::shared_lock<std::shared_mutex> latch(latch_);
   const Node* leaf = FindLeaf(key);
   const auto it = std::lower_bound(leaf->keys.begin(), leaf->keys.end(), key);
   if (it != leaf->keys.end() && *it == key) {
@@ -112,6 +114,7 @@ bool BTree::InsertNonFull(Node* node, int64_t key, uint64_t value) {
 }
 
 bool BTree::Insert(int64_t key, uint64_t value) {
+  std::unique_lock<std::shared_mutex> latch(latch_);
   if (root_->keys.size() >= static_cast<size_t>(fanout_ - 1)) {
     auto new_root = std::make_unique<Node>();
     new_root->leaf = false;
@@ -127,6 +130,7 @@ bool BTree::Insert(int64_t key, uint64_t value) {
 }
 
 bool BTree::Erase(int64_t key) {
+  std::unique_lock<std::shared_mutex> latch(latch_);
   Node* leaf = FindLeaf(key);
   const auto it = std::lower_bound(leaf->keys.begin(), leaf->keys.end(), key);
   if (it == leaf->keys.end() || *it != key) {

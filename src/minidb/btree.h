@@ -9,13 +9,15 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <shared_mutex>
 #include <vector>
 
 namespace minidb {
 
-// Single-threaded B-tree; minidb serializes index access at a higher level
-// (index latch), matching InnoDB's index-level S/X latching at a coarse
-// grain.
+// B-tree whose searches may run while a writer splits nodes: a shared
+// latch per tree excludes them from Insert and Erase, matching InnoDB's
+// index-level S/X latching at a coarse grain. minidb serializes the writers
+// (and Range) on the table's index latch.
 class BTree {
  public:
   explicit BTree(int fanout = 64);
@@ -56,6 +58,7 @@ class BTree {
   bool CheckNode(const Node* node, int64_t lo, int64_t hi, int depth,
                  int* leaf_depth) const;
 
+  mutable std::shared_mutex latch_;  // shared: Search; exclusive: writers
   int fanout_;
   size_t size_ = 0;
   std::unique_ptr<Node> root_;

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 
+#include "src/commitlog/commit_log.h"
 #include "src/simio/disk.h"
 
 namespace minidb {
@@ -31,13 +32,7 @@ enum class FlushPolicy {
 
 // How committers share the log device (orthogonal to FlushPolicy, which
 // says *when* durability happens; CommitMode says *who* does the I/O).
-enum class CommitMode {
-  kExclusive,    // every committer performs its own write+fsync, serialized
-                 // on the log I/O mutex — the pre-scale-out baseline
-  kGroupCommit,  // leader-based: one elected leader batches all pending
-                 // records into a single write+fsync; followers wait on an
-                 // event (distributed-logging remedy, PAPERS.md)
-};
+using CommitMode = commitlog::CommitMode;
 
 struct EngineConfig {
   // Scale: number of warehouses (TPC-C-style). Contention on warehouse and

@@ -2,415 +2,54 @@
 
 #include <algorithm>
 
-#include "src/fault/failpoint.h"
-#include "src/statkit/rng.h"
 #include "src/vprof/probe.h"
 
 namespace minidb {
 
 namespace {
-constexpr uint64_t kLogBlockBytes = 512;
-constexpr uint32_t kTornChecksumMask = 0xA5A5A5A5u;
-
-// Backstop for the one race where a follower misses both the set and the
-// reset of its round's event; it re-checks flushed_lsn and re-waits.
-constexpr int64_t kFollowerWaitNs = 10LL * 1000 * 1000;
-
-constexpr const char kFpCrashBeforeWrite[] = "redo/crash_before_write";
-constexpr const char kFpCrashAfterWrite[] = "redo/crash_after_write";
-constexpr const char kFpCrashAfterFsync[] = "redo/crash_after_fsync";
-// Kill mid group-commit batch: the trigger value (if set) is the byte offset
-// into the batch that reached the device cache before the crash, so sweeps
-// can place the kill at every record boundary and interior.
-constexpr const char kFpCrashMidBatch[] = "redo/crash_mid_batch";
-
-uint64_t RoundToBlocks(uint64_t bytes) {
-  return ((bytes + kLogBlockBytes - 1) / kLogBlockBytes) * kLogBlockBytes;
-}
+vprof::ProbeSite g_fil_flush{"fil_flush"};
+constexpr commitlog::Traits kRedoTraits{.failpoint_prefix = "redo",
+                                        .block_bytes = 512,
+                                        .wait_probe = nullptr,
+                                        .write_probe = nullptr,
+                                        .fsync_probe = &g_fil_flush};
 }  // namespace
-
-uint32_t LogRecordChecksum(uint64_t end_lsn, uint64_t bytes) {
-  // FNV-1a over the two header fields.
-  uint64_t h = 1469598103934665603ull;
-  h = (h ^ end_lsn) * 1099511628211ull;
-  h = (h ^ bytes) * 1099511628211ull;
-  return static_cast<uint32_t>(h ^ (h >> 32));
-}
 
 RedoLog::RedoLog(FlushPolicy policy, simio::Disk* disk,
                  double flusher_period_us, CommitMode mode)
     : policy_(policy),
-      mode_(mode),
-      disk_(disk),
-      flusher_period_us_(flusher_period_us) {
+      flusher_period_us_(flusher_period_us),
+      log_(kRedoTraits, disk, mode) {
   if (policy_ != FlushPolicy::kEager) {
     flusher_ = std::thread([this] { FlusherLoop(); });
   }
 }
 
-RedoLog::~RedoLog() {
-  stop_.store(true, std::memory_order_release);
-  if (flusher_.joinable()) {
-    flusher_.join();
-  }
-}
-
-uint64_t RedoLog::Append(uint64_t bytes) {
-  std::lock_guard<vprof::Mutex> lock(mu_);
-  if (crashed_.load(std::memory_order_acquire) ||
-      wedged_.load(std::memory_order_acquire) ||
-      shutdown_.load(std::memory_order_acquire)) {
-    return 0;
-  }
-  pending_bytes_ += bytes;
-  const uint64_t end_lsn =
-      next_lsn_.fetch_add(bytes, std::memory_order_acq_rel) + bytes - 1;
-  buffer_records_.push_back(
-      LogRecord{end_lsn, bytes, LogRecordChecksum(end_lsn, bytes)});
-  stat_appends_.fetch_add(1, std::memory_order_relaxed);
-  return end_lsn;
-}
-
-void RedoLog::AppendBatchToDevice(const std::vector<LogRecord>& batch,
-                                  uint64_t intact_bytes) {
-  // Records wholly within the transferred prefix land intact; the record
-  // crossing the tear point lands with a bad checksum; anything beyond it
-  // never reached the device.
-  uint64_t offset = 0;
-  for (const LogRecord& rec : batch) {
-    if (offset + rec.bytes <= intact_bytes) {
-      device_records_.push_back(rec);
-    } else if (offset < intact_bytes) {
-      LogRecord torn = rec;
-      torn.checksum ^= kTornChecksumMask;
-      device_records_.push_back(torn);
-      break;
-    } else {
-      break;
-    }
-    offset += rec.bytes;
-  }
-}
-
-LogStatus RedoLog::WriteAndMaybeFlush(bool do_fsync, bool background) {
-  // fil_flush — the fsync below — is the function whose inherent I/O
-  // variance the paper's Table 4 surfaces. The whole write+fsync section is
-  // serialized: there is one log file, so device records stay in LSN order
-  // and the durable prefix is well defined.
-  std::lock_guard<std::mutex> io_lock(write_io_mu_);
-  if (crashed_.load(std::memory_order_acquire)) {
-    return LogStatus::kCrashed;
-  }
-  if (wedged_.load(std::memory_order_acquire)) {
-    return LogStatus::kWedged;
-  }
-  std::vector<LogRecord> batch;
-  uint64_t to_write = 0;
-  {
-    std::lock_guard<vprof::Mutex> lock(mu_);
-    batch.swap(buffer_records_);
-    to_write = pending_bytes_;
-    pending_bytes_ = 0;
-  }
-  const uint64_t batch_end =
-      batch.empty() ? written_lsn_.load(std::memory_order_acquire)
-                    : batch.back().end_lsn;
-
-  auto restore_batch = [&] {
-    std::lock_guard<vprof::Mutex> lock(mu_);
-    buffer_records_.insert(buffer_records_.begin(), batch.begin(), batch.end());
-    pending_bytes_ += to_write;
-  };
-
-  if (fault::Triggered(kFpCrashBeforeWrite)) [[unlikely]] {
-    restore_batch();  // dies in the buffer; Crash() accounts it as lost
-    CrashLocked(crash_seed_.load(std::memory_order_relaxed));
-    return LogStatus::kCrashed;
-  }
-
-  if (to_write > 0) {
-    const simio::IoResult w = disk_->Write(RoundToBlocks(to_write));
-    if (!w.ok()) {
-      restore_batch();  // nothing reached the device; the caller may retry
-      stat_io_errors_.fetch_add(1, std::memory_order_relaxed);
-      return LogStatus::kIoError;
-    }
-    uint64_t mid = fault::Trigger::kNoValue;
-    if (fault::TriggeredValue(kFpCrashMidBatch, &mid)) [[unlikely]] {
-      // Killed mid-batch: only a prefix of the batch's bytes made the device
-      // cache. With no trigger value the crash seed picks the survivors.
-      if (mid != fault::Trigger::kNoValue) {
-        AppendBatchToDevice(batch, std::min<uint64_t>(mid, to_write));
-      } else {
-        AppendBatchToDevice(batch, std::min<uint64_t>(w.bytes, to_write));
-      }
-      CrashLocked(crash_seed_.load(std::memory_order_relaxed));
-      return LogStatus::kCrashed;
-    }
-    AppendBatchToDevice(batch, std::min<uint64_t>(w.bytes, to_write));
-    stat_batched_records_.fetch_add(batch.size(), std::memory_order_relaxed);
-  }
-  written_lsn_.store(batch_end, std::memory_order_release);
-
-  if (fault::Triggered(kFpCrashAfterWrite)) [[unlikely]] {
-    CrashLocked(crash_seed_.load(std::memory_order_relaxed));
-    return LogStatus::kCrashed;
-  }
-
-  if (!do_fsync) {
-    return LogStatus::kOk;
-  }
-  {
-    VPROF_FUNC("fil_flush");
-    const simio::IoResult s = disk_->Fsync();
-    if (!s.ok()) {
-      // fsyncgate: the failed fsync dropped the device cache, taking the
-      // whole unsynced window with it. Wedge the log — were it to stay
-      // open, the next successful fsync would silently ack these records.
-      const size_t dropped = device_records_.size() - durable_records_;
-      device_records_.resize(durable_records_);
-      crash_lost_records_ += dropped;
-      wedged_.store(true, std::memory_order_release);
-      stat_io_errors_.fetch_add(1, std::memory_order_relaxed);
-      stat_wedges_.fetch_add(1, std::memory_order_relaxed);
-      // Wake followers of rounds that will now never run (the in-flight
-      // round's leader signals its own event on return).
-      flush_events_[0].Set();
-      flush_events_[1].Set();
-      return LogStatus::kWedged;
-    }
-  }
-  durable_records_ = device_records_.size();
-  flushed_lsn_.store(batch_end, std::memory_order_release);
-
-  if (fault::Triggered(kFpCrashAfterFsync)) [[unlikely]] {
-    // The batch is already durable; the caller just never hears the ack.
-    CrashLocked(crash_seed_.load(std::memory_order_relaxed));
-    return LogStatus::kCrashed;
-  }
-  if (background) {
-    stat_background_flushes_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    stat_leader_flushes_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return LogStatus::kOk;
-}
-
-LogStatus RedoLog::GroupCommitUpTo(uint64_t lsn) {
-  // One leader flushes per round; followers wait until their LSN is durable.
-  // kOk here is the durability acknowledgment.
-  while (flushed_lsn_.load(std::memory_order_acquire) < lsn) {
-    if (crashed_.load(std::memory_order_acquire)) {
-      return LogStatus::kCrashed;
-    }
-    if (wedged_.load(std::memory_order_acquire)) {
-      return LogStatus::kWedged;
-    }
-    if (lsn >= next_lsn_.load(std::memory_order_acquire)) {
-      // No such record: it was appended before a crash and lost. The caller
-      // must treat the transaction as failed.
-      return LogStatus::kCrashed;
-    }
-    bool leader = false;
-    uint64_t round = 0;
-    {
-      std::lock_guard<vprof::Mutex> lock(mu_);
-      if (flushed_lsn_.load(std::memory_order_acquire) >= lsn) {
-        return LogStatus::kOk;
-      }
-      if (!flush_in_progress_) {
-        flush_in_progress_ = true;
-        leader = true;
-      } else {
-        round = flush_round_;
-      }
-    }
-    if (leader) {
-      const LogStatus status =
-          WriteAndMaybeFlush(/*do_fsync=*/true, /*background=*/false);
-      {
-        // Finish the round whatever the outcome (ok, I/O error, crash):
-        // reset the next round's event before signalling this one so a
-        // follower that enlists in round R+1 starts with a clean event.
-        std::lock_guard<vprof::Mutex> lock(mu_);
-        flush_in_progress_ = false;
-        const uint64_t done = flush_round_++;
-        flush_events_[(done + 1) & 1].Reset();
-        flush_events_[done & 1].Set();
-      }
-      if (status != LogStatus::kOk) {
-        return status;
-      }
-    } else {
-      stat_commit_waits_.fetch_add(1, std::memory_order_relaxed);
-      // The event for this round stays set from its completion until round
-      // round+1 completes, so a follower that runs late still sees it; the
-      // timeout covers the follower that sleeps through two whole rounds.
-      flush_events_[round & 1].WaitFor(kFollowerWaitNs);
-    }
-  }
-  return LogStatus::kOk;
-}
-
-LogStatus RedoLog::ExclusiveCommitUpTo(uint64_t lsn) {
-  // Pre-scale-out baseline: each commit performs its own write+fsync, fully
-  // serialized on write_io_mu_ (the prepare_commit_mutex regime) — one fsync
-  // per commit regardless of how many committers pile up.
-  do {
-    if (crashed_.load(std::memory_order_acquire)) {
-      return LogStatus::kCrashed;
-    }
-    if (wedged_.load(std::memory_order_acquire)) {
-      return LogStatus::kWedged;
-    }
-    if (lsn >= next_lsn_.load(std::memory_order_acquire)) {
-      return LogStatus::kCrashed;
-    }
-    const LogStatus status =
-        WriteAndMaybeFlush(/*do_fsync=*/true, /*background=*/false);
-    if (status != LogStatus::kOk) {
-      return status;
-    }
-  } while (flushed_lsn_.load(std::memory_order_acquire) < lsn);
-  return LogStatus::kOk;
-}
+RedoLog::~RedoLog() { StopFlusher(); }
 
 LogStatus RedoLog::CommitUpTo(uint64_t lsn) {
   VPROF_FUNC("log_write_up_to");
-  if (crashed_.load(std::memory_order_acquire)) {
-    return LogStatus::kCrashed;
+  if (policy_ == FlushPolicy::kEager) {
+    return log_.CommitUpTo(lsn);
   }
-  if (wedged_.load(std::memory_order_acquire)) {
-    return LogStatus::kWedged;
+  const LogStatus status = log_.EntryStatus();
+  if (status != LogStatus::kOk || policy_ == FlushPolicy::kLazyWrite) {
+    return status;  // kLazyWrite: nothing on the commit path
   }
-  if (shutdown_.load(std::memory_order_acquire)) {
-    return LogStatus::kShutdown;
-  }
-  switch (policy_) {
-    case FlushPolicy::kLazyWrite:
-      // Nothing on the commit path; the flusher writes and syncs.
-      return LogStatus::kOk;
-    case FlushPolicy::kLazyFlush:
-      // Write (cheap) on the commit path, defer the fsync.
-      return WriteAndMaybeFlush(/*do_fsync=*/false, /*background=*/false);
-    case FlushPolicy::kEager:
-      break;
-  }
-  return mode_ == CommitMode::kGroupCommit ? GroupCommitUpTo(lsn)
-                                           : ExclusiveCommitUpTo(lsn);
-}
-
-void RedoLog::Crash(uint64_t seed) {
-  std::lock_guard<std::mutex> io_lock(write_io_mu_);
-  if (crashed_.load(std::memory_order_acquire)) {
-    return;
-  }
-  CrashLocked(seed);
-}
-
-void RedoLog::CrashLocked(uint64_t seed) {
-  uint64_t lost = 0;
-  {
-    std::lock_guard<vprof::Mutex> lock(mu_);
-    crashed_.store(true, std::memory_order_release);
-    lost = buffer_records_.size();
-    buffer_records_.clear();
-    pending_bytes_ = 0;
-  }
-  // The written-but-unsynced tail survives only partially: a seeded-random
-  // count of records made it intact, the next one may be torn mid-record,
-  // the rest never left the device cache.
-  const size_t at_risk = device_records_.size() - durable_records_;
-  if (at_risk > 0) {
-    statkit::Rng rng(seed);
-    const uint64_t keep = rng.NextBelow(at_risk + 1);
-    if (keep < at_risk) {
-      // Tear to a definitively-bad checksum (not an XOR toggle): the record
-      // may already be torn by a short batch write, and toggling twice would
-      // resurrect it.
-      LogRecord& torn = device_records_[durable_records_ + keep];
-      torn.checksum =
-          LogRecordChecksum(torn.end_lsn, torn.bytes) ^ kTornChecksumMask;
-      lost += at_risk - keep - 1;
-      device_records_.resize(durable_records_ + keep + 1);
-    }
-  }
-  crash_lost_records_ += lost;
-  stat_crashes_.fetch_add(1, std::memory_order_relaxed);
-  // Wake group-commit followers so they observe crashed_ instead of timing
-  // out; both parities, since followers of the in-flight round and of a
-  // round that will now never run may both be waiting.
-  flush_events_[0].Set();
-  flush_events_[1].Set();
-}
-
-RecoveryResult RedoLog::Recover() {
-  std::lock_guard<std::mutex> io_lock(write_io_mu_);
-  RecoveryResult result;
-  if (!crashed_.load(std::memory_order_acquire) &&
-      !wedged_.load(std::memory_order_acquire)) {
-    result.recovered_lsn = flushed_lsn_.load(std::memory_order_acquire);
-    result.records_recovered = device_records_.size();
-    return result;
-  }
-  size_t good = 0;
-  for (const LogRecord& rec : device_records_) {
-    if (rec.checksum != LogRecordChecksum(rec.end_lsn, rec.bytes)) {
-      break;  // torn tail starts here
-    }
-    result.recovered_lsn = rec.end_lsn;
-    ++good;
-  }
-  result.torn_truncated = device_records_.size() - good;
-  result.records_recovered = good;
-  result.records_lost = crash_lost_records_ + result.torn_truncated;
-  device_records_.resize(good);
-  durable_records_ = good;
-  crash_lost_records_ = 0;
-  // No committers are in flight while crashed (CommitUpTo bails out), so
-  // the events can be cleared before the log re-opens.
-  flush_events_[0].Reset();
-  flush_events_[1].Reset();
-  {
-    std::lock_guard<vprof::Mutex> lock(mu_);
-    // A wedged (not crashed) log still holds never-committable appends in
-    // its insert buffer; they die here.
-    result.records_lost += buffer_records_.size();
-    buffer_records_.clear();
-    pending_bytes_ = 0;
-    flush_in_progress_ = false;
-    next_lsn_.store(result.recovered_lsn + 1, std::memory_order_release);
-    written_lsn_.store(result.recovered_lsn, std::memory_order_release);
-    flushed_lsn_.store(result.recovered_lsn, std::memory_order_release);
-    wedged_.store(false, std::memory_order_release);
-    crashed_.store(false, std::memory_order_release);
-  }
-  return result;
+  // kLazyFlush: write (cheap) on the commit path, defer the fsync.
+  return log_.WriteBatch(/*do_fsync=*/false, /*background=*/false);
 }
 
 void RedoLog::Shutdown() {
-  bool expected = false;
-  if (!shutdown_.compare_exchange_strong(expected, true,
-                                         std::memory_order_acq_rel)) {
-    return;
-  }
-  // Stop the background flusher before the final flush so the two don't
-  // interleave.
-  stop_.store(true, std::memory_order_release);
-  if (flusher_.joinable()) {
+  // The flusher stops first so it does not interleave with the final flush.
+  StopFlusher();
+  log_.Shutdown();
+}
+
+void RedoLog::StopFlusher() {
+  if (!stop_.exchange(true, std::memory_order_acq_rel) && flusher_.joinable()) {
     flusher_.join();
   }
-  // One final write+fsync drains the pending batch: every record appended
-  // before the shutdown flag went up becomes durable, so followers already
-  // waiting get their kOk ack instead of a spurious loss.
-  if (!crashed_.load(std::memory_order_acquire) &&
-      !wedged_.load(std::memory_order_acquire)) {
-    WriteAndMaybeFlush(/*do_fsync=*/true, /*background=*/true);
-  }
-  // Wake group-commit followers of any round so they re-check flushed_lsn
-  // and observe either their ack or the shutdown.
-  flush_events_[0].Set();
-  flush_events_[1].Set();
 }
 
 void RedoLog::FlusherLoop() {
@@ -422,43 +61,14 @@ void RedoLog::FlusherLoop() {
       simio::SleepUs(tick);
       slept += tick;
     }
-    if (stop_.load(std::memory_order_acquire)) {
-      return;
+    if (stop_.load(std::memory_order_acquire) || log_.crashed() ||
+        log_.wedged()) {
+      continue;  // exits, or idles until Recover()
     }
-    if (crashed_.load(std::memory_order_acquire) ||
-        wedged_.load(std::memory_order_acquire)) {
-      continue;  // idle until Recover()
-    }
-    const uint64_t target = next_lsn_.load(std::memory_order_acquire) - 1;
-    if (flushed_lsn_.load(std::memory_order_acquire) < target) {
-      WriteAndMaybeFlush(/*do_fsync=*/true, /*background=*/true);
+    if (log_.flushed_lsn() < log_.next_lsn() - 1) {
+      log_.WriteBatch(/*do_fsync=*/true, /*background=*/true);
     }
   }
-}
-
-size_t RedoLog::device_record_count() const {
-  std::lock_guard<std::mutex> io_lock(write_io_mu_);
-  return device_records_.size();
-}
-
-size_t RedoLog::durable_record_count() const {
-  std::lock_guard<std::mutex> io_lock(write_io_mu_);
-  return durable_records_;
-}
-
-RedoLogStats RedoLog::stats() const {
-  RedoLogStats stats;
-  stats.appends = stat_appends_.load(std::memory_order_relaxed);
-  stats.commit_waits = stat_commit_waits_.load(std::memory_order_relaxed);
-  stats.leader_flushes = stat_leader_flushes_.load(std::memory_order_relaxed);
-  stats.background_flushes =
-      stat_background_flushes_.load(std::memory_order_relaxed);
-  stats.batched_records =
-      stat_batched_records_.load(std::memory_order_relaxed);
-  stats.io_errors = stat_io_errors_.load(std::memory_order_relaxed);
-  stats.wedges = stat_wedges_.load(std::memory_order_relaxed);
-  stats.crashes = stat_crashes_.load(std::memory_order_relaxed);
-  return stats;
 }
 
 }  // namespace minidb

@@ -1,108 +1,34 @@
-// Redo log with leader-based group commit and the three durability policies
-// of innodb_flush_log_at_trx_commit (paper Section 4.5, Figure 4 center).
+// Redo log: the shared group-commit log (src/commitlog/commit_log.h) under
+// the three durability policies of innodb_flush_log_at_trx_commit (paper
+// Section 4.5, Figure 4 center).
 //
 //   kEager:     every commit waits until its LSN is written and fsync'd.
-//               Under CommitMode::kGroupCommit one elected leader performs a
-//               single write+fsync for the whole pending batch; followers
-//               wait on an os_event-style vprof::Event. Under
-//               CommitMode::kExclusive every committer performs its own
-//               write+fsync serialized on the log I/O mutex — the
-//               pre-scale-out baseline whose throughput is capped at one
-//               fsync per commit. fil_flush — the fsync — is the
-//               instrumented high-variance I/O function of Table 4.
+//               fil_flush, the fsync, is the high-variance I/O function of
+//               Table 4. An acknowledged CommitUpTo(lsn) == kOk is never lost.
 //   kLazyFlush: commits write the log buffer but leave the fsync to the
 //               background flusher thread (risking recent commits on crash).
 //   kLazyWrite: commits return immediately; the flusher writes and syncs.
 //
-// Group-commit leader election: committers whose LSN is not yet durable take
-// mu_; the first to find no flush in progress becomes leader, drains the
-// insert buffer, and performs one write+fsync batch. Followers record the
-// current flush round and wait on one of two ping-pong events indexed by
-// round parity: the leader finishing round R resets the event for round R+1
-// and then sets the event for round R (InnoDB os_event + sig_count style),
-// so a follower can never miss its wake-up — Set wakes current and future
-// waiters until Reset, and a bounded WaitFor backstops the one race where a
-// follower observes two full rounds without running. Followers re-check
-// flushed_lsn on every wake, so spurious wake-ups are harmless.
-//
-// Fault model: every record carries a checksum, and the log can Crash() and
-// Recover(). A crash (explicit, or injected via the commit-path failpoints
-// "redo/crash_before_write", "redo/crash_after_write",
-// "redo/crash_after_fsync", "redo/crash_mid_batch" — the last with an
-// optional trigger value giving the byte offset into the batch that reached
-// the device cache before the kill) freezes the log: buffered records are
-// lost, and
-// the written-but-unsynced tail survives only as a seeded-random prefix whose
-// last record may be torn (bad checksum). Recover() scans the device image,
-// truncates at the first checksum mismatch, and re-opens the log at the
-// recovered LSN. Durability contract per policy: under kEager an
-// acknowledged CommitUpTo(lsn) == kOk is never lost; under the lazy policies
-// at most the records since the last background flush are lost. These
-// invariants are CommitMode-independent: a batch is written in LSN order, so
-// recovery always exposes a prefix of whole records, never a torn batch
-// interior.
-//
-// fsyncgate: a FAILED fsync wedges the log (kWedged). The kernel drops dirty
-// pages on fsync error, so the whole unsynced window is gone; were the log to
-// stay open, a later successful fsync would silently ack commits whose
-// records never reached stable storage. A wedged log fails every commit until
-// Recover(), which truncates to the durable prefix exactly as after a crash.
-//
-// Statistics are relaxed atomics aggregated in stats(): the commit hot path
-// takes no stats lock.
+// Crashes are injected at the "redo/crash_*" failpoints; writes round up to
+// 512-byte blocks.
 #ifndef SRC_MINIDB_REDO_LOG_H_
 #define SRC_MINIDB_REDO_LOG_H_
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <thread>
-#include <vector>
 
+#include "src/commitlog/commit_log.h"
 #include "src/minidb/config.h"
 #include "src/simio/disk.h"
-#include "src/vprof/sync.h"
 
 namespace minidb {
 
-struct RedoLogStats {
-  uint64_t appends = 0;
-  uint64_t commit_waits = 0;   // commits that waited for another's flush
-  uint64_t leader_flushes = 0;
-  uint64_t background_flushes = 0;
-  uint64_t batched_records = 0;  // records written to the device by flushes
-  uint64_t io_errors = 0;      // disk errors surfaced on the flush path
-  uint64_t wedges = 0;         // failed fsyncs that wedged the log
-  uint64_t crashes = 0;
-};
-
-// Outcome of a durability request.
-enum class LogStatus : uint8_t {
-  kOk,        // durable per the active policy
-  kIoError,   // the log device failed the write; nothing landed — retryable
-  kWedged,    // a failed fsync dropped the unsynced window (fsyncgate);
-              // every commit fails until Recover()
-  kCrashed,   // the log crashed; Recover() required
-  kShutdown,  // the log was shut down; no further commits
-};
-
-// One log record as recovery sees it.
-struct LogRecord {
-  uint64_t end_lsn = 0;  // LSN of the record's last byte
-  uint64_t bytes = 0;
-  uint32_t checksum = 0;
-};
-
-// Checksum over a record's header fields; recovery verifies it to detect
-// torn tails.
-uint32_t LogRecordChecksum(uint64_t end_lsn, uint64_t bytes);
-
-struct RecoveryResult {
-  uint64_t recovered_lsn = 0;        // log tail after truncation
-  uint64_t records_recovered = 0;    // records that passed checksum
-  uint64_t torn_truncated = 0;       // device-tail records dropped by checksum
-  uint64_t records_lost = 0;         // records that never survived the crash
-};
+using RedoLogStats = commitlog::Stats;
+using LogStatus = commitlog::Status;
+using LogRecord = commitlog::Record;
+using RecoveryResult = commitlog::RecoveryResult;
+inline constexpr auto& LogRecordChecksum = commitlog::RecordChecksum;
 
 class RedoLog {
  public:
@@ -113,111 +39,40 @@ class RedoLog {
   RedoLog(const RedoLog&) = delete;
   RedoLog& operator=(const RedoLog&) = delete;
 
-  // Appends `bytes` of redo to the log buffer; returns the record's LSN.
-  // Returns 0 (no record) while the log is crashed.
-  uint64_t Append(uint64_t bytes);
+  // Appends `bytes` of redo to the log buffer; returns the record's LSN, or
+  // 0 while the log is crashed, wedged or shut down.
+  uint64_t Append(uint64_t bytes) { return log_.Append(bytes); }
 
   // Makes the log durable up to `lsn` according to the policy
-  // (log_write_up_to). Blocks only under kEager. kOk from the eager policy
-  // is the durability acknowledgment the recovery invariants protect.
+  // (log_write_up_to). Blocks only under kEager.
   LogStatus CommitUpTo(uint64_t lsn);
 
-  // Simulates a process/device crash: freezes the log (subsequent Append
-  // returns 0 and CommitUpTo returns kCrashed), drops buffered records, and
-  // keeps only a `seed`-deterministic prefix of the written-but-unsynced
-  // tail, possibly ending in a torn (bad-checksum) record.
-  void Crash(uint64_t seed);
-
-  // Replays the device image: verifies checksums, truncates the torn tail,
-  // and re-opens the log at the recovered LSN. Requires crashed() or
-  // wedged(); clears both.
-  RecoveryResult Recover();
-
-  // Graceful shutdown: refuses new Append/CommitUpTo (kShutdown), stops the
-  // background flusher, and performs one final write+fsync of the pending
-  // batch (unless crashed/wedged). Committers already inside CommitUpTo
-  // drain normally — they elect leaders, flush, and collect their kOk acks —
-  // because the shutdown gate is only at the entry points. Idempotent.
+  // Stops the background flusher, then shuts the log down (see
+  // commitlog::CommitLog::Shutdown). Idempotent.
   void Shutdown();
 
-  bool crashed() const { return crashed_.load(std::memory_order_acquire); }
-  bool wedged() const { return wedged_.load(std::memory_order_acquire); }
-  bool shutdown() const { return shutdown_.load(std::memory_order_acquire); }
-
-  // Seed for crashes injected via the redo/crash_* failpoints.
-  void set_crash_seed(uint64_t seed) {
-    crash_seed_.store(seed, std::memory_order_relaxed);
-  }
-
-  CommitMode commit_mode() const { return mode_; }
-
-  uint64_t flushed_lsn() const { return flushed_lsn_.load(std::memory_order_acquire); }
-  uint64_t written_lsn() const { return written_lsn_.load(std::memory_order_acquire); }
-  uint64_t next_lsn() const { return next_lsn_.load(std::memory_order_acquire); }
-
-  // Device-image introspection for recovery tests.
-  size_t device_record_count() const;
-  size_t durable_record_count() const;
-
-  RedoLogStats stats() const;
+  // The rest is the shared log's (src/commitlog/commit_log.h).
+  void Crash(uint64_t seed) { log_.Crash(seed); }
+  RecoveryResult Recover() { return log_.Recover(); }
+  bool crashed() const { return log_.crashed(); }
+  bool wedged() const { return log_.wedged(); }
+  bool shutdown() const { return log_.shutdown(); }
+  void set_crash_seed(uint64_t seed) { log_.set_crash_seed(seed); }
+  CommitMode commit_mode() const { return log_.commit_mode(); }
+  uint64_t flushed_lsn() const { return log_.flushed_lsn(); }
+  uint64_t written_lsn() const { return log_.written_lsn(); }
+  uint64_t next_lsn() const { return log_.next_lsn(); }
+  size_t device_record_count() const { return log_.device_record_count(); }
+  size_t durable_record_count() const { return log_.durable_record_count(); }
+  RedoLogStats stats() const { return log_.stats(); }
 
  private:
   void FlusherLoop();
-  // Group-commit eager path: leader election + ping-pong event rounds.
-  LogStatus GroupCommitUpTo(uint64_t lsn);
-  // Exclusive eager path: per-commit write+fsync serialized on write_io_mu_.
-  LogStatus ExclusiveCommitUpTo(uint64_t lsn);
-  // Writes the pending batch and (optionally) fsyncs. Serialized on
-  // write_io_mu_ so device records land in LSN order. Called with mu_ NOT
-  // held.
-  LogStatus WriteAndMaybeFlush(bool do_fsync, bool background);
-  // Appends the batch to the device image, tearing the record that crosses
-  // `intact_bytes` (short write). Requires write_io_mu_ held.
-  void AppendBatchToDevice(const std::vector<LogRecord>& batch,
-                           uint64_t intact_bytes);
-  // Crash bookkeeping; requires write_io_mu_ held.
-  void CrashLocked(uint64_t seed);
+  void StopFlusher();
 
   const FlushPolicy policy_;
-  const CommitMode mode_;
-  simio::Disk* disk_;
   const double flusher_period_us_;
-
-  vprof::Mutex mu_;
-  std::atomic<uint64_t> next_lsn_{1};
-  std::atomic<uint64_t> written_lsn_{0};
-  std::atomic<uint64_t> flushed_lsn_{0};
-  uint64_t pending_bytes_ = 0;  // bytes appended but not yet written
-  std::vector<LogRecord> buffer_records_;  // the insert buffer; guarded by mu_
-  bool flush_in_progress_ = false;         // guarded by mu_
-  uint64_t flush_round_ = 0;               // guarded by mu_
-
-  // Ping-pong follower wake-up events, indexed by flush-round parity. The
-  // event for round R is reset by the leader that finishes round R-1 and set
-  // by the leader that finishes round R; Crash sets both.
-  vprof::Event flush_events_[2];
-
-  // Serializes the write+fsync path (one log file) and guards the device
-  // image below.
-  mutable std::mutex write_io_mu_;
-  std::vector<LogRecord> device_records_;
-  size_t durable_records_ = 0;    // prefix of device_records_ fsync'd
-  uint64_t crash_lost_records_ = 0;
-
-  std::atomic<bool> crashed_{false};
-  std::atomic<bool> wedged_{false};
-  std::atomic<bool> shutdown_{false};
-  std::atomic<uint64_t> crash_seed_{0x5EED5EEDull};
-
-  std::atomic<uint64_t> stat_appends_{0};
-  std::atomic<uint64_t> stat_commit_waits_{0};
-  std::atomic<uint64_t> stat_leader_flushes_{0};
-  std::atomic<uint64_t> stat_background_flushes_{0};
-  std::atomic<uint64_t> stat_batched_records_{0};
-  std::atomic<uint64_t> stat_io_errors_{0};
-  std::atomic<uint64_t> stat_wedges_{0};
-  std::atomic<uint64_t> stat_crashes_{0};
-
+  commitlog::CommitLog log_;
   std::atomic<bool> stop_{false};
   std::thread flusher_;
 };

@@ -3,452 +3,45 @@
 #include <algorithm>
 #include <string>
 
-#include "src/fault/failpoint.h"
-#include "src/statkit/rng.h"
 #include "src/vprof/probe.h"
 
 namespace minipg {
 
 namespace {
-constexpr uint64_t kWalBlockBytes = 8192;
-constexpr uint32_t kTornChecksumMask = 0xA5A5A5A5u;
-
-// Backstop for the rare follower that sleeps through a whole round and its
-// event reset; it wakes, re-checks flushed_lsn, and re-enlists.
-constexpr int64_t kFollowerWaitNs = 50LL * 1000 * 1000;
-
-constexpr const char kFpCrashBeforeWrite[] = "wal/crash_before_write";
-constexpr const char kFpCrashAfterWrite[] = "wal/crash_after_write";
-constexpr const char kFpCrashAfterFsync[] = "wal/crash_after_fsync";
-// Kill mid group-commit batch: the trigger value (if set) is the byte offset
-// into the batch that reached the device cache before the crash.
-constexpr const char kFpCrashMidBatch[] = "wal/crash_mid_batch";
-
-uint64_t RoundToBlocks(uint64_t bytes) {
-  return ((bytes + kWalBlockBytes - 1) / kWalBlockBytes) * kWalBlockBytes;
-}
+vprof::ProbeSite g_acquire_or_wait{"LWLockAcquireOrWait"};
+vprof::ProbeSite g_issue_xlog_fsync{"issue_xlog_fsync"};
+constexpr commitlog::Traits kWalTraits{.failpoint_prefix = "wal",
+                                       .block_bytes = 8192,
+                                       .wait_probe = &g_acquire_or_wait,
+                                       .write_probe = &g_issue_xlog_fsync,
+                                       .fsync_probe = nullptr};
 }  // namespace
 
-uint32_t WalRecordChecksum(uint64_t end_lsn, uint64_t bytes) {
-  // FNV-1a over the two header fields.
-  uint64_t h = 1469598103934665603ull;
-  h = (h ^ end_lsn) * 1099511628211ull;
-  h = (h ^ bytes) * 1099511628211ull;
-  return static_cast<uint32_t>(h ^ (h >> 32));
-}
-
 WalUnit::WalUnit(const simio::DiskConfig& disk_config, CommitMode mode)
-    : mode_(mode), disk_(disk_config) {}
+    : disk_(disk_config), log_(kWalTraits, &disk_, mode) {}
 
 uint64_t WalUnit::Insert(uint64_t bytes) {
   VPROF_FUNC("XLogInsert");
-  std::lock_guard<std::mutex> lock(records_mu_);
-  if (crashed_.load(std::memory_order_acquire) ||
-      wedged_.load(std::memory_order_acquire) ||
-      shutdown_.load(std::memory_order_acquire)) {
-    return 0;
-  }
-  pending_bytes_ += bytes;
-  const uint64_t end_lsn =
-      next_lsn_.fetch_add(bytes, std::memory_order_acq_rel) + bytes - 1;
-  buffer_records_.push_back(
-      WalRecord{end_lsn, bytes, WalRecordChecksum(end_lsn, bytes)});
-  stat_inserts_.fetch_add(1, std::memory_order_relaxed);
-  return end_lsn;
-}
-
-bool WalUnit::AcquireOrWait(uint64_t lsn) {
-  VPROF_FUNC("LWLockAcquireOrWait");
-  uint64_t round;
-  {
-    std::lock_guard<vprof::Mutex> lock(mu_);
-    if (crashed_.load(std::memory_order_acquire) ||
-        wedged_.load(std::memory_order_acquire)) {
-      return false;  // caller re-checks and observes the crash/wedge
-    }
-    if (flushed_lsn_.load(std::memory_order_acquire) >= lsn) {
-      return false;  // became durable while we queued for the lock
-    }
-    if (!write_lock_held_) {
-      write_lock_held_ = true;
-      return true;
-    }
-    round = flush_round_;
-  }
-  // Someone is flushing: enlist as a follower of the in-flight round and
-  // sleep until the leader finishes it (Postgres semantics — wake, then
-  // re-check whether our LSN already became durable). The round-R event
-  // stays set from round R's completion until round R+1 completes, so a
-  // late-running follower still sees it.
-  waiters_.fetch_add(1, std::memory_order_relaxed);
-  stat_flush_waits_.fetch_add(1, std::memory_order_relaxed);
-  flush_events_[round & 1].WaitFor(kFollowerWaitNs);
-  waiters_.fetch_sub(1, std::memory_order_relaxed);
-  return false;
-}
-
-bool WalUnit::AcquireExclusive() {
-  VPROF_FUNC("LWLockAcquireOrWait");
-  for (;;) {
-    uint64_t round;
-    {
-      std::lock_guard<vprof::Mutex> lock(mu_);
-      if (crashed_.load(std::memory_order_acquire) ||
-          wedged_.load(std::memory_order_acquire)) {
-        return false;
-      }
-      if (!write_lock_held_) {
-        write_lock_held_ = true;
-        return true;
-      }
-      round = flush_round_;
-    }
-    waiters_.fetch_add(1, std::memory_order_relaxed);
-    stat_flush_waits_.fetch_add(1, std::memory_order_relaxed);
-    flush_events_[round & 1].WaitFor(kFollowerWaitNs);
-    waiters_.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
-void WalUnit::ReleaseAndWake() {
-  std::lock_guard<vprof::Mutex> lock(mu_);
-  write_lock_held_ = false;
-  // Finish the round: clean the next round's event before signalling this
-  // one, so a follower enlisting in round R+1 starts with a clear event.
-  const uint64_t done = flush_round_++;
-  flush_events_[(done + 1) & 1].Reset();
-  flush_events_[done & 1].Set();
-}
-
-void WalUnit::AppendBatchToDevice(const std::vector<WalRecord>& batch,
-                                  uint64_t intact_bytes) {
-  // Records wholly within the transferred prefix land intact; the record
-  // crossing the tear point lands with a bad checksum; anything beyond it
-  // never reached the device.
-  uint64_t offset = 0;
-  for (const WalRecord& rec : batch) {
-    if (offset + rec.bytes <= intact_bytes) {
-      device_records_.push_back(rec);
-    } else if (offset < intact_bytes) {
-      WalRecord torn = rec;
-      torn.checksum ^= kTornChecksumMask;
-      device_records_.push_back(torn);
-      break;
-    } else {
-      break;
-    }
-    offset += rec.bytes;
-  }
-}
-
-WalStatus WalUnit::WriteAndSync() {
-  // Called with the write lock held: flushers are serialized, so device
-  // records land in LSN order and the durable prefix is well defined.
-  if (wedged_.load(std::memory_order_acquire)) {
-    return WalStatus::kWedged;
-  }
-  std::vector<WalRecord> batch;
-  uint64_t bytes = 0;
-  {
-    std::lock_guard<std::mutex> lock(records_mu_);
-    batch.swap(buffer_records_);
-    bytes = pending_bytes_;
-    pending_bytes_ = 0;
-  }
-  const uint64_t target = batch.empty()
-                              ? flushed_lsn_.load(std::memory_order_acquire)
-                              : batch.back().end_lsn;
-
-  auto restore_batch = [&] {
-    std::lock_guard<std::mutex> lock(records_mu_);
-    buffer_records_.insert(buffer_records_.begin(), batch.begin(), batch.end());
-    pending_bytes_ += bytes;
-  };
-
-  if (fault::Triggered(kFpCrashBeforeWrite)) [[unlikely]] {
-    restore_batch();  // dies in the buffer; Crash() accounts it as lost
-    CrashInternal(crash_seed_.load(std::memory_order_relaxed));
-    return WalStatus::kCrashed;
-  }
-
-  {
-    VPROF_FUNC("issue_xlog_fsync");
-    if (bytes > 0) {
-      const simio::IoResult w = disk_.Write(RoundToBlocks(bytes));
-      if (!w.ok()) {
-        restore_batch();
-        stat_io_errors_.fetch_add(1, std::memory_order_relaxed);
-        return WalStatus::kIoError;
-      }
-      uint64_t mid = fault::Trigger::kNoValue;
-      const bool mid_crash = fault::TriggeredValue(kFpCrashMidBatch, &mid);
-      {
-        std::lock_guard<std::mutex> lock(device_mu_);
-        if (crashed_.load(std::memory_order_acquire)) {
-          // Crashed mid-write: the batch vanished with the device cache.
-          crash_lost_records_ += batch.size();
-          return WalStatus::kCrashed;
-        }
-        if (mid_crash && mid != fault::Trigger::kNoValue) [[unlikely]] {
-          // Killed mid-batch at a chosen byte offset; only that prefix of
-          // the batch reached the device cache.
-          AppendBatchToDevice(batch, std::min<uint64_t>(mid, bytes));
-        } else {
-          AppendBatchToDevice(batch, std::min<uint64_t>(w.bytes, bytes));
-        }
-      }
-      if (mid_crash) [[unlikely]] {
-        CrashInternal(crash_seed_.load(std::memory_order_relaxed));
-        return WalStatus::kCrashed;
-      }
-      stat_batched_records_.fetch_add(batch.size(),
-                                      std::memory_order_relaxed);
-    }
-    if (fault::Triggered(kFpCrashAfterWrite)) [[unlikely]] {
-      CrashInternal(crash_seed_.load(std::memory_order_relaxed));
-      return WalStatus::kCrashed;
-    }
-    const simio::IoResult s = disk_.Fsync();
-    if (!s.ok()) {
-      // fsyncgate: the failed fsync dropped the device cache, taking the
-      // whole unsynced window with it. Wedge the unit — were it to stay
-      // open, the next successful fsync would silently ack these records.
-      {
-        std::lock_guard<std::mutex> lock(device_mu_);
-        if (crashed_.load(std::memory_order_acquire)) {
-          return WalStatus::kCrashed;
-        }
-        const size_t dropped = device_records_.size() - durable_records_;
-        device_records_.resize(durable_records_);
-        crash_lost_records_ += dropped;
-      }
-      wedged_.store(true, std::memory_order_release);
-      stat_io_errors_.fetch_add(1, std::memory_order_relaxed);
-      stat_wedges_.fetch_add(1, std::memory_order_relaxed);
-      // Wake sleeping backends so they observe the wedge (the leader's own
-      // ReleaseAndWake covers the in-flight round).
-      flush_events_[0].Set();
-      flush_events_[1].Set();
-      return WalStatus::kWedged;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(device_mu_);
-    if (crashed_.load(std::memory_order_acquire)) {
-      return WalStatus::kCrashed;
-    }
-    durable_records_ = device_records_.size();
-  }
-  flushed_lsn_.store(target, std::memory_order_release);
-
-  if (fault::Triggered(kFpCrashAfterFsync)) [[unlikely]] {
-    // The batch is already durable; the caller just never hears the ack.
-    CrashInternal(crash_seed_.load(std::memory_order_relaxed));
-    return WalStatus::kCrashed;
-  }
-  stat_flushes_performed_.fetch_add(1, std::memory_order_relaxed);
-  return WalStatus::kOk;
-}
-
-WalStatus WalUnit::GroupFlush(uint64_t lsn) {
-  while (flushed_lsn_.load(std::memory_order_acquire) < lsn) {
-    if (crashed_.load(std::memory_order_acquire)) {
-      return WalStatus::kCrashed;
-    }
-    if (wedged_.load(std::memory_order_acquire)) {
-      return WalStatus::kWedged;
-    }
-    if (lsn >= next_lsn_.load(std::memory_order_acquire)) {
-      // No such record: it was reserved before a crash and lost. The caller
-      // must treat the transaction as failed.
-      return WalStatus::kCrashed;
-    }
-    if (!AcquireOrWait(lsn)) {
-      continue;  // re-check the flushed position
-    }
-    // We are the leader: write out everything inserted so far.
-    const WalStatus status = WriteAndSync();
-    ReleaseAndWake();
-    if (status != WalStatus::kOk) {
-      return status;
-    }
-  }
-  return WalStatus::kOk;
-}
-
-WalStatus WalUnit::ExclusiveFlush(uint64_t lsn) {
-  // Pre-scale-out baseline: one write+fsync per commit, fully serialized on
-  // the write lock — no follower fast-path even when another backend's
-  // flush already covered our LSN.
-  do {
-    if (crashed_.load(std::memory_order_acquire)) {
-      return WalStatus::kCrashed;
-    }
-    if (wedged_.load(std::memory_order_acquire)) {
-      return WalStatus::kWedged;
-    }
-    if (lsn >= next_lsn_.load(std::memory_order_acquire)) {
-      return WalStatus::kCrashed;
-    }
-    if (!AcquireExclusive()) {
-      return wedged_.load(std::memory_order_acquire) ? WalStatus::kWedged
-                                                     : WalStatus::kCrashed;
-    }
-    const WalStatus status = WriteAndSync();
-    ReleaseAndWake();
-    if (status != WalStatus::kOk) {
-      return status;
-    }
-  } while (flushed_lsn_.load(std::memory_order_acquire) < lsn);
-  return WalStatus::kOk;
+  return log_.Append(bytes);
 }
 
 WalStatus WalUnit::Flush(uint64_t lsn) {
   VPROF_FUNC("XLogFlush");
-  stat_flush_calls_.fetch_add(1, std::memory_order_relaxed);
-  if (shutdown_.load(std::memory_order_acquire)) {
-    // New flushes are refused; backends already inside drain normally.
-    return WalStatus::kShutdown;
-  }
-  return mode_ == CommitMode::kGroupCommit ? GroupFlush(lsn)
-                                           : ExclusiveFlush(lsn);
-}
-
-void WalUnit::Crash(uint64_t seed) {
-  if (crashed_.load(std::memory_order_acquire)) {
-    return;
-  }
-  CrashInternal(seed);
-}
-
-void WalUnit::CrashInternal(uint64_t seed) {
-  uint64_t lost = 0;
-  {
-    std::lock_guard<std::mutex> lock(records_mu_);
-    crashed_.store(true, std::memory_order_release);
-    lost = buffer_records_.size();
-    buffer_records_.clear();
-    pending_bytes_ = 0;
-  }
-  {
-    std::lock_guard<std::mutex> lock(device_mu_);
-    const size_t at_risk = device_records_.size() - durable_records_;
-    if (at_risk > 0) {
-      statkit::Rng rng(seed);
-      const uint64_t keep = rng.NextBelow(at_risk + 1);
-      if (keep < at_risk) {
-        // Tear to a definitively-bad checksum (not an XOR toggle): the
-        // record may already be torn by a short batch write, and toggling
-        // twice would resurrect it.
-        WalRecord& torn = device_records_[durable_records_ + keep];
-        torn.checksum =
-            WalRecordChecksum(torn.end_lsn, torn.bytes) ^ kTornChecksumMask;
-        lost += at_risk - keep - 1;
-        device_records_.resize(durable_records_ + keep + 1);
-      }
-    }
-    crash_lost_records_ += lost;
-  }
-  stat_crashes_.fetch_add(1, std::memory_order_relaxed);
-  // Wake backends sleeping in AcquireOrWait/AcquireExclusive — both round
-  // parities — so they observe the crash instead of timing out.
-  flush_events_[0].Set();
-  flush_events_[1].Set();
-}
-
-WalRecoveryResult WalUnit::Recover() {
-  WalRecoveryResult result;
-  if (!crashed_.load(std::memory_order_acquire) &&
-      !wedged_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(device_mu_);
-    result.recovered_lsn = flushed_lsn_.load(std::memory_order_acquire);
-    result.records_recovered = device_records_.size();
-    return result;
-  }
-  {
-    std::lock_guard<std::mutex> lock(device_mu_);
-    size_t good = 0;
-    for (const WalRecord& rec : device_records_) {
-      if (rec.checksum != WalRecordChecksum(rec.end_lsn, rec.bytes)) {
-        break;  // torn tail starts here
-      }
-      result.recovered_lsn = rec.end_lsn;
-      ++good;
-    }
-    result.torn_truncated = device_records_.size() - good;
-    result.records_recovered = good;
-    result.records_lost = crash_lost_records_ + result.torn_truncated;
-    device_records_.resize(good);
-    durable_records_ = good;
-    crash_lost_records_ = 0;
-  }
-  {
-    std::lock_guard<std::mutex> lock(records_mu_);
-    // A wedged (not crashed) unit still holds never-committable inserts in
-    // its buffer; they die here.
-    result.records_lost += buffer_records_.size();
-    buffer_records_.clear();
-    pending_bytes_ = 0;
-    next_lsn_.store(result.recovered_lsn + 1, std::memory_order_release);
-    flushed_lsn_.store(result.recovered_lsn, std::memory_order_release);
-  }
-  {
-    std::lock_guard<vprof::Mutex> lock(mu_);
-    write_lock_held_ = false;
-  }
-  // No backends are in flight while crashed/wedged (Flush bails out), so
-  // the events can be cleared before the unit re-opens.
-  flush_events_[0].Reset();
-  flush_events_[1].Reset();
-  wedged_.store(false, std::memory_order_release);
-  crashed_.store(false, std::memory_order_release);
-  return result;
-}
-
-void WalUnit::Shutdown() {
-  bool expected = false;
-  if (!shutdown_.compare_exchange_strong(expected, true,
-                                         std::memory_order_acq_rel)) {
-    return;
-  }
-  // One final write+fsync drains the pending batch so every record inserted
-  // before the gate went up becomes durable.
-  if (!crashed_.load(std::memory_order_acquire) &&
-      !wedged_.load(std::memory_order_acquire)) {
-    if (AcquireExclusive()) {
-      WriteAndSync();
-      ReleaseAndWake();
-    }
-  }
-  // Wake any remaining sleepers so they re-check and observe their ack or
-  // the shutdown.
-  flush_events_[0].Set();
-  flush_events_[1].Set();
-}
-
-size_t WalUnit::device_record_count() const {
-  std::lock_guard<std::mutex> lock(device_mu_);
-  return device_records_.size();
-}
-
-size_t WalUnit::durable_record_count() const {
-  std::lock_guard<std::mutex> lock(device_mu_);
-  return durable_records_;
+  flush_calls_.fetch_add(1, std::memory_order_relaxed);
+  return log_.CommitUpTo(lsn);
 }
 
 WalStats WalUnit::stats() const {
-  WalStats stats;
-  stats.inserts = stat_inserts_.load(std::memory_order_relaxed);
-  stats.flush_calls = stat_flush_calls_.load(std::memory_order_relaxed);
-  stats.flushes_performed =
-      stat_flushes_performed_.load(std::memory_order_relaxed);
-  stats.flush_waits = stat_flush_waits_.load(std::memory_order_relaxed);
-  stats.batched_records =
-      stat_batched_records_.load(std::memory_order_relaxed);
-  stats.io_errors = stat_io_errors_.load(std::memory_order_relaxed);
-  stats.wedges = stat_wedges_.load(std::memory_order_relaxed);
-  stats.crashes = stat_crashes_.load(std::memory_order_relaxed);
-  return stats;
+  const commitlog::Stats s = log_.stats();
+  return WalStats{
+      .inserts = s.appends,
+      .flush_calls = flush_calls_.load(std::memory_order_relaxed),
+      .flushes_performed = s.leader_flushes + s.background_flushes,
+      .flush_waits = s.commit_waits,
+      .batched_records = s.batched_records,
+      .io_errors = s.io_errors,
+      .wedges = s.wedges,
+      .crashes = s.crashes};
 }
 
 Wal::Wal(int units, const simio::DiskConfig& disk_config, CommitMode mode) {
@@ -474,10 +67,7 @@ Wal::Position Wal::Insert(uint64_t bytes) {
 }
 
 Wal::Position Wal::InsertAt(int unit, uint64_t bytes) {
-  Position position;
-  position.unit = unit;
-  position.lsn = units_[static_cast<size_t>(unit)]->Insert(bytes);
-  return position;
+  return Position{unit, units_[static_cast<size_t>(unit)]->Insert(bytes)};
 }
 
 WalStatus Wal::Flush(const Position& position) {

@@ -1,104 +1,46 @@
-// Write-ahead log modeled on Postgres: one write lock guards the flush path,
-// and backends use LWLockAcquireOrWait — "acquire the lock, or sleep until
-// the current holder releases it and re-check whether our LSN already became
-// durable" (group commit).
+// Write-ahead log modeled on Postgres: each WalUnit is the shared
+// group-commit log (src/commitlog/commit_log.h) on its own disk. Backends
+// use LWLockAcquireOrWait: "acquire the lock, or sleep until the current
+// holder releases it and re-check whether our LSN already became durable".
 //
 // Paper Table 6 attributes 76.8% of Postgres transaction latency variance to
-// LWLockAcquireOrWait through exactly this call site; the paper's fix
-// (Figure 4 right) is distributed logging across two disks, implemented here
-// as multiple WalUnits with waiter-count-based placement.
+// LWLockAcquireOrWait through exactly this call site. The follower sleep of
+// group commit and the write-mutex wait of CommitMode::kExclusive both run
+// under it; the batch write plus fsync runs under issue_xlog_fsync. The
+// paper's fix (Figure 4 right) is distributed logging across two disks,
+// here multiple WalUnits with waiter-count-based placement.
 //
-// Commit modes (the scale-out axis, orthogonal to unit count):
-//   kGroupCommit — leader-based: the backend that finds the write lock free
-//     becomes leader and performs one write+fsync for every record inserted
-//     so far; followers sleep on one of two ping-pong os_event-style events
-//     indexed by flush-round parity (the leader finishing round R resets the
-//     round-R+1 event, then sets the round-R event, so a follower can never
-//     miss its wake-up) and re-check flushed_lsn on wake.
-//   kExclusive — pre-scale-out baseline: every commit acquires the write
-//     lock and performs its own write+fsync, one fsync per commit, fully
-//     serialized.
-// Follower sleeps and lock acquisition both happen inside the
-// LWLockAcquireOrWait probe, so the paper's #1 variance factor keeps its
-// name and call site across modes.
-//
-// Fault model (mirrors minidb::RedoLog): every record carries a checksum and
-// each unit can Crash() and Recover(). A crash — explicit or injected via the
-// flush-path failpoints "wal/crash_before_write", "wal/crash_after_write",
-// "wal/crash_after_fsync" — loses buffered records and keeps only a
-// seeded-random prefix of the written-but-unsynced tail, possibly ending in a
-// torn (bad checksum) record that Recover() truncates. Because XLogFlush is
-// always synchronous, a Flush() that returned kOk is never lost — in either
-// commit mode; batches are written in LSN order, so recovery exposes a
-// prefix of whole records, never a torn batch interior. Each unit's disk
-// gets failpoint scope "<base>.<unit>" so one log device can be faulted
-// independently. The "wal/crash_mid_batch" failpoint kills a unit mid
-// group-commit batch; its optional trigger value is the byte offset into
-// the batch that reached the device cache before the kill.
-//
-// fsyncgate: a FAILED fsync wedges the unit (kWedged). The kernel drops
-// dirty pages on fsync error, so the whole unsynced window is gone; were the
-// unit to stay open, a later successful fsync would silently ack commits
-// whose records never reached stable storage. A wedged unit fails every
-// commit until Recover().
-//
-// Statistics are relaxed atomics aggregated in stats(): the flush hot path
-// takes no stats lock.
+// XLogFlush is synchronous: a Flush() that returned kOk is never lost.
+// Crashes are injected at the "wal/crash_*" failpoints; unit i's disk gets
+// failpoint scope "<base>.<i>". Writes round up to 8192-byte blocks.
 #ifndef SRC_MINIPG_WAL_H_
 #define SRC_MINIPG_WAL_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
+#include "src/commitlog/commit_log.h"
 #include "src/simio/disk.h"
-#include "src/vprof/sync.h"
 
 namespace minipg {
 
-// Who performs the WAL I/O for a commit (see file comment).
-enum class CommitMode {
-  kExclusive,    // per-commit write+fsync, serialized on the write lock
-  kGroupCommit,  // elected leader batches; followers wait on an event
-};
+using CommitMode = commitlog::CommitMode;
+using WalStatus = commitlog::Status;
+using WalRecord = commitlog::Record;
+using WalRecoveryResult = commitlog::RecoveryResult;
+inline constexpr auto& WalRecordChecksum = commitlog::RecordChecksum;
 
 struct WalStats {
   uint64_t inserts = 0;
   uint64_t flush_calls = 0;
-  uint64_t flushes_performed = 0;  // times a backend actually held the lock
+  uint64_t flushes_performed = 0;  // write+fsync rounds
   uint64_t flush_waits = 0;        // times a backend slept on the write lock
   uint64_t batched_records = 0;    // records written to the device by flushes
   uint64_t io_errors = 0;          // disk errors surfaced on the flush path
   uint64_t wedges = 0;             // failed fsyncs that wedged the unit
   uint64_t crashes = 0;
-};
-
-// Outcome of a flush request.
-enum class WalStatus : uint8_t {
-  kOk,        // durable
-  kIoError,   // the log device failed the write; nothing landed — retryable
-  kWedged,    // a failed fsync dropped the unsynced window (fsyncgate);
-              // every commit fails until Recover()
-  kCrashed,   // this unit crashed; Recover() required
-  kShutdown,  // the unit was shut down; no further commits
-};
-
-// One WAL record as recovery sees it.
-struct WalRecord {
-  uint64_t end_lsn = 0;
-  uint64_t bytes = 0;
-  uint32_t checksum = 0;
-};
-
-uint32_t WalRecordChecksum(uint64_t end_lsn, uint64_t bytes);
-
-struct WalRecoveryResult {
-  uint64_t recovered_lsn = 0;
-  uint64_t records_recovered = 0;
-  uint64_t torn_truncated = 0;
-  uint64_t records_lost = 0;
 };
 
 // One log: an insert position, a flushed position, and the write lock.
@@ -108,113 +50,35 @@ class WalUnit {
                    CommitMode mode = CommitMode::kGroupCommit);
 
   // Reserves log space (XLogInsert); returns the record's end LSN, or 0
-  // while the unit is crashed.
+  // while the unit is crashed, wedged or shut down.
   uint64_t Insert(uint64_t bytes);
 
-  // Makes the log durable up to `lsn` (XLogFlush). kOk is the durability
-  // acknowledgment the recovery invariants protect.
+  // Makes the log durable up to `lsn` (XLogFlush).
   WalStatus Flush(uint64_t lsn);
 
-  // Simulates a crash: freezes the unit, drops buffered records, keeps a
-  // seed-deterministic prefix of the written-but-unsynced tail (last record
-  // possibly torn).
-  void Crash(uint64_t seed);
-
-  // Scans the device image, truncates at the first checksum mismatch, and
-  // re-opens the unit at the recovered LSN. Clears both the crashed and the
-  // wedged state.
-  WalRecoveryResult Recover();
-
-  // Graceful shutdown: refuses new Insert/Flush (kShutdown) and performs one
-  // final write+fsync of the pending batch (unless crashed/wedged). Backends
-  // already inside Flush drain normally — the shutdown gate is only at the
-  // entry points. Idempotent.
-  void Shutdown();
-
-  bool crashed() const { return crashed_.load(std::memory_order_acquire); }
-  bool wedged() const { return wedged_.load(std::memory_order_acquire); }
-  bool shutdown() const { return shutdown_.load(std::memory_order_acquire); }
-
-  // Seed for crashes injected via the wal/crash_* failpoints.
-  void set_crash_seed(uint64_t seed) {
-    crash_seed_.store(seed, std::memory_order_relaxed);
-  }
-
-  CommitMode commit_mode() const { return mode_; }
-
-  uint64_t flushed_lsn() const {
-    return flushed_lsn_.load(std::memory_order_acquire);
-  }
-  uint64_t insert_lsn() const {
-    return next_lsn_.load(std::memory_order_acquire);
-  }
-  int waiters() const { return waiters_.load(std::memory_order_relaxed); }
-
-  // Device-image introspection for recovery tests.
-  size_t device_record_count() const;
-  size_t durable_record_count() const;
+  // The rest is the shared log's (src/commitlog/commit_log.h).
+  void Crash(uint64_t seed) { log_.Crash(seed); }
+  WalRecoveryResult Recover() { return log_.Recover(); }
+  void Shutdown() { log_.Shutdown(); }
+  bool crashed() const { return log_.crashed(); }
+  bool wedged() const { return log_.wedged(); }
+  bool shutdown() const { return log_.shutdown(); }
+  void set_crash_seed(uint64_t seed) { log_.set_crash_seed(seed); }
+  CommitMode commit_mode() const { return log_.commit_mode(); }
+  uint64_t flushed_lsn() const { return log_.flushed_lsn(); }
+  uint64_t insert_lsn() const { return log_.next_lsn(); }
+  // Backends sleeping on the write lock; Wal places records by it.
+  int waiters() const { return log_.waiters(); }
+  size_t device_record_count() const { return log_.device_record_count(); }
+  size_t durable_record_count() const { return log_.durable_record_count(); }
 
   WalStats stats() const;
   const simio::Disk& disk() const { return disk_; }
 
  private:
-  // Instrumented LWLockAcquireOrWait. Returns true if the caller now holds
-  // the write lock; false if it slept (or the unit crashed, or `lsn` became
-  // durable) and should re-check. The follower sleep is an event wait under
-  // this probe, so blocked time keeps its paper attribution.
-  bool AcquireOrWait(uint64_t lsn);
-  // Unconditional acquisition for kExclusive: loops until it holds the
-  // lock; false only when the unit crashed.
-  bool AcquireExclusive();
-  // Releases the write lock and finishes the flush round: resets the next
-  // round's event, then signals this round's waiters.
-  void ReleaseAndWake();
-  WalStatus GroupFlush(uint64_t lsn);
-  WalStatus ExclusiveFlush(uint64_t lsn);
-  // The batch write + fsync, called with the write lock held (the lock is
-  // what serializes flushers, so device records land in LSN order).
-  WalStatus WriteAndSync();
-  // Appends the batch to the device image, tearing the record that crosses
-  // `intact_bytes`. Requires device_mu_ held.
-  void AppendBatchToDevice(const std::vector<WalRecord>& batch,
-                           uint64_t intact_bytes);
-  void CrashInternal(uint64_t seed);
-
-  const CommitMode mode_;
   simio::Disk disk_;
-  std::atomic<uint64_t> next_lsn_{1};
-  std::atomic<uint64_t> flushed_lsn_{0};
-  std::atomic<int> waiters_{0};
-
-  std::mutex records_mu_;  // guards the insert buffer
-  uint64_t pending_bytes_ = 0;
-  std::vector<WalRecord> buffer_records_;
-
-  mutable std::mutex device_mu_;  // guards the device image
-  std::vector<WalRecord> device_records_;
-  size_t durable_records_ = 0;
-  uint64_t crash_lost_records_ = 0;
-
-  std::atomic<bool> crashed_{false};
-  std::atomic<bool> wedged_{false};
-  std::atomic<bool> shutdown_{false};
-  std::atomic<uint64_t> crash_seed_{0x5EED5EEDull};
-
-  vprof::Mutex mu_;                // guards the write lock + round counter
-  bool write_lock_held_ = false;
-  uint64_t flush_round_ = 0;
-  // Ping-pong follower wake-up events, indexed by round parity (see file
-  // comment); Crash sets both so sleepers observe crashed_ promptly.
-  vprof::Event flush_events_[2];
-
-  std::atomic<uint64_t> stat_inserts_{0};
-  std::atomic<uint64_t> stat_flush_calls_{0};
-  std::atomic<uint64_t> stat_flushes_performed_{0};
-  std::atomic<uint64_t> stat_flush_waits_{0};
-  std::atomic<uint64_t> stat_batched_records_{0};
-  std::atomic<uint64_t> stat_io_errors_{0};
-  std::atomic<uint64_t> stat_wedges_{0};
-  std::atomic<uint64_t> stat_crashes_{0};
+  commitlog::CommitLog log_;
+  std::atomic<uint64_t> flush_calls_{0};
 };
 
 // The paper's distributed-logging fix: N independent WAL units on separate

@@ -285,5 +285,33 @@ TEST_F(RedoCrashTest, EagerWaitersWakeOnCrash) {
   EXPECT_EQ(recovered.recovered_lsn, 0u);  // nothing was ever durable
 }
 
+// A crash while a leader is stalled in the device write waits for that
+// leader: its pre-crash batch cannot land after Recover, so a fresh record
+// never reuses its LSN and an acked commit survives the next crash.
+TEST_F(RedoCrashTest, CrashDuringFlushLosesNoAck) {
+  simio::DiskConfig config = FastDisk("redo_stall");
+  config.stall_us = 200000.0;
+  simio::Disk disk(config);
+  RedoLog log(FlushPolicy::kEager, &disk, /*flusher_period_us=*/1e6);
+  const uint64_t a = log.Append(100);
+  ASSERT_NE(a, 0u);
+
+  fault::Activate("redo_stall/stall", fault::Trigger::OneShot());
+  std::thread leader([&] { log.CommitUpTo(a); });
+  while (fault::TriggerCount("redo_stall/stall") != 1) {
+    std::this_thread::yield();
+  }
+  log.Crash(/*seed=*/3);
+  log.Recover();
+  leader.join();
+
+  const uint64_t b = log.Append(100);
+  ASSERT_NE(b, 0u);
+  EXPECT_GT(b, a);
+  EXPECT_EQ(log.CommitUpTo(b), LogStatus::kOk);
+  log.Crash(/*seed=*/4);
+  EXPECT_EQ(log.Recover().records_lost, 0u);
+}
+
 }  // namespace
 }  // namespace minidb

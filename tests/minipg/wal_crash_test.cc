@@ -244,6 +244,35 @@ TEST_P(WalCrashTest, CrashAllRecoverAllCoversEveryUnit) {
   }
 }
 
+// A crash while a leader is stalled in the device write waits for that
+// leader: its pre-crash batch cannot land after Recover, so a fresh record
+// never reuses its LSN and an acked flush survives the next crash.
+TEST_P(WalCrashTest, CrashDuringFlushLosesNoAck) {
+  const int units = GetParam();
+  simio::DiskConfig config = FastDisk("wal_stall");
+  config.stall_us = 200000.0;
+  Wal wal(units, config);
+  WalUnit& unit = wal.unit(0);
+  const uint64_t a = unit.Insert(100);
+  ASSERT_NE(a, 0u);
+
+  fault::Activate("wal_stall.0/stall", fault::Trigger::OneShot());
+  std::thread leader([&] { unit.Flush(a); });
+  while (fault::TriggerCount("wal_stall.0/stall") != 1) {
+    std::this_thread::yield();
+  }
+  unit.Crash(/*seed=*/3);
+  unit.Recover();
+  leader.join();
+
+  const uint64_t b = unit.Insert(100);
+  ASSERT_NE(b, 0u);
+  EXPECT_GT(b, a);
+  EXPECT_EQ(unit.Flush(b), WalStatus::kOk);
+  unit.Crash(/*seed=*/4);
+  EXPECT_EQ(unit.Recover().records_lost, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(SingleAndTwoLog, WalCrashTest,
                          ::testing::Values(1, 2));
 
