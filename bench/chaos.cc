@@ -299,74 +299,28 @@ SupervisorOverhead RunSupervisorOverhead() {
   return out;
 }
 
-struct MttrSummary {
-  double min_ms = 0.0;
-  double mean_ms = 0.0;
-  double max_ms = 0.0;
-  size_t cycles = 0;
-};
-
-MttrSummary SummarizeMttr(const std::vector<double>& samples) {
-  MttrSummary s;
-  s.cycles = samples.size();
-  if (samples.empty()) {
-    return s;
+bench::Json EngineJson(const StormOutcome& out) {
+  bench::Json mttr_ms = bench::Json::Array();
+  for (double ms : out.mttr_ms) {
+    mttr_ms.Push(bench::Json(ms, 3));
   }
-  s.min_ms = *std::min_element(samples.begin(), samples.end());
-  s.max_ms = *std::max_element(samples.begin(), samples.end());
-  for (double v : samples) {
-    s.mean_ms += v;
-  }
-  s.mean_ms /= static_cast<double>(samples.size());
-  return s;
-}
-
-void EmitJson(const StormOutcome& md, const StormOutcome& pg,
-              const SupervisorOverhead& sup) {
-  FILE* json = std::fopen("BENCH_chaos.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "chaos: cannot write BENCH_chaos.json\n");
-    std::exit(1);
-  }
-  const auto emit_engine = [json](const char* name, const StormOutcome& out,
-                                  bool trailing_comma) {
-    std::fprintf(json, "    \"%s\": {\n", name);
-    std::fprintf(json,
-                 "      \"clean\": {\"throughput_tps\": %.1f, \"p99_ms\": "
-                 "%.4f},\n",
-                 out.clean.throughput, out.clean.p99_ms);
-    std::fprintf(json,
-                 "      \"storm\": {\"throughput_tps\": %.1f, \"p99_ms\": "
-                 "%.4f, \"committed\": %llu, \"aborted\": %llu},\n",
-                 out.storm.throughput, out.storm.p99_ms,
-                 static_cast<unsigned long long>(out.storm_committed),
-                 static_cast<unsigned long long>(out.storm_aborted));
-    std::fprintf(json, "      \"mttr_ms\": [");
-    for (size_t i = 0; i < out.mttr_ms.size(); ++i) {
-      std::fprintf(json, "%s%.3f", i == 0 ? "" : ", ", out.mttr_ms[i]);
-    }
-    const MttrSummary mttr = SummarizeMttr(out.mttr_ms);
-    std::fprintf(json, "],\n");
-    std::fprintf(json,
-                 "      \"mttr\": {\"cycles\": %zu, \"min_ms\": %.3f, "
-                 "\"mean_ms\": %.3f, \"max_ms\": %.3f}\n",
-                 mttr.cycles, mttr.min_ms, mttr.mean_ms, mttr.max_ms);
-    std::fprintf(json, "    }%s\n", trailing_comma ? "," : "");
+  const statkit::Summary mttr = statkit::Summarize(out.mttr_ms);
+  const auto latency = [](const bench::LatencyStats& stats) {
+    return bench::Json::Object()
+        .Set("throughput_tps", bench::Json(stats.throughput, 1))
+        .Set("p99_ms", stats.p99_ms);
   };
-  std::fprintf(json, "{\n  \"benchmark\": \"chaos\",\n");
-  std::fprintf(json, "  \"storm_seed\": %llu,\n",
-               static_cast<unsigned long long>(kStormSeed));
-  std::fprintf(json, "  \"engines\": {\n");
-  emit_engine("minidb", md, true);
-  emit_engine("minipg", pg, false);
-  std::fprintf(json, "  },\n");
-  std::fprintf(json, "  \"supervisor\": {\n");
-  std::fprintf(json, "    \"baseline_tps\": %.1f,\n", sup.baseline_tps);
-  std::fprintf(json, "    \"quarantined_tps\": %.1f,\n", sup.quarantined_tps);
-  std::fprintf(json, "    \"quarantine_overhead_pct\": %.2f\n",
-               sup.overhead_pct);
-  std::fprintf(json, "  }\n}\n");
-  std::fclose(json);
+  return bench::Json::Object()
+      .Set("clean", latency(out.clean))
+      .Set("storm", latency(out.storm)
+                        .Set("committed", out.storm_committed)
+                        .Set("aborted", out.storm_aborted))
+      .Set("mttr_ms", mttr_ms)
+      .Set("mttr", bench::Json::Object()
+                       .Set("cycles", mttr.count)
+                       .Set("min_ms", bench::Json(mttr.min, 3))
+                       .Set("mean_ms", bench::Json(mttr.mean, 3))
+                       .Set("max_ms", bench::Json(mttr.max, 3)));
 }
 
 }  // namespace
@@ -380,17 +334,19 @@ int main() {
   const StormOutcome md = RunMinidbStorm();
   bench::PrintStatsRow("clean", md.clean);
   bench::PrintStatsRow("storm", md.storm);
-  const MttrSummary md_mttr = SummarizeMttr(md.mttr_ms);
-  std::printf("  MTTR over %zu cycles: min=%.2f ms  mean=%.2f ms  max=%.2f ms\n",
-              md_mttr.cycles, md_mttr.min_ms, md_mttr.mean_ms, md_mttr.max_ms);
+  const statkit::Summary md_mttr = statkit::Summarize(md.mttr_ms);
+  std::printf("  MTTR over %llu cycles: min=%.2f ms  mean=%.2f ms  max=%.2f ms\n",
+              static_cast<unsigned long long>(md_mttr.count), md_mttr.min,
+              md_mttr.mean, md_mttr.max);
 
   std::printf("\nminipg under storm:\n");
   const StormOutcome pg = RunMinipgStorm();
   bench::PrintStatsRow("clean", pg.clean);
   bench::PrintStatsRow("storm", pg.storm);
-  const MttrSummary pg_mttr = SummarizeMttr(pg.mttr_ms);
-  std::printf("  MTTR over %zu cycles: min=%.2f ms  mean=%.2f ms  max=%.2f ms\n",
-              pg_mttr.cycles, pg_mttr.min_ms, pg_mttr.mean_ms, pg_mttr.max_ms);
+  const statkit::Summary pg_mttr = statkit::Summarize(pg.mttr_ms);
+  std::printf("  MTTR over %llu cycles: min=%.2f ms  mean=%.2f ms  max=%.2f ms\n",
+              static_cast<unsigned long long>(pg_mttr.count), pg_mttr.min,
+              pg_mttr.mean, pg_mttr.max);
 
   std::printf("\nsupervised degradation floor (vprofd quarantined):\n");
   const SupervisorOverhead sup = RunSupervisorOverhead();
@@ -400,7 +356,18 @@ int main() {
               sup.quarantined_tps);
   std::printf("  overhead    %8.2f %%\n", sup.overhead_pct);
 
-  EmitJson(md, pg, sup);
-  std::printf("  wrote BENCH_chaos.json\n");
-  return 0;
+  const bench::Json report =
+      bench::Json::Object()
+          .Set("benchmark", "chaos")
+          .Set("storm_seed", kStormSeed)
+          .Set("engines", bench::Json::Object()
+                              .Set("minidb", EngineJson(md))
+                              .Set("minipg", EngineJson(pg)))
+          .Set("supervisor",
+               bench::Json::Object()
+                   .Set("baseline_tps", bench::Json(sup.baseline_tps, 1))
+                   .Set("quarantined_tps", bench::Json(sup.quarantined_tps, 1))
+                   .Set("quarantine_overhead_pct",
+                        bench::Json(sup.overhead_pct, 2)));
+  return bench::WriteBenchJson("BENCH_chaos.json", report) ? 0 : 1;
 }

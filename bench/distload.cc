@@ -15,12 +15,20 @@
 // Cold-start mode rebuilds the stack with BackendPool spawning the backend
 // on the first request; the spawn cost must rank as dist:cold_start.
 //
-// Acceptance (driver-checked): at the overload point the merged top-3 holds
-// BOTH a backend factor and a front factor; in cold-start mode
-// dist:cold_start ranks in the top-3.
+// Each run starts from an empty history store. `--runs N` repeats the whole
+// run N times in this process: capacity is the median_low of the runs'
+// capacities, each load point is taken whole from the run with the
+// median_low p99 there, the cold-start section from the run with the
+// median_low dist:cold_start contribution (0 when unranked), and the
+// acceptance verdict is computed once, from the merged points.
+//
+// Acceptance (the exit status and the JSON's acceptance block): at the
+// overload point the merged top-3 holds BOTH a backend factor and a front
+// factor; in cold-start mode dist:cold_start ranks in the top-3.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -38,7 +46,6 @@
 #include "src/net/server.h"
 #include "src/statkit/rng.h"
 #include "src/statstore/store.h"
-#include "src/vprof/analysis/factor_selection.h"
 #include "src/vprof/service/history.h"
 #include "src/workload/openloop.h"
 #include "src/workload/tpcc.h"
@@ -57,28 +64,19 @@ constexpr double kMeasureSeconds = 1.2;
 constexpr double kTraceSeconds = 0.8;
 constexpr int kColdSpawnDelayMs = 60;
 const double kUtilizations[] = {0.5, 0.9, 1.4};
+constexpr char kStoreDir[] = "bench_dist_store";
 
-struct FactorShare {
-  std::string name;
-  double contribution = 0.0;
+// A load point plus the online per-tier view of its traced run.
+struct DistPoint : bench::LoadPoint {
+  std::vector<dist::TierStats> tiers;
 };
 
-struct TierShare {
-  std::string name;
-  double share = 0.0;
-  double variance_ns2 = 0.0;
-  uint64_t intervals = 0;
-};
-
-struct LoadPoint {
-  double utilization = 0.0;
-  double offered_per_s = 0.0;
-  workload::OpenLoopResult run;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  double p999_ms = 0.0;
-  std::vector<FactorShare> top_factors;  // merged stitched decomposition
-  std::vector<TierShare> tiers;          // online DistMonitor view
+// One run: capacity, the load points, and the cold-start stack's point.
+struct DistRun {
+  double capacity = 0.0;
+  std::vector<DistPoint> points;
+  DistPoint cold_point;
+  uint64_t cold_starts = 0;
 };
 
 // The two-tier stack. cold_start defers the backend (engine + NetServer +
@@ -221,32 +219,6 @@ workload::OpenLoopOptions LoadOptions(uint16_t port, double rate_per_s,
   return options;
 }
 
-void EnableAllProbes() {
-  const size_t registered = vprof::RegisteredFunctionCount();
-  for (vprof::FuncId id = 0; id < registered; ++id) {
-    vprof::SetFunctionEnabled(id, true);
-  }
-}
-
-std::vector<FactorShare> TopFactors(const vprof::VarianceAnalysis& analysis,
-                                    const vprof::CallGraph& graph,
-                                    vprof::FuncId root,
-                                    const std::vector<std::string>& names) {
-  const std::vector<vprof::Factor> factors = vprof::AggregateFactors(
-      analysis, graph, root, vprof::SpecificityKind::kQuadratic);
-  std::vector<FactorShare> top;
-  for (const vprof::Factor& factor : factors) {
-    if (factor.func_b != vprof::kInvalidFunc) {
-      continue;
-    }
-    top.push_back({factor.Label(names), factor.contribution});
-    if (top.size() == 3) {
-      break;
-    }
-  }
-  return top;
-}
-
 bool IsBackendFactor(const std::string& name) {
   return name == "lock_rec_lock" || name == "os_event_wait" ||
          name == "log_write_up_to" || name == "fil_flush" ||
@@ -263,21 +235,12 @@ bool IsFrontFactor(const std::string& name) {
 // (folded trees merged by DistMonitor), persisted as one statstore epoch.
 void TracePoint(Stack* stack, const workload::OpenLoopOptions& options,
                 uint64_t epoch, statstore::StatStore* store,
-                LoadPoint* point) {
-  EnableAllProbes();
-  vprof::StartTracing();
-  workload::RunOpenLoop(options);
-  const vprof::Trace trace = vprof::StopTracing();
-  vprof::DisableAllFunctions();
-
+                DistPoint* point) {
   std::vector<vprof::Trace> tiers;
-  const dist::StitchResult stitched = stack->Stitch(trace, &tiers);
-
-  vprof::CriticalPathOptions path_options;
-  path_options.queue_wait_factor = net::kQueueWaitFactor;
-  const vprof::VarianceAnalysis analysis(stitched.trace, path_options);
-  point->top_factors = TopFactors(analysis, *stack->graph, stack->net_root,
-                                  stitched.trace.function_names);
+  const dist::StitchResult stitched =
+      stack->Stitch(bench::TraceOpenLoop(options), &tiers);
+  point->top_factors = bench::OpenLoopTopFactors(
+      stitched.trace, *stack->graph, stack->net_root);
 
   vprof::OnlineTreeOptions tree_options;
   tree_options.path_options.queue_wait_factor = net::kQueueWaitFactor;
@@ -299,36 +262,22 @@ void TracePoint(Stack* stack, const workload::OpenLoopOptions& options,
   monitor.UpdateTier("front", front_tree.Snapshot());
   monitor.UpdateTier("minidb", backend_tree.Snapshot());
 
-  const dist::DistSnapshot snap = monitor.Snapshot();
-  for (const dist::TierStats& tier : snap.tiers) {
-    point->tiers.push_back(
-        {tier.name, tier.share, tier.variance_ns2, tier.intervals});
-  }
-  if (store != nullptr) {
-    (void)store->Append(monitor.Sample(epoch));
+  point->tiers = monitor.Snapshot().tiers;
+  if (store != nullptr &&
+      store->Append(monitor.Sample(epoch)) != statstore::AppendStatus::kOk) {
+    std::fprintf(stderr, "distload: statstore append failed at epoch %llu\n",
+                 static_cast<unsigned long long>(epoch));
+    std::exit(1);
   }
 }
 
-void FillPercentiles(LoadPoint* point) {
-  point->p50_ms = workload::PercentileNs(point->run.latencies_ns, 50.0) / 1e6;
-  point->p99_ms = workload::PercentileNs(point->run.latencies_ns, 99.0) / 1e6;
-  point->p999_ms =
-      workload::PercentileNs(point->run.latencies_ns, 99.9) / 1e6;
-}
-
-void PrintPoints(const std::vector<LoadPoint>& points) {
+void PrintPoints(const std::vector<DistPoint>& points) {
   std::printf("\n  %5s %10s %10s %8s %8s %9s %9s %9s  %s\n", "util",
               "offered/s", "acked/s", "acked", "rejected", "p50 (ms)",
               "p99 (ms)", "p999(ms)", "merged top factors (tier shares)");
-  for (const LoadPoint& p : points) {
-    std::string desc;
-    for (const FactorShare& f : p.top_factors) {
-      char buf[128];
-      std::snprintf(buf, sizeof(buf), "%s%s %.1f%%", desc.empty() ? "" : ", ",
-                    f.name.c_str(), f.contribution * 100.0);
-      desc += buf;
-    }
-    for (const TierShare& t : p.tiers) {
+  for (const DistPoint& p : points) {
+    std::string desc = bench::FactorList(p.top_factors);
+    for (const dist::TierStats& t : p.tiers) {
       char buf[96];
       std::snprintf(buf, sizeof(buf), " [%s %.2f]", t.name.c_str(), t.share);
       desc += buf;
@@ -336,31 +285,17 @@ void PrintPoints(const std::vector<LoadPoint>& points) {
     std::printf("  %5.2f %10.0f %10.0f %8llu %8llu %9.3f %9.3f %9.3f  %s\n",
                 p.utilization, p.offered_per_s, p.run.achieved_per_s,
                 static_cast<unsigned long long>(p.run.acked),
-                static_cast<unsigned long long>(p.run.rejected), p.p50_ms,
-                p.p99_ms, p.p999_ms, desc.c_str());
+                static_cast<unsigned long long>(p.run.rejected),
+                p.latency.p50_ms, p.latency.p99_ms, p.latency.p999_ms,
+                desc.c_str());
   }
 }
 
-void EmitFactors(FILE* json, const std::vector<FactorShare>& factors) {
-  std::fprintf(json, "[");
-  for (size_t f = 0; f < factors.size(); ++f) {
-    std::fprintf(json, "%s{\"name\": \"%s\", \"contribution\": %.4f}",
-                 f == 0 ? "" : ", ", factors[f].name.c_str(),
-                 factors[f].contribution);
-  }
-  std::fprintf(json, "]");
-}
-
-}  // namespace
-
-int main() {
-  bench::PrintHeader(
-      "distload — end-to-end variance decomposed across httpd -> minidb over "
-      "the wire");
-  std::printf("Expected shape: below saturation backend factors (locks, WAL)\n"
-              "dominate; past it the front queue joins them. Cold-start mode\n"
-              "must rank dist:cold_start.\n");
-
+// Calibrates capacity, sweeps kUtilizations on a fresh history store, then
+// traces a cold-start stack. Exits with status 1 if the stack cannot be
+// set up or the store refuses an append.
+DistRun RunOnce() {
+  DistRun run;
   Stack stack(/*cold_start=*/false);
 
   const workload::OpenLoopResult calibration = workload::RunOpenLoop(
@@ -368,131 +303,156 @@ int main() {
                   /*seed=*/7));
   if (calibration.connect_failed || calibration.acked == 0) {
     std::fprintf(stderr, "distload: calibration run failed\n");
-    return 1;
+    std::exit(1);
   }
-  const double capacity = calibration.achieved_per_s;
-  std::printf("\n  calibration: two-tier capacity ~%.0f req/s\n", capacity);
+  run.capacity = calibration.achieved_per_s;
+  std::printf("\n  calibration: two-tier capacity ~%.0f req/s\n",
+              run.capacity);
 
+  std::filesystem::remove_all(kStoreDir);
   statstore::StoreOptions store_options;
-  store_options.dir = "bench_dist_store";
+  store_options.dir = kStoreDir;
   statstore::StatStore store(store_options);
   if (!store.Open()) {
     std::fprintf(stderr, "distload: statstore open failed\n");
-    return 1;
+    std::exit(1);
   }
 
-  std::vector<LoadPoint> points;
   uint64_t seed = 2000;
   uint64_t epoch = 1;
   for (const double utilization : kUtilizations) {
-    LoadPoint point;
+    DistPoint point;
     point.utilization = utilization;
-    point.offered_per_s = capacity * utilization;
-    point.run = workload::RunOpenLoop(LoadOptions(
-        stack.front->port(), point.offered_per_s, kMeasureSeconds, seed));
-    FillPercentiles(&point);
+    point.offered_per_s = run.capacity * utilization;
+    bench::MeasureLoad(LoadOptions(stack.front->port(), point.offered_per_s,
+                                   kMeasureSeconds, seed),
+                       &point);
     TracePoint(&stack, LoadOptions(stack.front->port(), point.offered_per_s,
                                    kTraceSeconds, seed + 1),
                epoch, &store, &point);
-    points.push_back(std::move(point));
+    run.points.push_back(std::move(point));
     seed += 10;
     ++epoch;
   }
   store.Seal();
-  PrintPoints(points);
 
   // Prove the persisted tier series round-trips.
   const std::vector<statstore::SeriesPoint> persisted =
       store.Query(vprof::TierSeriesName("minidb", "share"), 0, epoch);
-  std::printf("\n  statstore: %zu tier:minidb:share points persisted\n",
+  std::printf("  statstore: %zu tier:minidb:share points persisted\n",
               persisted.size());
 
   // Cold-start mode: a fresh stack whose backend does not exist until the
   // first request; trace covers the spawn.
-  LoadPoint cold_point;
-  uint64_t cold_starts = 0;
-  {
-    Stack cold_stack(/*cold_start=*/true);
-    cold_point.utilization = 0.0;
-    cold_point.offered_per_s = capacity * 0.4;
-    TracePoint(&cold_stack,
-               LoadOptions(cold_stack.front->port(), cold_point.offered_per_s,
-                           0.5, /*seed=*/4242),
-               epoch, nullptr, &cold_point);
-    cold_starts = cold_stack.pool->cold_starts();
+  Stack cold_stack(/*cold_start=*/true);
+  run.cold_point.offered_per_s = run.capacity * 0.4;
+  TracePoint(&cold_stack,
+             LoadOptions(cold_stack.front->port(), run.cold_point.offered_per_s,
+                         0.5, /*seed=*/4242),
+             epoch, nullptr, &run.cold_point);
+  run.cold_starts = cold_stack.pool->cold_starts();
+  return run;
+}
+
+double ColdStartShare(const DistRun& run) {
+  for (const bench::FactorShare& f : run.cold_point.top_factors) {
+    if (f.name == dist::kColdStartFunc) {
+      return f.contribution;
+    }
   }
+  return 0.0;
+}
+
+DistRun Merge(const std::vector<DistRun>& runs) {
+  DistRun merged = runs.front();
+  merged.capacity =
+      bench::MedianLowRun(runs, [](const DistRun& r) { return r.capacity; })
+          .capacity;
+  for (size_t i = 0; i < merged.points.size(); ++i) {
+    const auto p99 = [i](const DistRun& r) {
+      return r.points[i].latency.p99_ms;
+    };
+    merged.points[i] = bench::MedianLowRun(runs, p99).points[i];
+  }
+  const DistRun& cold = bench::MedianLowRun(runs, ColdStartShare);
+  merged.cold_point = cold.cold_point;
+  merged.cold_starts = cold.cold_starts;
+  return merged;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const int runs = bench::RunsOption(argc, argv);
+  if (runs == 0) {
+    return 2;
+  }
+  bench::PrintHeader(
+      "distload — end-to-end variance decomposed across httpd -> minidb over "
+      "the wire");
+  std::printf("Expected shape: below saturation backend factors (locks, WAL)\n"
+              "dominate; past it the front queue joins them. Cold-start mode\n"
+              "must rank dist:cold_start.\n");
+
+  std::vector<DistRun> all_runs;
+  for (int run = 0; run < runs; ++run) {
+    all_runs.push_back(RunOnce());
+  }
+  const DistRun merged = Merge(all_runs);
+  PrintPoints(merged.points);
 
   bool backend_at_overload = false;
   bool front_at_overload = false;
-  for (const FactorShare& f : points.back().top_factors) {
+  for (const bench::FactorShare& f : merged.points.back().top_factors) {
     backend_at_overload = backend_at_overload || IsBackendFactor(f.name);
     front_at_overload = front_at_overload || IsFrontFactor(f.name);
   }
   bool cold_in_top3 = false;
   std::string cold_desc;
-  for (const FactorShare& f : cold_point.top_factors) {
+  for (const bench::FactorShare& f : merged.cold_point.top_factors) {
     cold_in_top3 = cold_in_top3 || f.name == dist::kColdStartFunc;
     cold_desc += f.name + " ";
   }
   std::printf("\n  cold start: %llu spawn(s); top-3: %s\n",
-              static_cast<unsigned long long>(cold_starts),
+              static_cast<unsigned long long>(merged.cold_starts),
               cold_desc.c_str());
   std::printf("  acceptance: backend factor at overload: %s; front factor at "
               "overload: %s; dist:cold_start ranked: %s\n",
               backend_at_overload ? "yes" : "NO",
               front_at_overload ? "yes" : "NO", cold_in_top3 ? "yes" : "NO");
 
-  FILE* json = std::fopen("BENCH_dist.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "distload: cannot write BENCH_dist.json\n");
+  bench::Json points = bench::Json::Array();
+  for (const DistPoint& p : merged.points) {
+    bench::Json tier_shares = bench::Json::Object();
+    for (const dist::TierStats& t : p.tiers) {
+      tier_shares.Set(t.name, t.share);
+    }
+    points.Push(bench::LoadPointJson(p).Set("tier_shares", tier_shares));
+  }
+  const bench::Json report =
+      bench::Json::Object()
+          .Set("benchmark", "distload")
+          .Set("connections", kConnections)
+          .Set("front_net_workers", kFrontNetWorkers)
+          .Set("httpd_workers", kHttpdWorkers)
+          .Set("backend_workers", kBackendWorkers)
+          .Set("runs_merged", runs)
+          .Set("capacity_per_s", bench::Json(merged.capacity, 1))
+          .Set("points", points)
+          .Set("cold_start",
+               bench::Json::Object()
+                   .Set("spawns", merged.cold_starts)
+                   .Set("spawn_delay_ms", kColdSpawnDelayMs)
+                   .Set("top_factors",
+                        bench::FactorsJson(merged.cold_point.top_factors)))
+          .Set("acceptance",
+               bench::Json::Object()
+                   .Set("backend_factor_in_top3_at_overload",
+                        backend_at_overload)
+                   .Set("front_factor_in_top3_at_overload", front_at_overload)
+                   .Set("cold_start_in_top3", cold_in_top3));
+  if (!bench::WriteBenchJson("BENCH_dist.json", report)) {
     return 1;
   }
-  std::fprintf(json, "{\n  \"benchmark\": \"distload\",\n");
-  std::fprintf(json, "  \"connections\": %d,\n",
-               static_cast<int>(kConnections));
-  std::fprintf(json,
-               "  \"front_net_workers\": %d,\n  \"httpd_workers\": %d,\n"
-               "  \"backend_workers\": %d,\n",
-               kFrontNetWorkers, kHttpdWorkers, kBackendWorkers);
-  std::fprintf(json, "  \"capacity_per_s\": %.1f,\n", capacity);
-  std::fprintf(json, "  \"points\": [\n");
-  for (size_t i = 0; i < points.size(); ++i) {
-    const LoadPoint& p = points[i];
-    std::fprintf(
-        json,
-        "    {\"utilization\": %.2f, \"offered_per_s\": %.1f, "
-        "\"achieved_per_s\": %.1f, \"acked\": %llu, \"rejected\": %llu, "
-        "\"failed\": %llu, \"p50_ms\": %.4f, \"p99_ms\": %.4f, "
-        "\"p999_ms\": %.4f, \"top_factors\": ",
-        p.utilization, p.offered_per_s, p.run.achieved_per_s,
-        static_cast<unsigned long long>(p.run.acked),
-        static_cast<unsigned long long>(p.run.rejected),
-        static_cast<unsigned long long>(p.run.failed), p.p50_ms, p.p99_ms,
-        p.p999_ms);
-    EmitFactors(json, p.top_factors);
-    std::fprintf(json, ", \"tier_shares\": {");
-    for (size_t t = 0; t < p.tiers.size(); ++t) {
-      std::fprintf(json, "%s\"%s\": %.4f", t == 0 ? "" : ", ",
-                   p.tiers[t].name.c_str(), p.tiers[t].share);
-    }
-    std::fprintf(json, "}}%s\n", i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n  \"cold_start\": {\n");
-  std::fprintf(json, "    \"spawns\": %llu,\n",
-               static_cast<unsigned long long>(cold_starts));
-  std::fprintf(json, "    \"spawn_delay_ms\": %d,\n", kColdSpawnDelayMs);
-  std::fprintf(json, "    \"top_factors\": ");
-  EmitFactors(json, cold_point.top_factors);
-  std::fprintf(json, "\n  },\n  \"acceptance\": {\n");
-  std::fprintf(json,
-               "    \"backend_factor_in_top3_at_overload\": %s,\n"
-               "    \"front_factor_in_top3_at_overload\": %s,\n"
-               "    \"cold_start_in_top3\": %s\n",
-               backend_at_overload ? "true" : "false",
-               front_at_overload ? "true" : "false",
-               cold_in_top3 ? "true" : "false");
-  std::fprintf(json, "  }\n}\n");
-  std::fclose(json);
-  std::printf("  wrote BENCH_dist.json\n");
   return (backend_at_overload && front_at_overload && cold_in_top3) ? 0 : 1;
 }

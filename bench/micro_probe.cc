@@ -121,27 +121,18 @@ int main() {
               enabled.mt);
   std::printf("  %-22s %10.2f %10.2f\n", "full trace", full.st, full.mt);
 
-  FILE* json = std::fopen("BENCH_probe.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "micro_probe: cannot write BENCH_probe.json\n");
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n"
-               "  \"unit\": \"ns_per_probe\",\n"
-               "  \"threads_mt\": %d,\n"
-               "  \"off_st\": %.3f,\n"
-               "  \"off_mt\": %.3f,\n"
-               "  \"disabled_st\": %.3f,\n"
-               "  \"disabled_mt\": %.3f,\n"
-               "  \"enabled_st\": %.3f,\n"
-               "  \"enabled_mt\": %.3f,\n"
-               "  \"full_st\": %.3f,\n"
-               "  \"full_mt\": %.3f\n"
-               "}\n",
-               kThreads, off.st, off.mt, disabled.st, disabled.mt, enabled.st,
-               enabled.mt, full.st, full.mt);
-  std::fclose(json);
-  std::printf("\n  wrote BENCH_probe.json\n");
-  return 0;
+  const auto fixed3 = [](double v) { return bench::Json(v, 3); };
+  const bench::Json report =
+      bench::Json::Object()
+          .Set("unit", "ns_per_probe")
+          .Set("threads_mt", kThreads)
+          .Set("off_st", fixed3(off.st))
+          .Set("off_mt", fixed3(off.mt))
+          .Set("disabled_st", fixed3(disabled.st))
+          .Set("disabled_mt", fixed3(disabled.mt))
+          .Set("enabled_st", fixed3(enabled.st))
+          .Set("enabled_mt", fixed3(enabled.mt))
+          .Set("full_st", fixed3(full.st))
+          .Set("full_mt", fixed3(full.mt));
+  return bench::WriteBenchJson("BENCH_probe.json", report) ? 0 : 1;
 }

@@ -29,7 +29,6 @@
 #include "src/net/frontend.h"
 #include "src/net/server.h"
 #include "src/statkit/rng.h"
-#include "src/vprof/analysis/factor_selection.h"
 #include "src/workload/openloop.h"
 
 namespace {
@@ -45,21 +44,6 @@ constexpr double kTraceSeconds = 1.0;
 // Offered-load points as multiples of measured capacity: light, near-knee,
 // overload.
 const double kUtilizations[] = {0.5, 0.9, 1.4};
-
-struct FactorShare {
-  std::string name;
-  double contribution = 0.0;
-};
-
-struct LoadPoint {
-  double utilization = 0.0;
-  double offered_per_s = 0.0;
-  workload::OpenLoopResult run;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  double p999_ms = 0.0;
-  std::vector<FactorShare> top_factors;
-};
 
 struct Harness {
   minidb::Engine engine;
@@ -111,68 +95,29 @@ workload::OpenLoopOptions LoadOptions(uint16_t port, double rate_per_s,
   return options;
 }
 
-void FillPercentiles(LoadPoint* point) {
-  point->p50_ms =
-      workload::PercentileNs(point->run.latencies_ns, 50.0) / 1e6;
-  point->p99_ms =
-      workload::PercentileNs(point->run.latencies_ns, 99.0) / 1e6;
-  point->p999_ms =
-      workload::PercentileNs(point->run.latencies_ns, 99.9) / 1e6;
-}
-
-// One fully-instrumented traced run; the variance tree materializes the
-// queue-wait factor so net-side time competes with the engine's functions.
-std::vector<FactorShare> TraceTopFactors(Harness* harness,
-                                         const workload::OpenLoopOptions&
-                                             options) {
+// The top factors of one fully-instrumented traced run.
+std::vector<bench::FactorShare> TraceTopFactors(
+    const workload::OpenLoopOptions& options) {
   vprof::CallGraph graph;
   minidb::Engine::RegisterCallGraph(&graph);
   net::NetServer::RegisterNetCallGraph(&graph, "run_transaction");
-
-  const size_t registered = vprof::RegisteredFunctionCount();
-  for (vprof::FuncId id = 0; id < registered; ++id) {
-    vprof::SetFunctionEnabled(id, true);
-  }
-  vprof::StartTracing();
-  workload::RunOpenLoop(options);
-  const vprof::Trace trace = vprof::StopTracing();
-  vprof::DisableAllFunctions();
-
-  vprof::CriticalPathOptions path_options;
-  path_options.queue_wait_factor = net::kQueueWaitFactor;
-  const vprof::VarianceAnalysis analysis(trace, path_options);
-  const std::vector<vprof::Factor> factors = vprof::AggregateFactors(
-      analysis, graph, vprof::RegisterFunction(net::kNetRootFunc),
-      vprof::SpecificityKind::kQuadratic);
-
-  std::vector<FactorShare> top;
-  for (const vprof::Factor& factor : factors) {
-    if (factor.func_b != vprof::kInvalidFunc) {
-      continue;  // single-function factors; covariances echo them
-    }
-    top.push_back(
-        {factor.Label(trace.function_names), factor.contribution});
-    if (top.size() == 3) {
-      break;
-    }
-  }
-  (void)harness;
-  return top;
+  return bench::OpenLoopTopFactors(bench::TraceOpenLoop(options), graph,
+                                   vprof::RegisterFunction(net::kNetRootFunc));
 }
 
-LoadPoint MeasurePoint(Harness* harness, double capacity, double utilization,
-                       workload::ArrivalProcess process, uint64_t seed) {
-  LoadPoint point;
+bench::LoadPoint MeasurePoint(Harness* harness, double capacity,
+                              double utilization,
+                              workload::ArrivalProcess process, uint64_t seed) {
+  bench::LoadPoint point;
   point.utilization = utilization;
   point.offered_per_s = capacity * utilization;
 
-  point.run = workload::RunOpenLoop(LoadOptions(
-      harness->server.port(), point.offered_per_s, process, kMeasureSeconds,
-      seed));
-  FillPercentiles(&point);
-  point.top_factors = TraceTopFactors(
-      harness, LoadOptions(harness->server.port(), point.offered_per_s,
-                           process, kTraceSeconds, seed + 1));
+  bench::MeasureLoad(LoadOptions(harness->server.port(), point.offered_per_s,
+                                 process, kMeasureSeconds, seed),
+                     &point);
+  point.top_factors = TraceTopFactors(LoadOptions(
+      harness->server.port(), point.offered_per_s, process, kTraceSeconds,
+      seed + 1));
   return point;
 }
 
@@ -180,8 +125,8 @@ const char* ShapeName(workload::ArrivalProcess process) {
   return process == workload::ArrivalProcess::kPoisson ? "poisson" : "bursty";
 }
 
-bool HasNetFactor(const std::vector<FactorShare>& top) {
-  for (const FactorShare& f : top) {
+bool HasNetFactor(const std::vector<bench::FactorShare>& top) {
+  for (const bench::FactorShare& f : top) {
     if (f.name.rfind("net:", 0) == 0) {
       return true;
     }
@@ -190,55 +135,20 @@ bool HasNetFactor(const std::vector<FactorShare>& top) {
 }
 
 void PrintShape(workload::ArrivalProcess process,
-                const std::vector<LoadPoint>& points) {
+                const std::vector<bench::LoadPoint>& points) {
   std::printf("\n  %s arrivals\n", ShapeName(process));
   std::printf("  %5s %10s %10s %8s %8s %8s %9s %9s %9s  %s\n", "util",
               "offered/s", "acked/s", "acked", "rejected", "failed",
               "p50 (ms)", "p99 (ms)", "p999(ms)", "top variance factors");
-  for (const LoadPoint& p : points) {
-    std::string factors;
-    for (const FactorShare& f : p.top_factors) {
-      char buf[128];
-      std::snprintf(buf, sizeof(buf), "%s%s %.1f%%",
-                    factors.empty() ? "" : ", ", f.name.c_str(),
-                    f.contribution * 100.0);
-      factors += buf;
-    }
+  for (const bench::LoadPoint& p : points) {
     std::printf("  %5.2f %10.0f %10.0f %8llu %8llu %8llu %9.3f %9.3f %9.3f  %s\n",
                 p.utilization, p.offered_per_s, p.run.achieved_per_s,
                 static_cast<unsigned long long>(p.run.acked),
                 static_cast<unsigned long long>(p.run.rejected),
-                static_cast<unsigned long long>(p.run.failed), p.p50_ms,
-                p.p99_ms, p.p999_ms, factors.c_str());
+                static_cast<unsigned long long>(p.run.failed),
+                p.latency.p50_ms, p.latency.p99_ms, p.latency.p999_ms,
+                bench::FactorList(p.top_factors).c_str());
   }
-}
-
-void EmitPoints(FILE* json, const std::vector<LoadPoint>& points) {
-  std::fprintf(json, "      \"points\": [\n");
-  for (size_t i = 0; i < points.size(); ++i) {
-    const LoadPoint& p = points[i];
-    std::fprintf(
-        json,
-        "        {\"utilization\": %.2f, \"offered_per_s\": %.1f, "
-        "\"achieved_per_s\": %.1f, \"sent\": %llu, \"acked\": %llu, "
-        "\"rejected\": %llu, \"failed\": %llu, \"in_flight\": %llu, "
-        "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"p999_ms\": %.4f, "
-        "\"top_factors\": [",
-        p.utilization, p.offered_per_s, p.run.achieved_per_s,
-        static_cast<unsigned long long>(p.run.sent),
-        static_cast<unsigned long long>(p.run.acked),
-        static_cast<unsigned long long>(p.run.rejected),
-        static_cast<unsigned long long>(p.run.failed),
-        static_cast<unsigned long long>(p.run.in_flight), p.p50_ms, p.p99_ms,
-        p.p999_ms);
-    for (size_t f = 0; f < p.top_factors.size(); ++f) {
-      std::fprintf(json, "%s{\"name\": \"%s\", \"contribution\": %.4f}",
-                   f == 0 ? "" : ", ", p.top_factors[f].name.c_str(),
-                   p.top_factors[f].contribution);
-    }
-    std::fprintf(json, "]}%s\n", i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(json, "      ]\n");
 }
 
 }  // namespace
@@ -275,10 +185,10 @@ int main() {
 
   const workload::ArrivalProcess shapes[] = {
       workload::ArrivalProcess::kPoisson, workload::ArrivalProcess::kBursty};
-  std::vector<std::vector<LoadPoint>> results;
+  std::vector<std::vector<bench::LoadPoint>> results;
   uint64_t seed = 1000;
   for (const workload::ArrivalProcess process : shapes) {
-    std::vector<LoadPoint> points;
+    std::vector<bench::LoadPoint> points;
     for (const double utilization : kUtilizations) {
       points.push_back(
           MeasurePoint(&harness, capacity, utilization, process, seed));
@@ -297,29 +207,30 @@ int main() {
   std::printf("\n  acceptance: net-side factor in top-3 at overload: %s\n",
               net_at_overload ? "yes" : "NO");
 
-  FILE* json = std::fopen("BENCH_net.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "netload: cannot write BENCH_net.json\n");
+  bench::Json shapes_json = bench::Json::Object();
+  for (size_t s = 0; s < results.size(); ++s) {
+    bench::Json points = bench::Json::Array();
+    for (const bench::LoadPoint& p : results[s]) {
+      points.Push(bench::LoadPointJson(p)
+                      .Set("sent", p.run.sent)
+                      .Set("in_flight", p.run.in_flight));
+    }
+    shapes_json.Set(ShapeName(shapes[s]),
+                    bench::Json::Object().Set("points", points));
+  }
+  const bench::Json report =
+      bench::Json::Object()
+          .Set("benchmark", "netload")
+          .Set("connections", kConnections)
+          .Set("workers", kWorkers)
+          .Set("dispatch_depth", kDispatchDepth)
+          .Set("capacity_per_s", bench::Json(capacity, 1))
+          .Set("shapes", shapes_json)
+          .Set("acceptance", bench::Json::Object().Set(
+                                 "net_factor_in_top3_at_overload",
+                                 net_at_overload));
+  if (!bench::WriteBenchJson("BENCH_net.json", report)) {
     return 1;
   }
-  std::fprintf(json, "{\n  \"benchmark\": \"netload\",\n");
-  std::fprintf(json, "  \"connections\": %d,\n",
-               static_cast<int>(kConnections));
-  std::fprintf(json, "  \"workers\": %d,\n", kWorkers);
-  std::fprintf(json, "  \"dispatch_depth\": %d,\n",
-               static_cast<int>(kDispatchDepth));
-  std::fprintf(json, "  \"capacity_per_s\": %.1f,\n", capacity);
-  std::fprintf(json, "  \"shapes\": {\n");
-  for (size_t s = 0; s < results.size(); ++s) {
-    std::fprintf(json, "    \"%s\": {\n", ShapeName(shapes[s]));
-    EmitPoints(json, results[s]);
-    std::fprintf(json, "    }%s\n", s + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(json, "  },\n  \"acceptance\": {\n");
-  std::fprintf(json, "    \"net_factor_in_top3_at_overload\": %s\n",
-               net_at_overload ? "true" : "false");
-  std::fprintf(json, "  }\n}\n");
-  std::fclose(json);
-  std::printf("  wrote BENCH_net.json\n");
   return net_at_overload ? 0 : 1;
 }

@@ -186,39 +186,31 @@ int main() {
   std::printf("  %-24s %10.2f %10.2f\n", "  time-weighted", tw_ratio_st,
               tw_ratio_mt);
 
-  FILE* json = std::fopen("BENCH_online.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "online_overhead: cannot write BENCH_online.json\n");
+  const auto fixed3 = [](double v) { return bench::Json(v, 3); };
+  const bench::Json report =
+      bench::Json::Object()
+          .Set("unit", "ns_per_probe")
+          .Set("threads_mt", kThreads)
+          .Set("probes_per_interval", kProbesPerInterval)
+          .Set("batch_enabled_st", fixed3(batch.st))
+          .Set("batch_enabled_mt", fixed3(batch.mt))
+          .Set("disabled_tracing_st", fixed3(off.st))
+          .Set("disabled_tracing_mt", fixed3(off.mt))
+          .Set("online_enabled_st", fixed3(online.st))
+          .Set("online_enabled_mt", fixed3(online.mt))
+          .Set("online_timeweighted_st", fixed3(tw_st))
+          .Set("online_timeweighted_mt", fixed3(tw_mt))
+          .Set("ratio_st", fixed3(ratio_st))
+          .Set("ratio_mt", fixed3(ratio_mt))
+          .Set("ratio_timeweighted_st", fixed3(tw_ratio_st))
+          .Set("ratio_timeweighted_mt", fixed3(tw_ratio_mt))
+          .Set("online_epochs", online.epochs)
+          .Set("online_duty_cycle", fixed3(online.duty_cycle))
+          .Set("online_max_gap_ms", fixed3(online.max_gap_ms));
+  if (!bench::WriteBenchJson("BENCH_online.json", report)) {
     return 1;
   }
-  std::fprintf(json,
-               "{\n"
-               "  \"unit\": \"ns_per_probe\",\n"
-               "  \"threads_mt\": %d,\n"
-               "  \"probes_per_interval\": %d,\n"
-               "  \"batch_enabled_st\": %.3f,\n"
-               "  \"batch_enabled_mt\": %.3f,\n"
-               "  \"disabled_tracing_st\": %.3f,\n"
-               "  \"disabled_tracing_mt\": %.3f,\n"
-               "  \"online_enabled_st\": %.3f,\n"
-               "  \"online_enabled_mt\": %.3f,\n"
-               "  \"online_timeweighted_st\": %.3f,\n"
-               "  \"online_timeweighted_mt\": %.3f,\n"
-               "  \"ratio_st\": %.3f,\n"
-               "  \"ratio_mt\": %.3f,\n"
-               "  \"ratio_timeweighted_st\": %.3f,\n"
-               "  \"ratio_timeweighted_mt\": %.3f,\n"
-               "  \"online_epochs\": %llu,\n"
-               "  \"online_duty_cycle\": %.3f,\n"
-               "  \"online_max_gap_ms\": %.3f\n"
-               "}\n",
-               kThreads, kProbesPerInterval, batch.st, batch.mt, off.st,
-               off.mt, online.st, online.mt, tw_st, tw_mt, ratio_st, ratio_mt,
-               tw_ratio_st, tw_ratio_mt,
-               static_cast<unsigned long long>(online.epochs),
-               online.duty_cycle, online.max_gap_ms);
-  std::fclose(json);
-  std::printf("\n  wrote BENCH_online.json (acceptance: ratios < 2.0)\n");
+  std::printf("  (acceptance: ratios < 2.0)\n");
   return ratio_st < 2.0 && ratio_mt < 2.0 && tw_ratio_st < 2.0 &&
                  tw_ratio_mt < 2.0
              ? 0

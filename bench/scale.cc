@@ -15,39 +15,35 @@
 // factor changes as threads scale (the paper's workflow: a fix or a scale
 // step does not delete variance, it moves the dominant factor elsewhere).
 //
-// Acceptance (driver-checked): after-curve 8-thread throughput >= 2.5x its
-// 1-thread throughput while the before-curve stays near-flat, and at least
-// one factor migration is recorded.
+// `--runs N` repeats the whole sweep N times in this process. Each point of
+// the report is taken whole from the run with the median_low throughput at
+// that point; speedups, migrations and the acceptance verdict are computed
+// once, from the merged points.
+//
+// Acceptance (the exit status and the JSON's acceptance block): the
+// after-curve's 8-thread throughput is at least 2.5x its 1-thread
+// throughput.
 #include <cstdio>
-#include <cstdlib>
-#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
-#include "src/statkit/summary.h"
-#include "src/vprof/analysis/factor_selection.h"
 
 namespace {
 
 const int kThreadCounts[] = {1, 2, 4, 8, 16};
+constexpr size_t k8ThreadPoint = 3;  // kThreadCounts[3] == 8
+constexpr double kRequiredSpeedup = 2.5;
 constexpr int kMeasureTxnsPerThread = 150;
 constexpr int kProfileTxnsPerThread = 60;
 constexpr int kWarmupTxnsPerThread = 60;
 constexpr int kWarehouses = 16;  // one home per thread at the widest point
 
-struct FactorShare {
-  std::string name;
-  double contribution = 0.0;
-};
-
 struct ScalePoint {
   int threads = 0;
-  double throughput_tps = 0.0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
+  bench::LatencyStats latency;  // with the throughput in txn/s
   uint64_t committed = 0;
-  std::vector<FactorShare> top_factors;
+  std::vector<bench::FactorShare> top_factors;
 };
 
 struct ScaleConfig {
@@ -79,22 +75,6 @@ workload::TpccOptions OptionsFor(const ScaleConfig& sc, int threads,
   return options;
 }
 
-// Top-k single-function variance factors of a profile, in rank order.
-std::vector<FactorShare> TopFactors(const vprof::ProfileResult& result,
-                                    size_t k) {
-  std::vector<FactorShare> top;
-  for (const vprof::Factor& factor : result.all_factors) {
-    if (factor.func_b != vprof::kInvalidFunc) {
-      continue;  // report single-function factors; covariances echo them
-    }
-    top.push_back({factor.Label(result.function_names), factor.contribution});
-    if (top.size() == k) {
-      break;
-    }
-  }
-  return top;
-}
-
 ScalePoint MeasurePoint(const ScaleConfig& sc, int threads) {
   ScalePoint point;
   point.threads = threads;
@@ -109,10 +89,7 @@ ScalePoint MeasurePoint(const ScaleConfig& sc, int threads) {
     workload::TpccDriver driver(
         &engine, OptionsFor(sc, threads, kMeasureTxnsPerThread));
     const workload::TpccResult result = driver.Run();
-    const statkit::Summary summary = statkit::Summarize(result.latencies_ns);
-    point.throughput_tps = result.throughput_tps;
-    point.p50_ms = summary.p50 / 1e6;
-    point.p99_ms = summary.p99 / 1e6;
+    point.latency = bench::ToStats(result.latencies_ns, result.throughput_tps);
     point.committed = result.committed;
   }
 
@@ -131,7 +108,8 @@ ScalePoint MeasurePoint(const ScaleConfig& sc, int threads) {
     profile_options.top_k = 3;
     profile_options.min_contribution = 0.01;
     const vprof::ProfileResult result = profiler.Run(profile_options);
-    point.top_factors = TopFactors(result, 3);
+    point.top_factors =
+        bench::TopFactors(result.all_factors, result.function_names);
   }
   return point;
 }
@@ -158,6 +136,42 @@ std::vector<Migration> Migrations(const ScaleConfig& sc) {
   return moves;
 }
 
+// Both configurations, every thread count.
+std::vector<ScaleConfig> Sweep() {
+  std::vector<ScaleConfig> configs;
+  configs.push_back({"before", 1, minidb::CommitMode::kExclusive, false, {}});
+  configs.push_back({"after", 8, minidb::CommitMode::kGroupCommit, true, {}});
+  for (ScaleConfig& sc : configs) {
+    for (int threads : kThreadCounts) {
+      sc.points.push_back(MeasurePoint(sc, threads));
+    }
+  }
+  return configs;
+}
+
+// Each point from the sweep with the median_low throughput at that point.
+std::vector<ScaleConfig> Merge(
+    const std::vector<std::vector<ScaleConfig>>& sweeps) {
+  std::vector<ScaleConfig> merged = sweeps.front();
+  for (size_t c = 0; c < merged.size(); ++c) {
+    for (size_t i = 0; i < merged[c].points.size(); ++i) {
+      const auto throughput = [&](const std::vector<ScaleConfig>& sweep) {
+        return sweep[c].points[i].latency.throughput;
+      };
+      merged[c].points[i] =
+          bench::MedianLowRun(sweeps, throughput)[c].points[i];
+    }
+  }
+  return merged;
+}
+
+double Speedup8Over1(const ScaleConfig& sc) {
+  const double one_thread = sc.points.front().latency.throughput;
+  return one_thread > 0.0
+             ? sc.points[k8ThreadPoint].latency.throughput / one_thread
+             : 0.0;
+}
+
 void PrintConfig(const ScaleConfig& sc) {
   std::printf("\n  %s (instances=%d, %s, %s)\n", sc.name,
               sc.buffer_pool_instances,
@@ -168,91 +182,73 @@ void PrintConfig(const ScaleConfig& sc) {
   std::printf("  %8s %14s %10s %10s  %s\n", "threads", "tput (txn/s)",
               "p50 (ms)", "p99 (ms)", "top variance factors");
   for (const ScalePoint& p : sc.points) {
-    std::string factors;
-    for (const FactorShare& f : p.top_factors) {
-      char buf[128];
-      std::snprintf(buf, sizeof(buf), "%s%s %.1f%%", factors.empty() ? "" : ", ",
-                    f.name.c_str(), f.contribution * 100.0);
-      factors += buf;
-    }
     std::printf("  %8d %14.0f %10.3f %10.3f  %s\n", p.threads,
-                p.throughput_tps, p.p50_ms, p.p99_ms, factors.c_str());
+                p.latency.throughput, p.latency.p50_ms, p.latency.p99_ms,
+                bench::FactorList(p.top_factors).c_str());
   }
 }
 
-void EmitJson(const std::vector<ScaleConfig>& configs,
-              const std::vector<Migration>& migrations) {
-  FILE* json = std::fopen("BENCH_scale.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "scale: cannot write BENCH_scale.json\n");
-    std::exit(1);
+bench::Json Report(const std::vector<ScaleConfig>& configs,
+                   const std::vector<Migration>& migrations, int runs,
+                   double after_speedup) {
+  bench::Json thread_counts = bench::Json::Array();
+  for (int threads : kThreadCounts) {
+    thread_counts.Push(threads);
   }
-  std::fprintf(json, "{\n  \"benchmark\": \"scale\",\n");
-  std::fprintf(json, "  \"warehouses\": %d,\n", kWarehouses);
-  std::fprintf(json, "  \"thread_counts\": [");
-  for (size_t i = 0; i < std::size(kThreadCounts); ++i) {
-    std::fprintf(json, "%s%d", i == 0 ? "" : ", ", kThreadCounts[i]);
-  }
-  std::fprintf(json, "],\n  \"configs\": {\n");
-  for (size_t c = 0; c < configs.size(); ++c) {
-    const ScaleConfig& sc = configs[c];
-    std::fprintf(json, "    \"%s\": {\n", sc.name);
-    std::fprintf(json, "      \"buffer_pool_instances\": %d,\n",
-                 sc.buffer_pool_instances);
-    std::fprintf(json, "      \"commit_mode\": \"%s\",\n",
+  bench::Json configs_json = bench::Json::Object();
+  for (const ScaleConfig& sc : configs) {
+    bench::Json points = bench::Json::Array();
+    for (const ScalePoint& p : sc.points) {
+      points.Push(bench::Json::Object()
+                      .Set("threads", p.threads)
+                      .Set("throughput_tps",
+                           bench::Json(p.latency.throughput, 1))
+                      .Set("p50_ms", p.latency.p50_ms)
+                      .Set("p99_ms", p.latency.p99_ms)
+                      .Set("committed", p.committed)
+                      .Set("top_factors", bench::FactorsJson(p.top_factors)));
+    }
+    configs_json.Set(
+        sc.name,
+        bench::Json::Object()
+            .Set("buffer_pool_instances", sc.buffer_pool_instances)
+            .Set("commit_mode",
                  sc.commit_mode == minidb::CommitMode::kGroupCommit
                      ? "group_commit"
-                     : "exclusive");
-    std::fprintf(json, "      \"partition_by_warehouse\": %s,\n",
-                 sc.partition_by_warehouse ? "true" : "false");
-    std::fprintf(json, "      \"points\": [\n");
-    for (size_t i = 0; i < sc.points.size(); ++i) {
-      const ScalePoint& p = sc.points[i];
-      std::fprintf(json,
-                   "        {\"threads\": %d, \"throughput_tps\": %.1f, "
-                   "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"committed\": %llu, "
-                   "\"top_factors\": [",
-                   p.threads, p.throughput_tps, p.p50_ms, p.p99_ms,
-                   static_cast<unsigned long long>(p.committed));
-      for (size_t f = 0; f < p.top_factors.size(); ++f) {
-        std::fprintf(json, "%s{\"name\": \"%s\", \"contribution\": %.4f}",
-                     f == 0 ? "" : ", ", p.top_factors[f].name.c_str(),
-                     p.top_factors[f].contribution);
-      }
-      std::fprintf(json, "]}%s\n", i + 1 < sc.points.size() ? "," : "");
-    }
-    const double speedup =
-        sc.points.front().throughput_tps > 0.0
-            ? sc.points[3].throughput_tps / sc.points.front().throughput_tps
-            : 0.0;
-    std::fprintf(json, "      ],\n      \"speedup_8t_over_1t\": %.3f\n",
-                 speedup);
-    std::fprintf(json, "    }%s\n", c + 1 < configs.size() ? "," : "");
+                     : "exclusive")
+            .Set("partition_by_warehouse", sc.partition_by_warehouse)
+            .Set("points", points)
+            .Set("speedup_8t_over_1t", bench::Json(Speedup8Over1(sc), 3)));
   }
-  std::fprintf(json, "  },\n  \"factor_migrations\": [\n");
-  for (size_t m = 0; m < migrations.size(); ++m) {
-    std::fprintf(json,
-                 "    {\"config\": \"%s\", \"at_threads\": %d, "
-                 "\"from\": \"%s\", \"to\": \"%s\"}%s\n",
-                 migrations[m].config, migrations[m].at_threads,
-                 migrations[m].from.c_str(), migrations[m].to.c_str(),
-                 m + 1 < migrations.size() ? "," : "");
+  bench::Json migrations_json = bench::Json::Array();
+  for (const Migration& m : migrations) {
+    migrations_json.Push(bench::Json::Object()
+                             .Set("config", m.config)
+                             .Set("at_threads", m.at_threads)
+                             .Set("from", m.from)
+                             .Set("to", m.to));
   }
-  const double after_speedup =
-      configs[1].points[3].throughput_tps /
-      configs[1].points.front().throughput_tps;
-  std::fprintf(json, "  ],\n  \"acceptance\": {\n");
-  std::fprintf(json, "    \"after_8t_over_1t\": %.3f,\n", after_speedup);
-  std::fprintf(json, "    \"required\": 2.5,\n");
-  std::fprintf(json, "    \"pass\": %s\n",
-               after_speedup >= 2.5 ? "true" : "false");
-  std::fprintf(json, "  }\n}\n");
-  std::fclose(json);
+  return bench::Json::Object()
+      .Set("benchmark", "scale")
+      .Set("warehouses", kWarehouses)
+      .Set("thread_counts", thread_counts)
+      .Set("runs_merged", runs)
+      .Set("configs", configs_json)
+      .Set("factor_migrations", migrations_json)
+      .Set("acceptance",
+           bench::Json::Object()
+               .Set("after_8t_over_1t", bench::Json(after_speedup, 3))
+               .Set("required", bench::Json(kRequiredSpeedup, 1))
+               .Set("pass", after_speedup >= kRequiredSpeedup));
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const int runs = bench::RunsOption(argc, argv);
+  if (runs == 0) {
+    return 2;
+  }
   bench::PrintHeader(
       "scale — TPC-C throughput curve, before vs after scale-out");
   std::printf("Expected shape: exclusive-commit single-instance throughput is\n"
@@ -260,22 +256,17 @@ int main() {
               "pool + group commit + warehouse affinity lets the curve climb,\n"
               "and the dominant variance factor migrates as threads scale.\n");
 
-  std::vector<ScaleConfig> configs;
-  configs.push_back({"before", 1, minidb::CommitMode::kExclusive, false, {}});
-  configs.push_back({"after", 8, minidb::CommitMode::kGroupCommit, true, {}});
-
-  for (ScaleConfig& sc : configs) {
-    for (int threads : kThreadCounts) {
-      sc.points.push_back(MeasurePoint(sc, threads));
-    }
-    PrintConfig(sc);
+  std::vector<std::vector<ScaleConfig>> sweeps;
+  for (int run = 1; run <= runs; ++run) {
+    sweeps.push_back(Sweep());
+    std::printf("\n  sweep %d of %d done\n", run, runs);
   }
-
+  const std::vector<ScaleConfig> configs = Merge(sweeps);
   std::vector<Migration> migrations;
   for (const ScaleConfig& sc : configs) {
-    for (const Migration& m : Migrations(sc)) {
-      migrations.push_back(m);
-    }
+    PrintConfig(sc);
+    const std::vector<Migration> moves = Migrations(sc);
+    migrations.insert(migrations.end(), moves.begin(), moves.end());
   }
   std::printf("\n  factor migrations (top factor changed while scaling):\n");
   if (migrations.empty()) {
@@ -286,17 +277,15 @@ int main() {
                 m.from.c_str(), m.to.c_str());
   }
 
-  const double after_speedup =
-      configs[1].points[3].throughput_tps /
-      configs[1].points.front().throughput_tps;
-  const double before_speedup =
-      configs[0].points[3].throughput_tps /
-      configs[0].points.front().throughput_tps;
+  const double after_speedup = Speedup8Over1(configs[1]);
   std::printf("\n  8-thread/1-thread throughput: before %.2fx, after %.2fx "
-              "(acceptance: after >= 2.5x)\n",
-              before_speedup, after_speedup);
+              "(acceptance: after >= %.1fx)\n",
+              Speedup8Over1(configs[0]), after_speedup, kRequiredSpeedup);
 
-  EmitJson(configs, migrations);
-  std::printf("  wrote BENCH_scale.json\n");
-  return after_speedup >= 2.5 ? 0 : 1;
+  if (!bench::WriteBenchJson(
+          "BENCH_scale.json",
+          Report(configs, migrations, runs, after_speedup))) {
+    return 1;
+  }
+  return after_speedup >= kRequiredSpeedup ? 0 : 1;
 }

@@ -6,12 +6,10 @@
 //   - bounded write-path latency (per-epoch Append wall time percentiles),
 //   - range-query decode throughput, verified bit-exact against the
 //     appended values.
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <numeric>
 #include <random>
 #include <string>
 #include <vector>
@@ -93,13 +91,6 @@ size_t RawJsonBytes(const statstore::EpochSample& s) {
   return bytes;
 }
 
-double Percentile(std::vector<int64_t>* v, double p) {
-  if (v->empty()) return 0.0;
-  std::sort(v->begin(), v->end());
-  const size_t idx = static_cast<size_t>(p * double(v->size() - 1));
-  return static_cast<double>((*v)[idx]);
-}
-
 }  // namespace
 
 int main() {
@@ -123,7 +114,7 @@ int main() {
   StreamState stream;
   std::vector<statstore::EpochSample> appended;
   appended.reserve(kEpochs);
-  std::vector<int64_t> append_ns;
+  std::vector<double> append_ns;
   append_ns.reserve(kEpochs);
   size_t raw_json_bytes = 0;
   for (uint64_t epoch = 1; epoch <= kEpochs; ++epoch) {
@@ -135,7 +126,7 @@ int main() {
                    static_cast<unsigned long long>(epoch));
       return 1;
     }
-    append_ns.push_back(NowNs() - t0);
+    append_ns.push_back(static_cast<double>(NowNs() - t0));
   }
   store.Seal();
 
@@ -170,11 +161,7 @@ int main() {
   const double mpoints_per_s =
       query_ms > 0.0 ? double(points_read) / 1e3 / query_ms : 0.0;
 
-  const double append_mean_ns =
-      double(std::accumulate(append_ns.begin(), append_ns.end(), int64_t{0})) /
-      double(append_ns.size());
-  const double append_p99_ns = Percentile(&append_ns, 0.99);
-  const double append_max_ns = double(append_ns.back());  // sorted by now
+  const statkit::Summary append = statkit::Summarize(append_ns);
 
   std::printf("  epochs                 %10llu\n",
               static_cast<unsigned long long>(kEpochs));
@@ -188,42 +175,30 @@ int main() {
               ratio);
   std::printf("  bytes per value        %10.2f\n", bytes_per_value);
   std::printf("  append mean / p99 / max  %6.1f / %6.1f / %6.1f us\n",
-              append_mean_ns / 1e3, append_p99_ns / 1e3, append_max_ns / 1e3);
+              append.mean / 1e3, append.p99 / 1e3, append.max / 1e3);
   std::printf("  full-range decode      %10.1f ms (%.1f Mpoints/s)\n",
               query_ms, mpoints_per_s);
   std::printf("  bit-exact mismatches   %10llu\n",
               static_cast<unsigned long long>(mismatches));
 
-  FILE* json = std::fopen("BENCH_statstore.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr,
-                 "statstore_io: cannot write BENCH_statstore.json\n");
+  std::filesystem::remove_all(dir);
+  const bench::Json report =
+      bench::Json::Object()
+          .Set("epochs", kEpochs)
+          .Set("series_per_epoch", values_per_epoch)
+          .Set("raw_json_bytes", raw_json_bytes)
+          .Set("store_bytes", store_bytes)
+          .Set("compression_ratio", bench::Json(ratio, 2))
+          .Set("bytes_per_value", bench::Json(bytes_per_value, 3))
+          .Set("append_mean_us", bench::Json(append.mean / 1e3, 2))
+          .Set("append_p99_us", bench::Json(append.p99 / 1e3, 2))
+          .Set("append_max_us", bench::Json(append.max / 1e3, 2))
+          .Set("query_full_ms", bench::Json(query_ms, 2))
+          .Set("query_mpoints_per_s", bench::Json(mpoints_per_s, 2))
+          .Set("bit_exact_mismatches", mismatches);
+  if (!bench::WriteBenchJson("BENCH_statstore.json", report)) {
     return 1;
   }
-  std::fprintf(json,
-               "{\n"
-               "  \"epochs\": %llu,\n"
-               "  \"series_per_epoch\": %zu,\n"
-               "  \"raw_json_bytes\": %zu,\n"
-               "  \"store_bytes\": %llu,\n"
-               "  \"compression_ratio\": %.2f,\n"
-               "  \"bytes_per_value\": %.3f,\n"
-               "  \"append_mean_us\": %.2f,\n"
-               "  \"append_p99_us\": %.2f,\n"
-               "  \"append_max_us\": %.2f,\n"
-               "  \"query_full_ms\": %.2f,\n"
-               "  \"query_mpoints_per_s\": %.2f,\n"
-               "  \"bit_exact_mismatches\": %llu\n"
-               "}\n",
-               static_cast<unsigned long long>(kEpochs), values_per_epoch,
-               raw_json_bytes, static_cast<unsigned long long>(store_bytes),
-               ratio, bytes_per_value, append_mean_ns / 1e3,
-               append_p99_ns / 1e3, append_max_ns / 1e3, query_ms,
-               mpoints_per_s, static_cast<unsigned long long>(mismatches));
-  std::fclose(json);
-  std::filesystem::remove_all(dir);
-  std::printf(
-      "\n  wrote BENCH_statstore.json (acceptance: ratio >= 5, exact "
-      "decode)\n");
+  std::printf("  (acceptance: ratio >= 5, exact decode)\n");
   return ratio >= 5.0 && mismatches == 0 ? 0 : 1;
 }

@@ -34,6 +34,7 @@
 #include "src/net/frontend.h"
 #include "src/net/server.h"
 #include "src/statkit/rng.h"
+#include "src/statkit/summary.h"
 #include "src/vprof/analysis/factor_selection.h"
 #include "src/vprof/analysis/profiler.h"
 #include "src/vprof/analysis/variance_tree.h"
@@ -160,9 +161,10 @@ int main() {
     std::fprintf(stderr, "no requests completed\n");
     return 1;
   }
+  const statkit::Summary latency = statkit::Summarize(
+      std::vector<double>(run.latencies_ns.begin(), run.latencies_ns.end()));
   std::printf("  %llu acked, p99 %.2f ms\n\n",
-              static_cast<unsigned long long>(run.acked),
-              workload::PercentileNs(run.latencies_ns, 99.0) / 1e6);
+              static_cast<unsigned long long>(run.acked), latency.p99 / 1e6);
 
   // Per-tier split: the backend NetServer's threads are the minidb tier,
   // everything else (loadgen, front loop, httpd workers, RPC loop) is front.

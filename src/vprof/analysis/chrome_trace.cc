@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/vprof/json.h"
+
 namespace vprof {
 
 namespace {
@@ -17,28 +19,6 @@ const char* SegmentStateName(SegmentState state) {
       return "queue_wait";
   }
   return "?";
-}
-
-// Escapes a string for embedding in JSON.
-std::string JsonEscape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
 }
 
 double ToMicros(TimeNs t) { return static_cast<double>(t) / 1000.0; }

@@ -5,32 +5,12 @@
 #include <sstream>
 
 #include "src/vprof/analysis/pool.h"
+#include "src/vprof/json.h"
 #include "src/vprof/service/prom.h"
 
 namespace vprof {
 
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
 
 std::string LabelFor(const TreeNode& n,
                      const std::vector<std::string>& function_names) {

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <random>
 #include <string>
 #include <unordered_map>
@@ -76,46 +75,6 @@ std::vector<int64_t> GenerateInterArrivalsNs(const ArrivalConfig& config,
     last_arrival = t;
   }
   return gaps;
-}
-
-double MeanNs(const std::vector<int64_t>& samples) {
-  if (samples.empty()) {
-    return 0.0;
-  }
-  double sum = 0.0;
-  for (const int64_t s : samples) {
-    sum += static_cast<double>(s);
-  }
-  return sum / static_cast<double>(samples.size());
-}
-
-double CoefficientOfVariation(const std::vector<int64_t>& samples) {
-  if (samples.size() < 2) {
-    return 0.0;
-  }
-  const double mean = MeanNs(samples);
-  if (mean <= 0.0) {
-    return 0.0;
-  }
-  double ss = 0.0;
-  for (const int64_t s : samples) {
-    const double d = static_cast<double>(s) - mean;
-    ss += d * d;
-  }
-  const double stdev =
-      std::sqrt(ss / static_cast<double>(samples.size() - 1));
-  return stdev / mean;
-}
-
-int64_t PercentileNs(std::vector<int64_t> samples, double p) {
-  if (samples.empty()) {
-    return 0;
-  }
-  std::sort(samples.begin(), samples.end());
-  const double rank =
-      std::clamp(p, 0.0, 100.0) / 100.0 *
-      static_cast<double>(samples.size() - 1);
-  return samples[static_cast<size_t>(rank + 0.5)];
 }
 
 namespace {

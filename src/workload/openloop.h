@@ -50,10 +50,6 @@ struct ArrivalConfig {
 std::vector<int64_t> GenerateInterArrivalsNs(const ArrivalConfig& config,
                                              size_t count, uint64_t seed);
 
-// Mean and coefficient of variation of a sample (diagnostics/self-test).
-double MeanNs(const std::vector<int64_t>& samples);
-double CoefficientOfVariation(const std::vector<int64_t>& samples);
-
 struct OpenLoopOptions {
   uint16_t port = 0;
   size_t connections = 64;    // arrivals round-robin across these
@@ -85,9 +81,6 @@ struct OpenLoopResult {
 
   bool connect_failed = false;  // setup never completed; counters are zero
 };
-
-// Percentile over an unsorted sample (p in [0,100]); 0 on empty input.
-int64_t PercentileNs(std::vector<int64_t> samples, double p);
 
 // Runs the schedule against a NetServer on 127.0.0.1:port. Single-threaded:
 // one epoll manages all connections; sends happen on their scheduled tick

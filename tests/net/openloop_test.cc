@@ -10,6 +10,7 @@
 
 #include "src/net/frontend.h"
 #include "src/net/server.h"
+#include "src/statkit/summary.h"
 #include "src/workload/openloop.h"
 
 namespace workload {
@@ -34,11 +35,15 @@ ArrivalConfig Bursty(double rate) {
   return config;
 }
 
+statkit::Summary SummarizeGaps(const std::vector<int64_t>& gaps) {
+  return statkit::Summarize(std::vector<double>(gaps.begin(), gaps.end()));
+}
+
 TEST(OpenLoopArrivalsTest, PoissonInterArrivalCvIsNearOne) {
   const std::vector<int64_t> gaps =
       GenerateInterArrivalsNs(Poisson(2000.0), kSamples, kSeed);
   ASSERT_EQ(gaps.size(), kSamples);
-  const double cv = CoefficientOfVariation(gaps);
+  const double cv = SummarizeGaps(gaps).cv;
   // Exponential inter-arrivals: CV = 1 exactly in distribution; with 20k
   // samples the estimate lands well inside +-10%.
   EXPECT_GT(cv, 0.9);
@@ -48,14 +53,15 @@ TEST(OpenLoopArrivalsTest, PoissonInterArrivalCvIsNearOne) {
 TEST(OpenLoopArrivalsTest, BurstyInterArrivalCvExceedsOne) {
   const std::vector<int64_t> gaps =
       GenerateInterArrivalsNs(Bursty(2000.0), kSamples, kSeed);
-  const double cv = CoefficientOfVariation(gaps);
+  const double cv = SummarizeGaps(gaps).cv;
   // MMPP mixes two exponential regimes: strictly overdispersed. The default
   // shape (8x burst, 10% duty) sits far above 1.
   EXPECT_GT(cv, 1.3) << "bursty schedule is not overdispersed";
 
   // And clearly burstier than the Poisson schedule at the same seed+rate.
-  const double poisson_cv = CoefficientOfVariation(
-      GenerateInterArrivalsNs(Poisson(2000.0), kSamples, kSeed));
+  const double poisson_cv =
+      SummarizeGaps(GenerateInterArrivalsNs(Poisson(2000.0), kSamples, kSeed))
+          .cv;
   EXPECT_GT(cv, poisson_cv + 0.2);
 }
 
@@ -64,7 +70,8 @@ TEST(OpenLoopArrivalsTest, MeanMatchesConfiguredRateForBothShapes) {
     const std::vector<int64_t> gaps =
         GenerateInterArrivalsNs(Poisson(1500.0), kSamples, kSeed);
     const double expected_ns = 1e9 / 1500.0;
-    EXPECT_NEAR(MeanNs(gaps), expected_ns, expected_ns * 0.08) << "poisson";
+    EXPECT_NEAR(SummarizeGaps(gaps).mean, expected_ns, expected_ns * 0.08)
+        << "poisson";
   }
   {
     // The MMPP's effective sample size is the number of calm/burst cycles
@@ -74,7 +81,8 @@ TEST(OpenLoopArrivalsTest, MeanMatchesConfiguredRateForBothShapes) {
     const std::vector<int64_t> gaps =
         GenerateInterArrivalsNs(Bursty(1500.0), 10 * kSamples, kSeed);
     const double expected_ns = 1e9 / 1500.0;
-    EXPECT_NEAR(MeanNs(gaps), expected_ns, expected_ns * 0.15) << "bursty";
+    EXPECT_NEAR(SummarizeGaps(gaps).mean, expected_ns, expected_ns * 0.15)
+        << "bursty";
   }
 }
 
@@ -84,19 +92,6 @@ TEST(OpenLoopArrivalsTest, SchedulesAreDeterministicInTheSeed) {
   const auto c = GenerateInterArrivalsNs(Bursty(1000.0), 5000, 124);
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
-}
-
-TEST(OpenLoopArrivalsTest, PercentileHandlesEdgeCases) {
-  EXPECT_EQ(PercentileNs({}, 99.0), 0);
-  EXPECT_EQ(PercentileNs({42}, 50.0), 42);
-  std::vector<int64_t> ramp;
-  for (int64_t i = 1; i <= 1000; ++i) {
-    ramp.push_back(i);
-  }
-  EXPECT_EQ(PercentileNs(ramp, 0.0), 1);
-  EXPECT_EQ(PercentileNs(ramp, 100.0), 1000);
-  const int64_t p50 = PercentileNs(ramp, 50.0);
-  EXPECT_NEAR(static_cast<double>(p50), 500.0, 2.0);
 }
 
 net::Frame PingRequest(uint64_t) {

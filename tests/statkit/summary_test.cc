@@ -11,6 +11,7 @@ TEST(SummaryTest, EmptySample) {
   const Summary s = Summarize({});
   EXPECT_EQ(s.count, 0u);
   EXPECT_DOUBLE_EQ(s.mean, 0.0);
+  EXPECT_DOUBLE_EQ(PercentileOfSorted({}, 99.0), 0.0);
 }
 
 TEST(SummaryTest, KnownValues) {
