@@ -26,16 +26,18 @@ tier1      default  all  -                                                 0
 # The vprof runtime's lock-free probe hot path (epoch handshake, chunked
 # buffers, full-tracer rings, freeing exited threads' states), the analysis
 # pool with the trace loading, critical-path, variance-tree and
-# streaming-tree tests that run on it, one real profiling run (httpd, whose
-# 6000-interval traces are analyzed on the pool), and the group-commit log
-# of both engines (election, crash, recovery, shutdown). Concurrent minidb
-# TPC-C is not in this row yet.
-tsan       tsan     -R   ^(vprof_(runtime|stress|registry|sync|task_queue|pool|critical_path|variance_tree|trace_io|online_tree)|integration_httpd_profile|minidb_(redo_log|redo_crash|redo_property|group_commit_crash)|minipg_(wal|wal_crash|wal_group_commit_crash))_test$  0
+# streaming-tree tests that run on it, real profiling runs (httpd, whose
+# 6000-interval traces are analyzed on the pool, and concurrent minidb
+# TPC-C with its graceful shutdown), and the group-commit log of both
+# engines (election, crash, recovery, shutdown).
+tsan       tsan     -R   ^(vprof_(runtime|stress|registry|sync|task_queue|pool|critical_path|variance_tree|trace_io|online_tree)|integration_(httpd_profile|minidb_profile|shutdown)|minidb_(redo_log|redo_crash|redo_property|group_commit_crash)|minipg_(wal|wal_crash|wal_group_commit_crash))_test$  0
 # The fault-injection suite (crash recovery, torn tails, arena-cap overflow,
-# quarantine, thread exit) and the trace-analysis tests: the variance tree's
+# quarantine, thread exit), the trace-analysis tests (the variance tree's
 # overlap walk and position search are index arithmetic over loaded trace
-# records, also in vprofd's fold.
-asan       asan     -R   ^(fault_failpoint|simio_disk|vprof_runtime|minidb_redo_crash|minipg_wal_crash|httpd_server|integration_failure_injection|vprof_variance_tree|vprof_analysis_edge|vprof_critical_path|vprof_cross_thread|vprof_trace_io|vprof_pool|vprof_online_tree)_test$  0
+# records, also in vprofd's fold), and the framed connection's buffer and
+# offset arithmetic under the server, the open-loop generator and the RPC
+# client.
+asan       asan     -R   ^(fault_failpoint|simio_disk|vprof_runtime|minidb_redo_crash|minipg_wal_crash|httpd_server|integration_failure_injection|vprof_variance_tree|vprof_analysis_edge|vprof_critical_path|vprof_cross_thread|vprof_trace_io|vprof_pool|vprof_online_tree|net_(server|fault|openloop)|dist_async_client)_test$  0
 # vprofd: epoch rotation and snapshots are all cross-thread.
 online     tsan     -R   ^(statkit_decay|vprof_online_tree|vprof_service)_test$  0
 # Compressed history: pointer-heavy bitstream code fed by torn writes.

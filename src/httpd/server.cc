@@ -74,10 +74,6 @@ RequestStatus HttpServer::HandleRequestBlocking(uint64_t file_id) {
 }
 
 void HttpServer::WorkerLoop() {
-  {
-    std::lock_guard<std::mutex> lock(tids_mu_);
-    worker_tids_.push_back(vprof::CurrentThread()->tid());
-  }
   Filter core{Filter::Kind::kCoreOutput, nullptr};
   Filter content_length{Filter::Kind::kContentLength, &core};
 
@@ -132,11 +128,6 @@ void HttpServer::ProcessRequest(const PendingRequest& request,
   }
 }
 
-std::vector<vprof::ThreadId> HttpServer::WorkerTids() const {
-  std::lock_guard<std::mutex> lock(tids_mu_);
-  return worker_tids_;
-}
-
 HttpdStats HttpServer::stats() const {
   HttpdStats stats;
   stats.requests_served = requests_served_.load(std::memory_order_relaxed);
@@ -158,21 +149,6 @@ void HttpServer::RegisterCallGraph(vprof::CallGraph* graph) {
   graph->AddEdge("ap_pass_brigade", "apr_bucket_alloc");
   graph->AddEdge("ap_pass_brigade", "core_output_filter");
   graph->AddEdge("apr_bucket_alloc", "apr_allocator_alloc");
-}
-
-std::unique_ptr<vprof::Vprofd> HttpServer::StartOnlineProfiler(
-    vprof::VprofdOptions options) {
-  if (options.root_function.empty()) {
-    options.root_function = "process_request";
-  }
-  if (options.graph == nullptr) {
-    auto graph = std::make_shared<vprof::CallGraph>();
-    RegisterCallGraph(graph.get());
-    options.graph = std::move(graph);
-  }
-  auto daemon = std::make_unique<vprof::Vprofd>(std::move(options));
-  daemon->Start();
-  return daemon;
 }
 
 }  // namespace httpd

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -29,7 +28,6 @@
 #include "src/httpd/filters.h"
 #include "src/simio/disk.h"
 #include "src/vprof/analysis/call_graph.h"
-#include "src/vprof/service/vprofd.h"
 #include "src/vprof/sync.h"
 #include "src/vprof/task_queue.h"
 
@@ -92,17 +90,9 @@ class HttpServer {
 
   static void RegisterCallGraph(vprof::CallGraph* graph);
 
-  // Starts the always-on profiling service (vprofd) rooted at
-  // "process_request"; see minidb::Engine::StartOnlineProfiler.
-  static std::unique_ptr<vprof::Vprofd> StartOnlineProfiler(
-      vprof::VprofdOptions options = {});
-
   HttpdStats stats() const;
   const HttpdConfig& config() const { return config_; }
   GlobalFreeList& global_free_list() { return global_list_; }
-
-  // Profiled tids of the worker pool, for tier rosters (dist::SplitByTids).
-  std::vector<vprof::ThreadId> WorkerTids() const;
 
  private:
   struct PendingRequest {
@@ -124,8 +114,6 @@ class HttpServer {
   PageCache page_cache_;
   vprof::TaskQueue<PendingRequest> queue_;
   std::vector<std::thread> workers_;
-  mutable std::mutex tids_mu_;
-  std::vector<vprof::ThreadId> worker_tids_;
   std::atomic<uint64_t> requests_served_{0};
   std::atomic<uint64_t> requests_rejected_{0};
   std::atomic<bool> shut_down_{false};

@@ -48,8 +48,6 @@ struct EngineConfig {
   // scale-out bench raises this to divide hit-path contention.
   int buffer_pool_instances = 1;
 
-  int rows_per_page = 16;
-
   LockScheduling lock_scheduling = LockScheduling::kFcfs;
   BufferPolicy buffer_policy = BufferPolicy::kBlockingMutex;
   FlushPolicy flush_policy = FlushPolicy::kEager;
@@ -57,24 +55,6 @@ struct EngineConfig {
 
   // Lock-wait timeout before a transaction aborts (ns).
   int64_t lock_wait_timeout_ns = 1000LL * 1000 * 1000;
-
-  // Wait-for-graph deadlock detection (the timeout remains the backstop).
-  bool deadlock_detection = true;
-
-  // Lock-manager sharding: shard = (object_id >> lock_shard_range_bits) %
-  // lock_shards. range_bits 0 reproduces the historical modulo striping;
-  // raising it keeps whole key ranges on one shard, so a hot range's wait
-  // time concentrates in one ShardStats row instead of smearing across all
-  // of them (the per-shard gauges are how a scaling run localizes a hot
-  // range).
-  int lock_shards = 32;
-  int lock_shard_range_bits = 0;
-
-  // Background log flusher period when a lazy policy is active (us).
-  double log_flusher_period_us = 2000.0;
-
-  // Bounded spin budget for the LLU try-lock, in iterations.
-  int llu_try_iterations = 64;
 
   simio::DiskConfig data_disk;
   simio::DiskConfig log_disk;

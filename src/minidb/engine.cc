@@ -33,14 +33,12 @@ Engine::Engine(const EngineConfig& config)
     : config_(config),
       data_disk_(config.data_disk),
       log_disk_(config.log_disk),
-      locks_(config.lock_scheduling, config.lock_wait_timeout_ns,
-             config.deadlock_detection, config.lock_shards,
-             config.lock_shard_range_bits) {
+      locks_(config.lock_scheduling, config.lock_wait_timeout_ns) {
   pool_ = std::make_unique<BufferPool>(
       config.buffer_pool_pages, config.buffer_policy,
-      config.llu_try_iterations, &data_disk_, config.buffer_pool_instances);
+      /*llu_try_iterations=*/64, &data_disk_, config.buffer_pool_instances);
   log_ = std::make_unique<RedoLog>(config.flush_policy, &log_disk_,
-                                   config.log_flusher_period_us,
+                                   /*flusher_period_us=*/2000.0,
                                    config.commit_mode);
   warehouse_ = std::make_unique<Table>("warehouse", kWarehouseTableId, 4, pool_.get());
   district_ = std::make_unique<Table>("district", kDistrictTableId, 4, pool_.get());

@@ -9,13 +9,11 @@
 namespace minidb {
 
 LockManager::LockManager(LockScheduling scheduling, int64_t wait_timeout_ns,
-                         bool detect_deadlocks, int shard_count,
-                         int range_bits)
+                         bool detect_deadlocks)
     : scheduling_(scheduling),
       wait_timeout_ns_(wait_timeout_ns),
       detect_deadlocks_(detect_deadlocks),
-      range_bits_(range_bits < 0 ? 0 : (range_bits > 63 ? 63 : range_bits)),
-      shards_(shard_count < 1 ? 1 : static_cast<size_t>(shard_count)) {}
+      shards_(32) {}
 
 std::vector<uint64_t> LockManager::HoldersOf(uint64_t object_id, uint64_t self) {
   Shard& shard = ShardFor(object_id);

@@ -63,15 +63,10 @@ class LockManager {
   // each blocking wait (InnoDB-style): the requester that would close a
   // cycle aborts immediately instead of stalling until the timeout. The
   // check is advisory — concurrent graph changes can race it — so the
-  // timeout remains the backstop.
-  // Sharding: shard = (object_id >> range_bits) % shard_count. range_bits 0
-  // stripes by object id; larger values keep key ranges together so hot
-  // ranges concentrate in one shard's stats (EngineConfig::lock_shards /
-  // lock_shard_range_bits).
+  // timeout remains the backstop. Objects are striped over 32 shards by id.
   explicit LockManager(LockScheduling scheduling,
                        int64_t wait_timeout_ns = 5LL * 1000 * 1000 * 1000,
-                       bool detect_deadlocks = true, int shard_count = 32,
-                       int range_bits = 0);
+                       bool detect_deadlocks = true);
 
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
@@ -93,7 +88,7 @@ class LockManager {
   LockStats stats() const;
 
   // Per-shard wait statistics, for the engine's scale gauges: a hot key
-  // range shows up as one shard carrying most of the wait_ns.
+  // shows up as one shard carrying most of the wait_ns.
   LockStats ShardStats(int shard) const;
   int shard_count() const { return static_cast<int>(shards_.size()); }
 
@@ -127,7 +122,7 @@ class LockManager {
   };
 
   size_t ShardIndex(uint64_t object_id) const {
-    return static_cast<size_t>((object_id >> range_bits_) % shards_.size());
+    return static_cast<size_t>(object_id % shards_.size());
   }
   Shard& ShardFor(uint64_t object_id) {
     return shards_[ShardIndex(object_id)];
@@ -154,7 +149,6 @@ class LockManager {
   LockScheduling scheduling_;
   int64_t wait_timeout_ns_;
   bool detect_deadlocks_;
-  int range_bits_;
   std::vector<Shard> shards_;  // sized once at construction, never resized
 
   // Wait-for graph: which object each blocked transaction is waiting on.

@@ -141,21 +141,6 @@ void PgEngine::RegisterCallGraph(vprof::CallGraph* graph) {
   graph->AddEdge("XLogFlush", "issue_xlog_fsync");
 }
 
-std::unique_ptr<vprof::Vprofd> PgEngine::StartOnlineProfiler(
-    vprof::VprofdOptions options) {
-  if (options.root_function.empty()) {
-    options.root_function = "exec_simple_query";
-  }
-  if (options.graph == nullptr) {
-    auto graph = std::make_shared<vprof::CallGraph>();
-    RegisterCallGraph(graph.get());
-    options.graph = std::move(graph);
-  }
-  auto daemon = std::make_unique<vprof::Vprofd>(std::move(options));
-  daemon->Start();
-  return daemon;
-}
-
 std::vector<vprof::AppGauge> PgEngine::ScaleGauges() {
   std::vector<vprof::AppGauge> gauges;
   for (int i = 0; i < wal_.unit_count(); ++i) {

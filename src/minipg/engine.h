@@ -64,11 +64,6 @@ class PgEngine {
 
   static void RegisterCallGraph(vprof::CallGraph* graph);
 
-  // Starts the always-on profiling service (vprofd) rooted at
-  // "exec_simple_query"; see minidb::Engine::StartOnlineProfiler.
-  static std::unique_ptr<vprof::Vprofd> StartOnlineProfiler(
-      vprof::VprofdOptions options = {});
-
   // Scale-out gauges for vprofd (VprofdOptions.app_gauges): per-unit WAL
   // write-lock waits and group-commit batch sizes.
   std::vector<vprof::AppGauge> ScaleGauges();

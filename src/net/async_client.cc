@@ -1,11 +1,7 @@
 #include "src/net/async_client.h"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
-#include <sys/socket.h>
 
-#include <cerrno>
 #include <utility>
 
 #include "src/vprof/probe.h"
@@ -15,7 +11,6 @@ namespace net {
 
 namespace {
 std::atomic<uint64_t> g_next_span_id{1};
-constexpr size_t kReadChunkBytes = 16 * 1024;
 }  // namespace
 
 uint64_t NextSpanId() {
@@ -43,11 +38,7 @@ bool AsyncClient::Connect() {
       conns_.clear();
       return false;
     }
-    const int one = 1;
-    ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_unique<ClientConn>();
-    conn->fd = std::move(fd);
-    conns_.push_back(std::move(conn));
+    conns_.push_back(std::make_unique<FramedConn>(&loop_, std::move(fd)));
   }
   shut_down_.store(false, std::memory_order_release);
   connected_.store(true, std::memory_order_release);
@@ -62,8 +53,7 @@ bool AsyncClient::Connect() {
     }
     loop_tid_ready_.notify_all();
     for (size_t i = 0; i < conns_.size(); ++i) {
-      loop_.Add(conns_[i]->fd.get(), EPOLLIN | EPOLLET,
-                [this, i](uint32_t events) { OnConnEvent(i, events); });
+      conns_[i]->Watch([this, i](uint32_t events) { OnConnEvent(i, events); });
     }
     loop_.Run(/*tick_ms=*/50, {});
   });
@@ -117,7 +107,7 @@ bool AsyncClient::Call(Frame request, Frame* reply) {
   request.has_trace_context = true;
   request.trace_context.interval_id = span.interval_id;
   request.trace_context.span_id = span.span_id;
-  request.trace_context.origin_service = options_.origin;
+  request.trace_context.origin_service = ServiceId::kFront;
   span.send_time_ns = vprof::Now();
   request.trace_context.send_time_ns = span.send_time_ns;
 
@@ -157,7 +147,7 @@ bool AsyncClient::CallInternal(Frame request, Frame* reply) {
   const size_t conn_index =
       next_conn_.fetch_add(1, std::memory_order_relaxed) % conns_.size();
   loop_.Post([this, conn_index, rid, bytes = std::move(bytes)] {
-    if (conn_index >= conns_.size() || conns_[conn_index]->dead) {
+    if (conn_index >= conns_.size() || !conns_[conn_index]) {
       // The socket died (or shutdown raced the post): fail fast instead of
       // letting the caller ride out the timeout.
       std::shared_ptr<PendingCall> p;
@@ -175,7 +165,9 @@ bool AsyncClient::CallInternal(Frame request, Frame* reply) {
       }
       return;
     }
-    QueueOnConn(conn_index, bytes);
+    if (conns_[conn_index]->Send(bytes) < 0) {
+      KillConn(conn_index);
+    }
   });
 
   // Instrumented wait: the blocked segment records a wake-up edge to the
@@ -228,56 +220,28 @@ ClockCalibration AsyncClient::CalibrateClock(int rounds) {
 }
 
 void AsyncClient::OnConnEvent(size_t conn_index, uint32_t events) {
-  ClientConn* conn = conns_[conn_index].get();
-  if (conn->dead) {
+  FramedConn* conn = conns_[conn_index].get();
+  if (conn == nullptr) {
     return;
   }
-  if ((events & (EPOLLHUP | EPOLLERR)) != 0) {
+  if ((events & (EPOLLHUP | EPOLLERR)) != 0 ||
+      ((events & EPOLLOUT) != 0 && conn->Flush() < 0)) {
     KillConn(conn_index);
     return;
-  }
-  if ((events & EPOLLOUT) != 0) {
-    FlushConn(conn_index);
-    if (conn->dead) {
-      return;
-    }
   }
   if ((events & EPOLLIN) == 0) {
     return;
   }
-  std::vector<uint8_t> chunk(kReadChunkBytes);
-  std::vector<Frame> frames;
-  while (true) {
-    bool injected_eof = false;
-    const ssize_t n =
-        ReadFd(conn->fd.get(), chunk.data(), chunk.size(), &injected_eof);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-        return;
-      }
-      KillConn(conn_index);
-      return;
-    }
-    if (n == 0) {
-      KillConn(conn_index);
-      return;
-    }
-    frames.clear();
-    const WireError err =
-        conn->parser.Feed(chunk.data(), static_cast<size_t>(n), &frames);
-    for (Frame& frame : frames) {
-      if (frame.decode_error != WireError::kOk) {
-        continue;  // skew from a newer server: that call times out
-      }
+  const ReadEnd end = conn->Read([this](Frame& frame) {
+    // A frame the parser skipped is version skew from a newer server: that
+    // call times out.
+    if (frame.decode_error == WireError::kOk) {
       CompletePending(std::move(frame));
     }
-    if (err != WireError::kOk) {
-      KillConn(conn_index);
-      return;
-    }
-    if (static_cast<size_t>(n) < chunk.size()) {
-      return;
-    }
+    return true;
+  });
+  if (end != ReadEnd::kDrained) {
+    KillConn(conn_index);
   }
 }
 
@@ -309,56 +273,17 @@ void AsyncClient::FailAllPending() {
   }
 }
 
-void AsyncClient::QueueOnConn(size_t conn_index, const std::string& bytes) {
-  ClientConn* conn = conns_[conn_index].get();
-  conn->outbox.append(bytes);
-  FlushConn(conn_index);
-}
-
-void AsyncClient::FlushConn(size_t conn_index) {
-  ClientConn* conn = conns_[conn_index].get();
-  while (conn->out_offset < conn->outbox.size()) {
-    const ssize_t n =
-        WriteFd(conn->fd.get(), conn->outbox.data() + conn->out_offset,
-                conn->outbox.size() - conn->out_offset);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-        if (!conn->wants_write) {
-          conn->wants_write = true;
-          loop_.Mod(conn->fd.get(), EPOLLIN | EPOLLOUT | EPOLLET);
-        }
-        return;
-      }
-      KillConn(conn_index);
-      return;
-    }
-    if (n == 0) {
-      return;
-    }
-    conn->out_offset += static_cast<size_t>(n);
-  }
-  conn->outbox.clear();
-  conn->out_offset = 0;
-  if (conn->wants_write) {
-    conn->wants_write = false;
-    loop_.Mod(conn->fd.get(), EPOLLIN | EPOLLET);
-  }
-}
-
 void AsyncClient::KillConn(size_t conn_index) {
-  ClientConn* conn = conns_[conn_index].get();
-  if (conn->dead) {
+  if (!conns_[conn_index]) {
     return;
   }
-  conn->dead = true;
-  loop_.Del(conn->fd.get());
-  conn->fd.reset();
+  conns_[conn_index].reset();
   // In-flight calls routed to this socket will fail fast on their post (new
   // sends) or time out (already written). If every socket is gone the pool
   // is useless — flip connected_ so new calls fail immediately.
   bool any_alive = false;
   for (const auto& c : conns_) {
-    any_alive = any_alive || !c->dead;
+    any_alive = any_alive || c != nullptr;
   }
   if (!any_alive) {
     connected_.store(false, std::memory_order_release);

@@ -31,9 +31,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/net/conn.h"
 #include "src/net/event_loop.h"
 #include "src/net/protocol.h"
-#include "src/net/socket.h"
 #include "src/vprof/runtime.h"
 #include "src/vprof/sync.h"
 
@@ -70,7 +70,6 @@ struct AsyncClientOptions {
   uint16_t port = 0;
   size_t connections = 2;
   ServiceId service = ServiceId::kUnknown;  // backend identity (span records)
-  ServiceId origin = ServiceId::kFront;     // stamped as origin_service
   int64_t call_timeout_ns = 5'000'000'000;  // 5 s
   // Receives a record per completed stamped Call, on the caller thread.
   std::function<void(const ClientSpanRecord&)> span_sink;
@@ -121,21 +120,10 @@ class AsyncClient {
     Frame reply;
     bool ok = false;
   };
-  struct ClientConn {
-    Fd fd;
-    FrameParser parser;
-    std::string outbox;
-    size_t out_offset = 0;
-    bool wants_write = false;
-    bool dead = false;
-  };
-
   bool CallInternal(Frame request, Frame* reply);
 
   // --- loop-thread only ---------------------------------------------------
   void OnConnEvent(size_t conn_index, uint32_t events);
-  void QueueOnConn(size_t conn_index, const std::string& bytes);
-  void FlushConn(size_t conn_index);
   void KillConn(size_t conn_index);
 
   void CompletePending(Frame reply);
@@ -144,7 +132,8 @@ class AsyncClient {
   AsyncClientOptions options_;
   EventLoop loop_;
   std::thread loop_thread_;
-  std::vector<std::unique_ptr<ClientConn>> conns_;  // loop-thread owned
+  // Loop-thread owned; a dead connection's slot is null.
+  std::vector<std::unique_ptr<FramedConn>> conns_;
 
   std::atomic<bool> connected_{false};
   std::atomic<bool> shut_down_{false};

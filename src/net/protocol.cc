@@ -96,38 +96,6 @@ constexpr uint8_t kServerTimingBytes = 8 + 8 + 8 + 4;
 
 }  // namespace
 
-const char* ServiceName(ServiceId service) {
-  switch (service) {
-    case ServiceId::kUnknown:
-      return "unknown";
-    case ServiceId::kFront:
-      return "front";
-    case ServiceId::kMinidb:
-      return "minidb";
-    case ServiceId::kMinipg:
-      return "minipg";
-  }
-  return "?";
-}
-
-const char* WireErrorName(WireError error) {
-  switch (error) {
-    case WireError::kOk:
-      return "ok";
-    case WireError::kNeedMore:
-      return "need_more";
-    case WireError::kOversized:
-      return "oversized";
-    case WireError::kBadType:
-      return "bad_type";
-    case WireError::kBadPayload:
-      return "bad_payload";
-    case WireError::kBadExtension:
-      return "bad_extension";
-  }
-  return "?";
-}
-
 void EncodeFrame(const Frame& frame, std::string* out) {
   const size_t length_at = out->size();
   PutU32(out, 0);  // patched below

@@ -92,7 +92,6 @@ enum class ServiceId : uint8_t {
   kMinidb = 2,  // minidb backend tier
   kMinipg = 3,  // minipg backend tier
 };
-const char* ServiceName(ServiceId service);
 
 // Trace-context extension payload (25 bytes): the identity a front tier
 // stamps on an outgoing RPC so the backend can anchor its work to the
@@ -123,7 +122,6 @@ enum class WireError : uint8_t {
   kBadPayload = 4,     // payload size/enum/count does not match the type
   kBadExtension = 5,   // extension block overruns the frame or is malformed
 };
-const char* WireErrorName(WireError error);
 
 // One parsed frame. A plain value type: the union-of-fields layout keeps
 // encode/decode trivially exhaustive over MsgType.

@@ -47,6 +47,15 @@ void BumpPeak(std::atomic<uint64_t>* peak, uint64_t value) {
   }
 }
 
+Frame ReplyFrame(MsgType type, uint64_t request_id,
+                 WireError error = WireError::kOk) {
+  Frame reply;
+  reply.type = type;
+  reply.request_id = request_id;
+  reply.error = static_cast<uint8_t>(error);
+  return reply;
+}
+
 bool IsRequestType(MsgType type) {
   return type == MsgType::kTxn || type == MsgType::kHttpGet ||
          type == MsgType::kPing || type == MsgType::kClockSync;
@@ -86,7 +95,7 @@ bool NetServer::Start() {
   if (!loop_.valid()) {
     return false;
   }
-  listener_ = ListenLocal(options_.port, options_.backlog, &port_);
+  listener_ = ListenLocal(options_.port, &port_);
   if (!listener_.valid()) {
     return false;
   }
@@ -137,10 +146,10 @@ void NetServer::Shutdown() {
       ids.push_back(id);
     }
     for (const uint64_t id : ids) {
-      // FlushConn may erase the connection (write error, closing drain).
+      // A flush may erase the connection (write error, closing drain).
       const auto it = conns_.find(id);
       if (it != conns_.end()) {
-        FlushConn(it->second.get());
+        OnWritten(it->second.get(), it->second->io.Flush());
       }
     }
   });
@@ -221,16 +230,12 @@ void NetServer::OnListenerReadable() {
     const int one = 1;
     ::setsockopt(peer.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
-    auto conn = std::make_unique<Conn>();
-    conn->id = next_conn_id_++;
+    const uint64_t conn_id = next_conn_id_++;
+    auto conn = std::make_unique<Conn>(conn_id, &loop_, std::move(peer));
     conn->last_activity_ms = NowMs();
-    const int fd = peer.get();
-    conn->fd = std::move(peer);
-    const uint64_t conn_id = conn->id;
-    if (!loop_.Add(fd, EPOLLIN | EPOLLET,
-                   [this, conn_id](uint32_t events) {
-                     OnConnEvent(conn_id, events);
-                   })) {
+    if (!conn->io.Watch([this, conn_id](uint32_t events) {
+          OnConnEvent(conn_id, events);
+        })) {
       continue;  // conn (and fd) die here
     }
     conns_.emplace(conn_id, std::move(conn));
@@ -252,66 +257,40 @@ void NetServer::OnConnEvent(uint64_t conn_id, uint32_t events) {
     return;
   }
   if ((events & EPOLLOUT) != 0) {
-    FlushConn(conn);
-    if (conns_.find(conn_id) == conns_.end()) {
+    OnWritten(conn, conn->io.Flush());
+    if (!conns_.contains(conn_id)) {
       return;  // flush closed it (write error / closing drain)
     }
   }
   if ((events & EPOLLIN) == 0) {
     return;
   }
-
-  std::vector<uint8_t> chunk(options_.read_chunk_bytes);
-  std::vector<Frame> frames;
-  while (true) {
-    bool injected_eof = false;
-    const ssize_t n =
-        ReadFd(conn->fd.get(), chunk.data(), chunk.size(), &injected_eof);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-        return;
-      }
-      CloseConn(conn_id);
-      return;
-    }
-    if (n == 0) {
-      stats_->read_eofs.fetch_add(1, std::memory_order_relaxed);
-      CloseConn(conn_id);
-      return;
-    }
-    stats_->bytes_in.fetch_add(static_cast<uint64_t>(n),
-                               std::memory_order_relaxed);
+  // Frames completed before a violation are whole and typed — dispatch
+  // them; nothing at or after the violation ever reaches a worker (the
+  // parser is poisoned and the connection is about to close).
+  size_t bytes_in = 0;
+  const ReadEnd end = conn->io.Read(
+      [&](Frame& frame) {
+        HandleFrame(conn, std::move(frame));
+        return conns_.contains(conn_id);  // false: evicted while queueing
+      },
+      &bytes_in);
+  stats_->bytes_in.fetch_add(bytes_in, std::memory_order_relaxed);
+  if (end == ReadEnd::kStopped) {
+    return;
+  }
+  if (bytes_in > 0) {
     conn->last_activity_ms = NowMs();
-
-    frames.clear();
-    const WireError err = conn->parser.Feed(chunk.data(),
-                                            static_cast<size_t>(n), &frames);
-    // Frames completed before a violation are whole and typed — dispatch
-    // them; nothing at or after the violation ever reaches a worker (the
-    // parser is poisoned and the connection is about to close).
-    for (Frame& frame : frames) {
-      HandleFrame(conn, std::move(frame));
-      if (conns_.find(conn_id) == conns_.end()) {
-        return;  // slow-peer eviction while queueing a reply
-      }
-    }
-    if (err != WireError::kOk) {
-      stats_->protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      Frame reply;
-      reply.type = MsgType::kError;
-      reply.request_id = 0;
-      reply.error = static_cast<uint8_t>(err);
-      std::string bytes;
-      EncodeFrame(reply, &bytes);
-      conn->closing = true;  // flush the error frame, then close
-      QueueBytes(conn, bytes);
-      return;
-    }
-    if (static_cast<size_t>(n) < chunk.size()) {
-      // Short read: the socket is drained; with EPOLLET the kernel would
-      // accept another read() returning EAGAIN, but this saves the syscall.
-      return;
-    }
+  }
+  if (end == ReadEnd::kEof) {
+    stats_->read_eofs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (end == ReadEnd::kEof || end == ReadEnd::kError) {
+    CloseConn(conn_id);
+  } else if (end == ReadEnd::kBadStream) {
+    stats_->protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    conn->closing = true;  // flush the error frame, then close
+    QueueReply(conn, ReplyFrame(MsgType::kError, 0, conn->io.parser().error()));
   }
 }
 
@@ -323,39 +302,24 @@ void NetServer::HandleFrame(Conn* conn, Frame frame) {
     // survive a newer peer's frames on the same stream.
     stats_->protocol_errors.fetch_add(1, std::memory_order_relaxed);
     stats_->recovered_frames.fetch_add(1, std::memory_order_relaxed);
-    Frame reply;
-    reply.type = MsgType::kError;
-    reply.request_id = frame.request_id;
-    reply.error = static_cast<uint8_t>(frame.decode_error);
-    std::string bytes;
-    EncodeFrame(reply, &bytes);
-    QueueBytes(conn, bytes);
+    QueueReply(conn, ReplyFrame(MsgType::kError, frame.request_id,
+                                frame.decode_error));
     return;
   }
   if (!IsRequestType(frame.type)) {
     // A reply type sent to the server is a protocol violation even though
     // the frame itself decodes.
     stats_->protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    Frame reply;
-    reply.type = MsgType::kError;
-    reply.request_id = frame.request_id;
-    reply.error = static_cast<uint8_t>(WireError::kBadType);
-    std::string bytes;
-    EncodeFrame(reply, &bytes);
     conn->closing = true;
-    QueueBytes(conn, bytes);
+    QueueReply(conn, ReplyFrame(MsgType::kError, frame.request_id,
+                                WireError::kBadType));
     return;
   }
   stats_->requests.fetch_add(1, std::memory_order_relaxed);
 
   if (frame.type == MsgType::kPing) {
     // Liveness probe: answered inline on the loop thread, no interval.
-    Frame reply;
-    reply.type = MsgType::kPong;
-    reply.request_id = frame.request_id;
-    std::string bytes;
-    EncodeFrame(reply, &bytes);
-    QueueBytes(conn, bytes);
+    QueueReply(conn, ReplyFrame(MsgType::kPong, frame.request_id));
     return;
   }
   if (frame.type == MsgType::kClockSync) {
@@ -364,14 +328,10 @@ void NetServer::HandleFrame(Conn* conn, Frame frame) {
     // NTP-style offset estimate below it (AsyncClient::CalibrateClock)
     // assumes the server stamp sits mid-flight.
     stats_->clock_syncs.fetch_add(1, std::memory_order_relaxed);
-    Frame reply;
-    reply.type = MsgType::kClockSyncReply;
-    reply.request_id = frame.request_id;
+    Frame reply = ReplyFrame(MsgType::kClockSyncReply, frame.request_id);
     reply.t1_ns = frame.t1_ns;
     reply.t2_ns = vprof::Now();
-    std::string bytes;
-    EncodeFrame(reply, &bytes);
-    QueueBytes(conn, bytes);
+    QueueReply(conn, reply);
     return;
   }
 
@@ -421,13 +381,8 @@ void NetServer::HandleFrame(Conn* conn, Frame frame) {
     // the interval ends here — rejected requests are real, short intervals,
     // which is exactly how overload shows up in the latency distribution.
     stats_->rejected.fetch_add(1, std::memory_order_relaxed);
-    Frame reply;
-    reply.type = MsgType::kRejected;
-    reply.request_id = request_id;
-    std::string bytes;
-    EncodeFrame(reply, &bytes);
     vprof::EndInterval(sid);
-    QueueBytes(conn, bytes);
+    QueueReply(conn, ReplyFrame(MsgType::kRejected, request_id));
   }
 }
 
@@ -484,51 +439,31 @@ void NetServer::WorkerLoop() {
 }
 
 void NetServer::QueueBytes(Conn* conn, const std::string& bytes) {
-  conn->outbox.append(bytes);
-  const size_t pending = conn->outbox.size() - conn->out_offset;
-  if (pending > options_.write_buffer_cap) {
+  if (conn->io.pending_bytes() + bytes.size() > options_.write_buffer_cap) {
     // Slow peer: it stopped draining and its backlog would otherwise grow
     // without bound. Evict — drop the buffered replies and the socket.
     stats_->slow_peer_evictions.fetch_add(1, std::memory_order_relaxed);
     CloseConn(conn->id);
     return;
   }
-  FlushConn(conn);
+  OnWritten(conn, conn->io.Send(bytes));
 }
 
-void NetServer::FlushConn(Conn* conn) {
-  const uint64_t conn_id = conn->id;
-  while (conn->out_offset < conn->outbox.size()) {
-    const ssize_t n =
-        WriteFd(conn->fd.get(), conn->outbox.data() + conn->out_offset,
-                conn->outbox.size() - conn->out_offset);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-        if (!conn->wants_write) {
-          conn->wants_write = true;
-          loop_.Mod(conn->fd.get(), EPOLLIN | EPOLLOUT | EPOLLET);
-        }
-        return;
-      }
-      CloseConn(conn_id);  // EPIPE/ECONNRESET/...
-      return;
-    }
-    if (n == 0) {
-      return;
-    }
-    conn->out_offset += static_cast<size_t>(n);
-    stats_->bytes_out.fetch_add(static_cast<uint64_t>(n),
-                                std::memory_order_relaxed);
+void NetServer::QueueReply(Conn* conn, const Frame& reply) {
+  std::string bytes;
+  EncodeFrame(reply, &bytes);
+  QueueBytes(conn, bytes);
+}
+
+void NetServer::OnWritten(Conn* conn, ssize_t written) {
+  if (written < 0) {
+    CloseConn(conn->id);  // EPIPE/ECONNRESET/...
+    return;
   }
-  // Fully drained.
-  conn->outbox.clear();
-  conn->out_offset = 0;
-  if (conn->wants_write) {
-    conn->wants_write = false;
-    loop_.Mod(conn->fd.get(), EPOLLIN | EPOLLET);
-  }
-  if (conn->closing) {
-    CloseConn(conn_id);
+  stats_->bytes_out.fetch_add(static_cast<uint64_t>(written),
+                              std::memory_order_relaxed);
+  if (conn->closing && conn->io.pending_bytes() == 0) {
+    CloseConn(conn->id);
   }
 }
 
@@ -537,8 +472,7 @@ void NetServer::CloseConn(uint64_t conn_id) {
   if (it == conns_.end()) {
     return;
   }
-  loop_.Del(it->second->fd.get());
-  conns_.erase(it);
+  conns_.erase(it);  // FramedConn deregisters and closes the socket
   stats_->closed.fetch_add(1, std::memory_order_relaxed);
   stats_->current_connections.store(conns_.size(), std::memory_order_relaxed);
 }

@@ -2,12 +2,13 @@
 // the engines (ROADMAP item 1).
 //
 // One event-loop thread owns the listener and every connection: non-blocking
-// accept, edge-triggered reads into a bounded FrameParser, edge-triggered
-// writes out of a bounded per-connection outbox. Parsed requests are
-// dispatched to a worker pool through an instrumented vprof::TaskQueue; the
-// same bounded-queue shedding httpd uses generalizes to the accept path —
-// when the dispatch queue is at max_dispatch_depth the loop answers
-// kRejected (a 503) immediately instead of deepening the backlog.
+// accept, then one FramedConn (conn.h) per peer for the edge-triggered reads
+// into a bounded FrameParser and the writes out of an outbox this server
+// caps. Parsed requests are dispatched to a worker pool through an
+// instrumented vprof::TaskQueue; the same bounded-queue shedding httpd uses
+// generalizes to the accept path — when the dispatch queue is at
+// max_dispatch_depth the loop answers kRejected (a 503) immediately instead
+// of deepening the backlog.
 //
 // Semantic-interval anchoring (the reason this layer exists, paper
 // Section 3.1): the interval begins on the event-loop thread the moment a
@@ -33,8 +34,10 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "src/net/conn.h"
 #include "src/net/event_loop.h"
 #include "src/net/protocol.h"
 #include "src/net/socket.h"
@@ -64,7 +67,6 @@ struct ServerSpanRecord {
 
 struct NetServerOptions {
   uint16_t port = 0;  // 0 = ephemeral; NetServer::port() reports the bound one
-  int backlog = 512;
   int workers = 2;
 
   // Dispatch-queue depth at which requests are shed with kRejected
@@ -83,9 +85,6 @@ struct NetServerOptions {
   // closed on the sweep tick. 0 disables.
   int64_t idle_timeout_ms = 0;
   int sweep_interval_ms = 50;
-
-  // Bytes per read(2) call on the drain loop.
-  size_t read_chunk_bytes = 16 * 1024;
 
   // Distributed-profiling hook: when set, every request carrying a
   // trace-context extension gets (a) a server-timing extension on its reply
@@ -161,12 +160,10 @@ class NetServer {
 
  private:
   struct Conn {
-    Fd fd;
-    uint64_t id = 0;
-    FrameParser parser;
-    std::string outbox;     // bytes not yet written
-    size_t out_offset = 0;  // written prefix of outbox
-    bool wants_write = false;
+    Conn(uint64_t conn_id, EventLoop* loop, Fd fd)
+        : id(conn_id), io(loop, std::move(fd)) {}
+    uint64_t id;
+    FramedConn io;
     bool closing = false;  // flush outbox, then close (protocol error path)
     int64_t last_activity_ms = 0;
   };
@@ -185,7 +182,10 @@ class NetServer {
   void OnConnEvent(uint64_t conn_id, uint32_t events);
   void HandleFrame(Conn* conn, Frame frame);
   void QueueBytes(Conn* conn, const std::string& bytes);
-  void FlushConn(Conn* conn);
+  void QueueReply(Conn* conn, const Frame& reply);
+  // Accounts a Send/Flush result: closes on a failed write, or once a
+  // closing connection has drained.
+  void OnWritten(Conn* conn, ssize_t written);
   void CloseConn(uint64_t conn_id);
   void SweepConnections();
   int64_t NowMs() const;

@@ -31,7 +31,7 @@ int SetNonBlocking(int fd) {
   return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-Fd ListenLocal(uint16_t port, int backlog, uint16_t* bound_port) {
+Fd ListenLocal(uint16_t port, uint16_t* bound_port) {
   Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd.valid()) {
     return Fd();
@@ -45,7 +45,7 @@ Fd ListenLocal(uint16_t port, int backlog, uint16_t* bound_port) {
   if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     return Fd();
   }
-  if (::listen(fd.get(), backlog) != 0) {
+  if (::listen(fd.get(), /*backlog=*/512) != 0) {
     return Fd();
   }
   if (bound_port != nullptr) {
@@ -85,14 +85,8 @@ Fd ConnectLocal(uint16_t port, bool nonblocking) {
   return fd;
 }
 
-ssize_t ReadFd(int fd, void* buf, size_t n, bool* injected_eof) {
-  if (injected_eof != nullptr) {
-    *injected_eof = false;
-  }
+ssize_t ReadFd(int fd, void* buf, size_t n) {
   if (fault::Triggered("net/read_eof")) {
-    if (injected_eof != nullptr) {
-      *injected_eof = true;
-    }
     return 0;
   }
   return ::read(fd, buf, n);

@@ -54,10 +54,10 @@ class Fd {
 // Sets O_NONBLOCK; returns 0 or -1 (errno set).
 int SetNonBlocking(int fd);
 
-// Opens a non-blocking loopback listener (SO_REUSEADDR). `port` 0 binds an
-// ephemeral port; the bound port is reported through *bound_port. Returns an
-// invalid Fd on failure.
-Fd ListenLocal(uint16_t port, int backlog, uint16_t* bound_port);
+// Opens a non-blocking loopback listener (SO_REUSEADDR, backlog 512). `port`
+// 0 binds an ephemeral port; the bound port is reported through
+// *bound_port. Returns an invalid Fd on failure.
+Fd ListenLocal(uint16_t port, uint16_t* bound_port);
 
 // Connects to 127.0.0.1:`port`. Blocking connect (loopback completes
 // immediately); the returned socket is switched to non-blocking when
@@ -65,9 +65,8 @@ Fd ListenLocal(uint16_t port, int backlog, uint16_t* bound_port);
 Fd ConnectLocal(uint16_t port, bool nonblocking);
 
 // read(2) with the net/read_eof failpoint: returns byte count, 0 on EOF
-// (*injected_eof reports whether the EOF was injected), or -1 with errno
-// (EAGAIN included).
-ssize_t ReadFd(int fd, void* buf, size_t n, bool* injected_eof);
+// (real or injected), or -1 with errno (EAGAIN included).
+ssize_t ReadFd(int fd, void* buf, size_t n);
 
 // write(2) with the net/slow_peer (pretend EAGAIN) and net/short_write
 // (truncate to the trigger value, default 1 byte) failpoints. Returns bytes

@@ -206,7 +206,9 @@ void StatStore::SealLocked() {
   if (open_file_ == nullptr) return;
   bool seal_failed = std::fflush(open_file_) != 0;
 #ifndef _WIN32
-  if (!seal_failed && options_.fsync_on_seal) {
+  // fsync on seal makes sealed segments crash-durable (the unsealed tail is
+  // buffered-write durable only, like the lazy redo-log policies).
+  if (!seal_failed) {
     seal_failed = ::fsync(::fileno(open_file_)) != 0;
   }
 #endif

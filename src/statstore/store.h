@@ -56,10 +56,6 @@ struct StoreOptions {
   // segments are deleted past it. 0 = unbounded.
   uint64_t max_segments = 0;
 
-  // fsync on seal makes sealed segments crash-durable (the unsealed tail is
-  // buffered-write durable only, like the lazy redo-log policies).
-  bool fsync_on_seal = true;
-
   // Failpoint namespace ("<scope>/write_error", "<scope>/torn_write",
   // "<scope>/stall", "<scope>/crash_on_roll" — the last kills the store at
   // a segment roll, after the old segment sealed but before the new one

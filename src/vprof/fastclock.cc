@@ -92,21 +92,6 @@ CalibrateAtStartup g_startup_calibration;
 
 }  // namespace
 
-bool UsingTsc() {
-  InitOnce();
-  return g_using_tsc.load(std::memory_order_relaxed);
-}
-
-double TicksPerNs() {
-  InitOnce();
-  if (!g_using_tsc.load(std::memory_order_relaxed)) {
-    return 0.0;
-  }
-  const double q = static_cast<double>(
-      g_ns_per_tick_q32.load(std::memory_order_relaxed));
-  return (1ull << kFracBits) / q;
-}
-
 TimeNs NowNs() {
   const uint64_t mult = g_ns_per_tick_q32.load(std::memory_order_relaxed);
   if (mult == 0) [[unlikely]] {

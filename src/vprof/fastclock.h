@@ -23,12 +23,6 @@
 namespace vprof {
 namespace fastclock {
 
-// True when the invariant-TSC fast path is active.
-bool UsingTsc();
-
-// Estimated tick rate in GHz (0 on the chrono fallback). For reporting only.
-double TicksPerNs();
-
 // Nanoseconds since the last ResetEpoch() (or since startup calibration).
 // Safe to call from any thread at any time, including before main().
 TimeNs NowNs();

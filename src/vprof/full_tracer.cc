@@ -1,6 +1,5 @@
 #include "src/vprof/full_tracer.h"
 
-#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -91,25 +90,6 @@ FullTraceStats GetFullTracerStats() {
     stats.distinct_functions += static_cast<uint64_t>(__builtin_popcountll(word));
   }
   return stats;
-}
-
-std::vector<FullTraceEvent> CollectFullTraceEvents() {
-  TracerState& state = State();
-  std::lock_guard<std::mutex> lock(state.mu);
-  std::vector<FullTraceEvent> out;
-  for (const auto& ring : state.rings) {
-    const uint64_t head = ring->head.load(std::memory_order_acquire);
-    const uint64_t n = std::min<uint64_t>(head, kRingCapacity);
-    const uint64_t first = head - n;
-    for (uint64_t i = 0; i < n; ++i) {
-      out.push_back(ring->events[(first + i) % kRingCapacity]);
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const FullTraceEvent& a, const FullTraceEvent& b) {
-              return a.time < b.time;
-            });
-  return out;
 }
 
 void ResetFullTracer() {

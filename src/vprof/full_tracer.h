@@ -3,8 +3,8 @@
 //
 // Every probe — regardless of the selection flags — takes a timestamp, keys
 // the event by a hash of the function's *symbol name* (as binary tracers
-// do), and appends it to a per-thread ring buffer. The rings are merged only
-// at collection time, so the §4.1 comparison measures per-event
+// do), and appends it to a per-thread ring buffer (only the rings' counters
+// are read back), so the §4.1 comparison measures per-event
 // instrumentation cost, not convoying on a global lock: the old
 // single-mutex event log serialized every traced call in the process, which
 // made VProfiler's advantage look larger than the per-probe work justifies.
@@ -14,7 +14,6 @@
 #define SRC_VPROF_FULL_TRACER_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/vprof/types.h"
 
@@ -28,7 +27,7 @@ struct FullTraceStats {
 };
 
 // One entry/exit event. `name_hash` is the symbol key a binary tracer would
-// aggregate by; `func` is kept so merged traces remain resolvable.
+// aggregate by; `func` is the probe's id.
 struct FullTraceEvent {
   uint64_t name_hash = 0;
   TimeNs time = 0;
@@ -43,11 +42,6 @@ void FullTracerOnExit(FuncId func);
 
 // Aggregate counters across all rings. Reads atomics only; callable any time.
 FullTraceStats GetFullTracerStats();
-
-// Merges every thread's ring into one time-ordered event log. Call only
-// while no probe is recording (after StopTracing / EnableFullTrace(false)):
-// ring slots are plain memory owned by their writer thread.
-std::vector<FullTraceEvent> CollectFullTraceEvents();
 
 void ResetFullTracer();
 

@@ -252,22 +252,27 @@ void ThreadState::CloseSegment(TimeNs now) {
   seg_start_ = -1;
 }
 
-void ThreadState::SwitchInterval(IntervalId sid, TimeNs now) {
-  if (!BeginOp()) {
-    return;
-  }
+void ThreadState::SwitchIntervalAt(IntervalId sid, TimeNs now) {
   if (sid != current_sid_ || seg_start_ < 0) {
     CloseSegment(now);
     current_sid_ = sid;
     EnsureSegmentOpen(now);
   }
-  EndOp();
 }
 
-void ThreadState::BeginBlocked(SegmentState state, TimeNs now) {
+void ThreadState::SwitchInterval(IntervalId sid) {
   if (!BeginOp()) {
     return;
   }
+  SwitchIntervalAt(sid, fastclock::NowNs());
+  EndOp();
+}
+
+void ThreadState::BeginBlocked(SegmentState state) {
+  if (!BeginOp()) {
+    return;
+  }
+  const TimeNs now = fastclock::NowNs();
   if (block_depth_++ == 0) {
     CloseSegment(now);
     seg_start_ = now;
@@ -277,10 +282,11 @@ void ThreadState::BeginBlocked(SegmentState state, TimeNs now) {
   EndOp();
 }
 
-void ThreadState::EndBlocked(TimeNs now, ThreadId waker_tid, TimeNs waker_time) {
+void ThreadState::EndBlocked(ThreadId waker_tid, TimeNs waker_time) {
   if (!BeginOp()) {
     return;
   }
+  const TimeNs now = fastclock::NowNs();
   if (block_depth_ > 0 && --block_depth_ > 0) {
     // Inner waits keep the outermost blocked segment open, but remember the
     // most recent waker: it is the event that actually freed the thread.
@@ -309,11 +315,12 @@ void ThreadState::EndBlocked(TimeNs now, ThreadId waker_tid, TimeNs waker_time) 
   EndOp();
 }
 
-void ThreadState::AttachGeneratorEdge(ThreadId producer_tid, TimeNs enqueue_time,
-                                      TimeNs now) {
+void ThreadState::AttachGeneratorEdge(ThreadId producer_tid,
+                                      TimeNs enqueue_time) {
   if (!BeginOp()) {
     return;
   }
+  const TimeNs now = fastclock::NowNs();
   CloseSegment(now);
   pending_gen_tid_ = producer_tid;
   pending_gen_time_ = enqueue_time;
@@ -322,11 +329,14 @@ void ThreadState::AttachGeneratorEdge(ThreadId producer_tid, TimeNs enqueue_time
 }
 
 void ThreadState::RecordIntervalEvent(IntervalId sid, IntervalEventKind kind,
-                                      TimeNs now, IntervalLabel label) {
+                                      IntervalId next_sid,
+                                      IntervalLabel label) {
   if (!BeginOp()) {
     return;
   }
+  const TimeNs now = fastclock::NowNs();
   *interval_events_.AppendSlot() = IntervalEvent{sid, now, kind, label};
+  SwitchIntervalAt(next_sid, now);
   EndOp();
 }
 
@@ -419,10 +429,8 @@ IntervalId BeginInterval(IntervalLabel label) {
   }
   RuntimeState& state = State();
   const IntervalId sid = state.next_interval.fetch_add(1, std::memory_order_relaxed);
-  ThreadState* thread = CurrentThread();
-  const TimeNs now = Now();
-  thread->RecordIntervalEvent(sid, IntervalEventKind::kBegin, now, label);
-  thread->SwitchInterval(sid, now);
+  CurrentThread()->RecordIntervalEvent(sid, IntervalEventKind::kBegin, sid,
+                                       label);
   return sid;
 }
 
@@ -430,17 +438,15 @@ void EndInterval(IntervalId sid) {
   if (!IsTracing() || sid == kNoInterval) {
     return;
   }
-  ThreadState* thread = CurrentThread();
-  const TimeNs now = Now();
-  thread->RecordIntervalEvent(sid, IntervalEventKind::kEnd, now);
-  thread->SwitchInterval(kNoInterval, now);
+  CurrentThread()->RecordIntervalEvent(sid, IntervalEventKind::kEnd,
+                                       kNoInterval);
 }
 
 void WorkOnBehalf(IntervalId sid) {
   if (!IsTracing()) {
     return;
   }
-  CurrentThread()->SwitchInterval(sid, Now());
+  CurrentThread()->SwitchInterval(sid);
 }
 
 IntervalId CurrentIntervalId() {

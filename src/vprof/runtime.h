@@ -134,24 +134,28 @@ class alignas(kCacheLineSize) ThreadState {
   }
 
   // --- segment / interval transitions ----------------------------------
+  // Each op reads the fast clock itself, after winning the handshake: a
+  // time read before would belong to whatever run was current then.
+
   // Switches the interval this thread works on behalf of (segment split).
-  void SwitchInterval(IntervalId sid, TimeNs now);
+  void SwitchInterval(IntervalId sid);
 
   // Marks the thread blocked (lock/condvar/queue). EndBlocked closes the
   // blocked segment, records the wake-up edge, and resumes execution.
   // Nested Begin/End pairs (a condvar wait inside a queue wait, the lock
   // reacquisition after a wait) are counted and only the outermost pair is
   // recorded, keeping segments flat.
-  void BeginBlocked(SegmentState state, TimeNs now);
-  void EndBlocked(TimeNs now, ThreadId waker_tid, TimeNs waker_time);
+  void BeginBlocked(SegmentState state);
+  void EndBlocked(ThreadId waker_tid, TimeNs waker_time);
 
   // Splits the current executing segment to attach a created-by edge for a
   // freshly dequeued task (paper's 4-tuple).
-  void AttachGeneratorEdge(ThreadId producer_tid, TimeNs enqueue_time, TimeNs now);
+  void AttachGeneratorEdge(ThreadId producer_tid, TimeNs enqueue_time);
 
-  // Records a semantic-interval begin/end annotation on this thread.
-  void RecordIntervalEvent(IntervalId sid, IntervalEventKind kind, TimeNs now,
-                           IntervalLabel label = kNoLabel);
+  // Records a semantic-interval begin/end annotation on this thread and
+  // switches it to work on behalf of `next_sid`: one op, one timestamp.
+  void RecordIntervalEvent(IntervalId sid, IntervalEventKind kind,
+                           IntervalId next_sid, IntervalLabel label = kNoLabel);
 
   // --- run lifecycle (control thread; requires quiescence) --------------
   void ResetForRun(uint64_t run_epoch);
@@ -210,6 +214,7 @@ class alignas(kCacheLineSize) ThreadState {
 
   void EnsureSegmentOpen(TimeNs now);
   void CloseSegment(TimeNs now);
+  void SwitchIntervalAt(IntervalId sid, TimeNs now);
 
   // Sentinel record_index for a stack frame whose invocation record was
   // dropped by the arena cap: descendants must not link to it.

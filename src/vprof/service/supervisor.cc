@@ -2,18 +2,6 @@
 
 namespace vprof {
 
-const char* SupervisorStateName(SupervisorState state) {
-  switch (state) {
-    case SupervisorState::kNormal:
-      return "normal";
-    case SupervisorState::kDegraded:
-      return "degraded";
-    case SupervisorState::kQuarantined:
-      return "quarantined";
-  }
-  return "?";
-}
-
 Supervisor::Supervisor(SupervisorOptions options) : options_(options) {}
 
 bool Supervisor::Unhealthy(const EpochHealth& health) const {

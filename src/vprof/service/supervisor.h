@@ -41,8 +41,6 @@ enum class SupervisorState : uint8_t {
   kQuarantined = 2,
 };
 
-const char* SupervisorStateName(SupervisorState state);
-
 // Per-epoch health deltas (not cumulative counters): how much each gauge
 // moved during the epoch being observed.
 struct EpochHealth {
@@ -64,11 +62,10 @@ struct SupervisorOptions {
   int escalate_after = 2;
   int restore_after = 4;
 
-  // Degraded-state knobs. The epoch multiplier also applies in Quarantined
-  // (rotations are cheap there, but there is no reason to hurry them).
+  // Degraded-state knob; it also applies in Quarantined (rotations are
+  // cheap there, but there is no reason to hurry them). Off Normal, app
+  // gauges are always shed and the controller always frozen.
   double degraded_epoch_multiplier = 4.0;
-  bool degraded_shed_app_gauges = true;
-  bool degraded_freeze_controller = true;
 };
 
 struct SupervisorStatus {
@@ -105,13 +102,9 @@ class Supervisor {
                ? 1.0
                : options_.degraded_epoch_multiplier;
   }
-  bool shed_app_gauges() const {
-    return state() != SupervisorState::kNormal &&
-           options_.degraded_shed_app_gauges;
-  }
+  bool shed_app_gauges() const { return state() != SupervisorState::kNormal; }
   bool controller_enabled() const {
-    return state() == SupervisorState::kNormal ||
-           !options_.degraded_freeze_controller;
+    return state() == SupervisorState::kNormal;
   }
 
   SupervisorStatus status() const;

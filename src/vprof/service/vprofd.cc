@@ -65,9 +65,7 @@ void Vprofd::HandleEpoch(Trace&& trace) {
   tree_.Fold(trace);
   const OnlineTreeSnapshot snapshot = tree_.Snapshot();
   const uint64_t epoch = epoch_base_ + snapshot.epochs;
-  if (options_.enable_regression) {
-    ObserveSnapshot(&detector_, snapshot, epoch);
-  }
+  ObserveSnapshot(&detector_, snapshot, epoch);
   if (store_ != nullptr) {
     HarvestHealth health;
     health.rotation_gap_last_ns = static_cast<uint64_t>(last_gap_ns());
@@ -206,23 +204,21 @@ std::string Vprofd::MetricsText() const {
     w.Sample("vprofd_supervisor_restorations_total", ss.restorations);
   }
 
-  if (options_.enable_regression) {
-    w.Family("vprofd_regression_flags_total", "counter",
-             "Contribution-shift regressions flagged.");
-    w.Sample("vprofd_regression_flags_total", detector_.flag_count());
-    w.Family("vprofd_regression_series", "gauge",
-             "Series with an established regression baseline.");
-    w.Sample("vprofd_regression_series",
-             static_cast<uint64_t>(detector_.series_count()));
-    w.Family("vprofd_regression_flag_epoch", "gauge",
-             "Epoch of the latest flag per regressed series.");
-    w.Family("vprofd_regression_flag_sigmas", "gauge",
-             "Shift, in baseline sigmas, of the latest flag per series.");
-    for (const statstore::RegressionFlag& flag : detector_.flags()) {
-      const PromWriter::Labels labels{{"series", flag.series}};
-      w.Sample("vprofd_regression_flag_epoch", labels, flag.epoch);
-      w.Sample("vprofd_regression_flag_sigmas", labels, flag.sigmas);
-    }
+  w.Family("vprofd_regression_flags_total", "counter",
+           "Contribution-shift regressions flagged.");
+  w.Sample("vprofd_regression_flags_total", detector_.flag_count());
+  w.Family("vprofd_regression_series", "gauge",
+           "Series with an established regression baseline.");
+  w.Sample("vprofd_regression_series",
+           static_cast<uint64_t>(detector_.series_count()));
+  w.Family("vprofd_regression_flag_epoch", "gauge",
+           "Epoch of the latest flag per regressed series.");
+  w.Family("vprofd_regression_flag_sigmas", "gauge",
+           "Shift, in baseline sigmas, of the latest flag per series.");
+  for (const statstore::RegressionFlag& flag : detector_.flags()) {
+    const PromWriter::Labels labels{{"series", flag.series}};
+    w.Sample("vprofd_regression_flag_epoch", labels, flag.epoch);
+    w.Sample("vprofd_regression_flag_sigmas", labels, flag.sigmas);
   }
   return snapshot.ToPromText() + w.Text();
 }

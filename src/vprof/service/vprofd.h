@@ -102,7 +102,6 @@ struct VprofdOptions {
       .cooldown_epochs = 8,
       .max_flags = 256,
   };
-  bool enable_regression = true;
 };
 
 class Vprofd {

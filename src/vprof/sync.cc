@@ -73,12 +73,10 @@ void Mutex::lock() {
     return;
   }
   ThreadState* thread = CurrentThread();
-  thread->BeginBlocked(SegmentState::kBlocked, Now());
+  thread->BeginBlocked(SegmentState::kBlocked);
   mu_.lock();
-  const TimeNs now = Now();
   const auto owner = OwnerMap::Get().Lookup(this);
-  thread->EndBlocked(now, owner ? owner->tid : kNoThread,
-                     owner ? owner->time : -1);
+  thread->EndBlocked(owner ? owner->tid : kNoThread, owner ? owner->time : -1);
 }
 
 bool Mutex::try_lock() { return mu_.try_lock(); }
@@ -98,15 +96,14 @@ void CondVar::Wait(Mutex& mu) {
     return;
   }
   ThreadState* thread = CurrentThread();
-  thread->BeginBlocked(SegmentState::kBlocked, Now());
+  thread->BeginBlocked(SegmentState::kBlocked);
   cv_.wait(mu);
-  const TimeNs now = Now();
   const uint64_t packed = last_notify_.load(std::memory_order_relaxed);
   if (packed != 0) {
     const OwnerStamp stamp = UnpackOwnerStamp(packed);
-    thread->EndBlocked(now, stamp.tid, stamp.time);
+    thread->EndBlocked(stamp.tid, stamp.time);
   } else {
-    thread->EndBlocked(now, kNoThread, -1);
+    thread->EndBlocked(kNoThread, -1);
   }
 }
 
@@ -117,16 +114,15 @@ bool CondVar::WaitFor(Mutex& mu, int64_t timeout_ns) {
     return cv_.wait_until(mu, deadline) == std::cv_status::no_timeout;
   }
   ThreadState* thread = CurrentThread();
-  thread->BeginBlocked(SegmentState::kBlocked, Now());
+  thread->BeginBlocked(SegmentState::kBlocked);
   const bool signaled = cv_.wait_until(mu, deadline) == std::cv_status::no_timeout;
-  const TimeNs now = Now();
   const uint64_t packed =
       signaled ? last_notify_.load(std::memory_order_relaxed) : 0;
   if (packed != 0) {
     const OwnerStamp stamp = UnpackOwnerStamp(packed);
-    thread->EndBlocked(now, stamp.tid, stamp.time);
+    thread->EndBlocked(stamp.tid, stamp.time);
   } else {
-    thread->EndBlocked(now, kNoThread, -1);
+    thread->EndBlocked(kNoThread, -1);
   }
   return signaled;
 }

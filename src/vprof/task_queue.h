@@ -73,7 +73,7 @@ class TaskQueue {
     }
     if (IsTracing() && entry.producer_tid != kNoThread) {
       CurrentThread()->AttachGeneratorEdge(entry.producer_tid,
-                                           entry.enqueue_time, Now());
+                                           entry.enqueue_time);
     }
     return std::move(entry.item);
   }
@@ -91,7 +91,7 @@ class TaskQueue {
     }
     if (IsTracing() && entry.producer_tid != kNoThread) {
       CurrentThread()->AttachGeneratorEdge(entry.producer_tid,
-                                           entry.enqueue_time, Now());
+                                           entry.enqueue_time);
     }
     return std::move(entry.item);
   }
@@ -125,9 +125,9 @@ class TaskQueue {
       return;
     }
     ThreadState* thread = CurrentThread();
-    thread->BeginBlocked(SegmentState::kQueueWait, Now());
+    thread->BeginBlocked(SegmentState::kQueueWait);
     cv_.Wait(mu_, [this] { return !entries_.empty() || closed_; });
-    thread->EndBlocked(Now(), kNoThread, -1);
+    thread->EndBlocked(kNoThread, -1);
   }
 
   Mutex mu_;

@@ -1,17 +1,15 @@
 #include "src/workload/openloop.h"
 
-#include <errno.h>
 #include <sys/epoll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <random>
 #include <string>
 #include <unordered_map>
 
-#include "src/net/socket.h"
+#include "src/net/conn.h"
 
 namespace workload {
 
@@ -79,13 +77,8 @@ std::vector<int64_t> GenerateInterArrivalsNs(const ArrivalConfig& config,
 
 namespace {
 
-struct ClientConn {
-  net::Fd fd;
-  net::FrameParser parser;
-  std::string outbox;
-  size_t out_offset = 0;
-  bool want_write = false;
-  bool dead = false;
+struct GenConn {
+  std::unique_ptr<net::FramedConn> io;  // null once the connection died
   // request_ids written on this connection and not yet answered; on
   // connection death they are reclassified as failed.
   std::unordered_map<uint64_t, int64_t> pending_scheduled_ns;
@@ -108,131 +101,85 @@ OpenLoopResult RunOpenLoop(const OpenLoopOptions& options) {
   const std::vector<int64_t> gaps =
       GenerateInterArrivalsNs(options.arrivals, total, options.seed);
 
-  net::Fd epoll_fd(::epoll_create1(0));
-  if (!epoll_fd.valid()) {
+  net::EventLoop loop;
+  if (!loop.valid()) {
     result.connect_failed = true;
     return result;
   }
-
-  std::vector<ClientConn> conns(options.connections);
-  for (size_t i = 0; i < conns.size(); ++i) {
-    conns[i].fd = net::ConnectLocal(options.port, /*nonblocking=*/true);
-    if (!conns[i].fd.valid()) {
-      result.connect_failed = true;
-      return result;
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;  // level-triggered; EPOLLOUT armed on demand
-    ev.data.u64 = i;
-    if (::epoll_ctl(epoll_fd.get(), EPOLL_CTL_ADD, conns[i].fd.get(), &ev) !=
-        0) {
-      result.connect_failed = true;
-      return result;
-    }
-  }
-
-  auto arm = [&](size_t i) {
-    epoll_event ev{};
-    ev.events = conns[i].want_write ? (EPOLLIN | EPOLLOUT) : EPOLLIN;
-    ev.data.u64 = i;
-    ::epoll_ctl(epoll_fd.get(), EPOLL_CTL_MOD, conns[i].fd.get(), &ev);
-  };
-
+  std::vector<GenConn> conns(options.connections);
   uint64_t live_conns = conns.size();
   auto kill_conn = [&](size_t i) {
-    ClientConn& c = conns[i];
-    if (c.dead) {
+    GenConn& c = conns[i];
+    if (!c.io) {
       return;
     }
-    ::epoll_ctl(epoll_fd.get(), EPOLL_CTL_DEL, c.fd.get(), nullptr);
-    c.fd.reset();
-    c.dead = true;
+    c.io.reset();
     result.failed += c.pending_scheduled_ns.size();
     c.pending_scheduled_ns.clear();
     --live_conns;
   };
 
-  auto flush_conn = [&](size_t i) {
-    ClientConn& c = conns[i];
-    while (c.out_offset < c.outbox.size()) {
-      const ssize_t n =
-          ::send(c.fd.get(), c.outbox.data() + c.out_offset,
-                 c.outbox.size() - c.out_offset, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-          if (!c.want_write) {
-            c.want_write = true;
-            arm(i);
-          }
-          return;
-        }
-        kill_conn(i);
-        return;
-      }
-      c.out_offset += static_cast<size_t>(n);
+  auto on_reply = [&](GenConn& c, const net::Frame& frame) {
+    const auto it = c.pending_scheduled_ns.find(frame.request_id);
+    if (it == c.pending_scheduled_ns.end()) {
+      return;  // duplicate/unsolicited; ignore
     }
-    c.outbox.clear();
-    c.out_offset = 0;
-    if (c.want_write) {
-      c.want_write = false;
-      arm(i);
+    const int64_t scheduled = it->second;
+    c.pending_scheduled_ns.erase(it);
+    switch (frame.type) {
+      case net::MsgType::kTxnReply:
+      case net::MsgType::kHttpReply:
+      case net::MsgType::kPong:
+        ++result.acked;
+        result.latencies_ns.push_back(
+            std::max<int64_t>(0, NowNs() - scheduled));
+        break;
+      case net::MsgType::kRejected:
+        ++result.rejected;
+        break;
+      default:
+        ++result.failed;
+        break;
     }
   };
 
-  std::vector<net::Frame> frames;
-  auto read_conn = [&](size_t i) {
-    ClientConn& c = conns[i];
-    uint8_t buf[16 * 1024];
-    while (!c.dead) {
-      const ssize_t n = ::read(c.fd.get(), buf, sizeof(buf));
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-          return;
-        }
-        kill_conn(i);
-        return;
-      }
-      if (n == 0) {
-        kill_conn(i);
-        return;
-      }
-      frames.clear();
-      if (c.parser.Feed(buf, static_cast<size_t>(n), &frames) !=
-          net::WireError::kOk) {
-        // Server spoke garbage (or sent kError as a stream): everything
-        // pending on this connection is failed.
-        kill_conn(i);
-        return;
-      }
-      const int64_t now = NowNs();
-      for (const net::Frame& frame : frames) {
-        const auto it = c.pending_scheduled_ns.find(frame.request_id);
-        if (it == c.pending_scheduled_ns.end()) {
-          continue;  // duplicate/unsolicited; ignore
-        }
-        const int64_t scheduled = it->second;
-        c.pending_scheduled_ns.erase(it);
-        switch (frame.type) {
-          case net::MsgType::kTxnReply:
-          case net::MsgType::kHttpReply:
-          case net::MsgType::kPong:
-            ++result.acked;
-            result.latencies_ns.push_back(std::max<int64_t>(
-                0, now - scheduled));
-            break;
-          case net::MsgType::kRejected:
-            ++result.rejected;
-            break;
-          default:
-            ++result.failed;
-            break;
-        }
-      }
-      if (static_cast<size_t>(n) < sizeof(buf)) {
-        return;  // drained
-      }
+  auto on_event = [&](size_t i, uint32_t events) {
+    GenConn& c = conns[i];
+    if (!c.io) {
+      return;
+    }
+    if ((events & (EPOLLHUP | EPOLLERR)) != 0 ||
+        ((events & EPOLLOUT) != 0 && c.io->Flush() < 0)) {
+      kill_conn(i);
+      return;
+    }
+    if ((events & EPOLLIN) == 0) {
+      return;
+    }
+    // A server that spoke garbage (or closed) fails everything pending on
+    // this connection.
+    const net::ReadEnd end = c.io->Read([&](net::Frame& frame) {
+      on_reply(c, frame);
+      return true;
+    });
+    if (end != net::ReadEnd::kDrained) {
+      kill_conn(i);
     }
   };
+
+  for (size_t i = 0; i < conns.size(); ++i) {
+    net::Fd fd = net::ConnectLocal(options.port, /*nonblocking=*/true);
+    if (!fd.valid()) {
+      result.connect_failed = true;
+      return result;
+    }
+    conns[i].io = std::make_unique<net::FramedConn>(&loop, std::move(fd));
+    if (!conns[i].io->Watch(
+            [&on_event, i](uint32_t events) { on_event(i, events); })) {
+      result.connect_failed = true;
+      return result;
+    }
+  }
 
   const int64_t start_ns = NowNs();
   size_t next_arrival = 0;
@@ -240,97 +187,57 @@ OpenLoopResult RunOpenLoop(const OpenLoopOptions& options) {
   uint64_t next_request_id = 1;
   int64_t last_send_ns = -1;
   size_t rr = 0;  // round-robin connection cursor
-
-  constexpr int kMaxEvents = 128;
-  epoll_event events[kMaxEvents];
+  int64_t drain_deadline_ns = 0;
 
   auto outstanding = [&]() -> uint64_t {
     return result.sent - result.acked - result.rejected - result.failed;
   };
 
-  // Phase 1: run the schedule. Phase 2: drain in-flight replies.
-  int64_t drain_deadline_ns = 0;
-  while (true) {
-    const bool sending = next_arrival < gaps.size();
-    if (!sending) {
-      if (drain_deadline_ns == 0) {
-        drain_deadline_ns =
-            NowNs() + static_cast<int64_t>(options.drain_timeout_ms) * 1000000;
-      }
-      if (outstanding() == 0 || live_conns == 0 ||
-          NowNs() >= drain_deadline_ns) {
-        break;
-      }
-    }
-
-    // Send every arrival whose scheduled tick has passed (millisecond
-    // batching: epoll_wait granularity).
+  // Every loop tick: send each arrival whose scheduled time has passed, then
+  // stop once the schedule is sent and the replies are drained.
+  auto on_tick = [&] {
     const int64_t now = NowNs();
-    while (next_arrival < gaps.size() && now >= next_arrival_at) {
-      // Pick the next live connection round-robin.
-      size_t tries = conns.size();
-      while (tries > 0 && conns[rr % conns.size()].dead) {
-        ++rr;
-        --tries;
+    while (next_arrival < gaps.size() && now >= next_arrival_at &&
+           live_conns > 0) {
+      while (!conns[rr % conns.size()].io) {
+        ++rr;  // skip dead connections
       }
-      if (tries == 0) {
-        break;  // every connection died; remaining schedule unsendable
-      }
-      const size_t ci = rr % conns.size();
-      ++rr;
-
+      const size_t ci = rr++ % conns.size();
       net::Frame request = options.make_request(next_arrival);
       request.request_id = next_request_id++;
       std::string bytes;
       net::EncodeFrame(request, &bytes);
-      ClientConn& c = conns[ci];
-      c.outbox.append(bytes);
-      c.pending_scheduled_ns.emplace(request.request_id, next_arrival_at);
+      conns[ci].pending_scheduled_ns.emplace(request.request_id,
+                                             next_arrival_at);
       ++result.sent;
       const int64_t sent_at = NowNs();
       if (last_send_ns >= 0) {
         result.realized_interarrival_ns.push_back(sent_at - last_send_ns);
       }
       last_send_ns = sent_at;
-      flush_conn(ci);
-
+      if (conns[ci].io->Send(bytes) < 0) {
+        kill_conn(ci);
+      }
       ++next_arrival;
       if (next_arrival < gaps.size()) {
         next_arrival_at += gaps[next_arrival];
       }
     }
-    if (next_arrival < gaps.size() && live_conns == 0) {
-      break;  // nothing left to send on
+    if (next_arrival < gaps.size()) {
+      if (live_conns == 0) {
+        loop.Stop();  // every connection died; the rest is unsendable
+      }
+      return;
     }
-
-    int timeout_ms = 1;
-    if (sending) {
-      const int64_t wait_ns = next_arrival_at - NowNs();
-      timeout_ms = wait_ns <= 0
-                       ? 0
-                       : static_cast<int>(
-                             std::min<int64_t>(wait_ns / 1000000 + 1, 10));
-    } else {
-      timeout_ms = 10;
+    if (drain_deadline_ns == 0) {
+      drain_deadline_ns =
+          NowNs() + static_cast<int64_t>(options.drain_timeout_ms) * 1000000;
     }
-    const int n = ::epoll_wait(epoll_fd.get(), events, kMaxEvents, timeout_ms);
-    for (int e = 0; e < n; ++e) {
-      const size_t i = static_cast<size_t>(events[e].data.u64);
-      if (conns[i].dead) {
-        continue;
-      }
-      if ((events[e].events & (EPOLLHUP | EPOLLERR)) != 0) {
-        kill_conn(i);
-        continue;
-      }
-      if ((events[e].events & EPOLLOUT) != 0) {
-        flush_conn(i);
-      }
-      if (!conns[i].dead && (events[e].events & EPOLLIN) != 0) {
-        read_conn(i);
-      }
+    if (outstanding() == 0 || live_conns == 0 || NowNs() >= drain_deadline_ns) {
+      loop.Stop();
     }
-  }
+  };
+  loop.Run(/*tick_ms=*/1, on_tick);
 
   result.in_flight = outstanding();
   const int64_t end_ns = NowNs();

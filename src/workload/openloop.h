@@ -83,8 +83,9 @@ struct OpenLoopResult {
 };
 
 // Runs the schedule against a NetServer on 127.0.0.1:port. Single-threaded:
-// one epoll manages all connections; sends happen on their scheduled tick
-// (batched at millisecond granularity), replies are matched by request_id.
+// a net::EventLoop on the calling thread drives every connection (one
+// net::FramedConn each); sends happen on the loop's 1 ms tick, replies are
+// matched by request_id.
 OpenLoopResult RunOpenLoop(const OpenLoopOptions& options);
 
 }  // namespace workload

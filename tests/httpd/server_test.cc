@@ -1,6 +1,11 @@
 #include "src/httpd/server.h"
 
+#include <atomic>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -98,32 +103,49 @@ TEST(HttpServerTest, ShedsLoadWhenQueueSaturates) {
   HttpdConfig config = FastConfig();
   config.workers = 1;
   config.max_queue_depth = 1;
-  // No page cache: every request pays the stalled disk read. With caching,
-  // the saturation window ends as soon as the hot files are cached and the
-  // shed assertion races thread startup.
-  config.page_cache_files = 0;
-  config.file_disk.fault_scope = "httpd_shed";
-  config.file_disk.stall_us = 30000.0;  // every read stalls ~30 ms
-  HttpServer server(config);
-  fault::ScopedFailpoint stall("httpd_shed/stall", fault::Trigger::Always());
-  // Two background clients retry until actually served, keeping the single
-  // worker and the single queue slot occupied.
-  auto persistent_client = [&](uint64_t file_id) {
-    while (server.HandleRequestBlocking(file_id) != RequestStatus::kOk) {
+  // The single worker parks inside its first request until released, so
+  // the one queue slot fills and stays full by construction, not by timing.
+  std::promise<void> parked;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> first{true};
+  config.backend_call = [&](uint64_t) {
+    if (first.exchange(false)) {
+      parked.set_value();
+      released.wait();
     }
   };
-  std::thread busy1(persistent_client, 0);
-  std::thread busy2(persistent_client, 1);
-  // With 1 worker + 1 queue slot there is capacity for 2 in-flight
-  // requests; a third concurrent submission must eventually be shed.
-  RequestStatus status = RequestStatus::kOk;
-  for (int i = 0; i < 200 && status == RequestStatus::kOk; ++i) {
-    status = server.HandleRequestBlocking(2);
+  HttpServer server(config);
+  std::thread holder(
+      [&] { EXPECT_EQ(server.HandleRequestBlocking(0), RequestStatus::kOk); });
+  parked.get_future().wait();
+
+  // Two submissions race for the one queue slot. The queued one cannot
+  // return before the worker is released, so the first to return is the
+  // other one, shed at once.
+  std::mutex mu;
+  std::condition_variable returned_cv;
+  std::vector<RequestStatus> returned;
+  auto submit = [&](uint64_t file_id) {
+    const RequestStatus status = server.HandleRequestBlocking(file_id);
+    std::lock_guard<std::mutex> lock(mu);
+    returned.push_back(status);
+    returned_cv.notify_all();
+  };
+  std::thread second(submit, 1);
+  std::thread third(submit, 2);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    returned_cv.wait(lock, [&] { return !returned.empty(); });
+    EXPECT_EQ(returned[0], RequestStatus::kServiceUnavailable);
   }
-  EXPECT_EQ(status, RequestStatus::kServiceUnavailable);
-  busy1.join();
-  busy2.join();
-  EXPECT_GE(server.stats().requests_rejected, 1u);
+  release.set_value();
+  second.join();
+  third.join();
+  holder.join();
+  ASSERT_EQ(returned.size(), 2u);
+  EXPECT_EQ(returned[1], RequestStatus::kOk);
+  EXPECT_EQ(server.stats().requests_rejected, 1u);
   server.Shutdown();
 }
 
