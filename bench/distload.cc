@@ -1,9 +1,10 @@
 // Cross-service distributed load benchmark (ISSUE: dist tier). Emits
 // BENCH_dist.json.
 //
-// The full two-tier topology in one process: an open-loop generator drives
-// kHttpGet into the front NetServer; httpd workers call minidb through
-// dist::BackendPool (rpc:call over AsyncClient) behind a second NetServer.
+// The full two-tier topology in one process (bench/two_tier.h): an open-loop
+// generator drives kHttpGet into the front NetServer, whose workers run
+// httpd's request path and call minidb through dist::BackendPool (rpc:call
+// over AsyncClient) behind a second NetServer.
 // Three utilization points bracket the measured two-tier capacity; at each,
 // a traced run is split by tier roster, stitched by dist::StitchTraces, and
 // decomposed once end-to-end — front-tier factors (net:queue_wait, the
@@ -25,44 +26,29 @@
 // Acceptance (the exit status and the JSON's acceptance block): at the
 // overload point the merged top-3 holds BOTH a backend factor and a front
 // factor; in cold-start mode dist:cold_start ranks in the top-3.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/common.h"
-#include "src/dist/backend_pool.h"
+#include "bench/two_tier.h"
 #include "src/dist/monitor.h"
-#include "src/dist/stitcher.h"
-#include "src/dist/tier.h"
-#include "src/httpd/server.h"
-#include "src/minidb/engine.h"
-#include "src/net/frontend.h"
-#include "src/net/server.h"
-#include "src/statkit/rng.h"
 #include "src/statstore/store.h"
 #include "src/vprof/service/history.h"
-#include "src/workload/openloop.h"
-#include "src/workload/tpcc.h"
 
 namespace {
 
 constexpr size_t kConnections = 256;
 constexpr size_t kDispatchDepth = 32;
 constexpr int kFrontNetWorkers = 2;
-constexpr int kHttpdWorkers = 3;
 constexpr int kBackendWorkers = 2;
-constexpr int kWarehouses = 1;
 constexpr double kCalibrationRate = 4000.0;
 constexpr double kCalibrationSeconds = 0.8;
 constexpr double kMeasureSeconds = 1.2;
 constexpr double kTraceSeconds = 0.8;
-constexpr int kColdSpawnDelayMs = 60;
 const double kUtilizations[] = {0.5, 0.9, 1.4};
 constexpr char kStoreDir[] = "bench_dist_store";
 
@@ -79,168 +65,34 @@ struct DistRun {
   uint64_t cold_starts = 0;
 };
 
-// The two-tier stack. cold_start defers the backend (engine + NetServer +
-// connect + calibrate) to the first request through the pool.
-struct Stack {
-  explicit Stack(bool cold_start) : cold(cold_start) {
-    graph = std::make_shared<vprof::CallGraph>();
-    minidb::Engine::RegisterCallGraph(graph.get());
-    httpd::HttpServer::RegisterCallGraph(graph.get());
-    net::NetServer::RegisterNetCallGraph(graph.get(), "process_request");
-    net::NetServer::RegisterNetCallGraph(graph.get(), "run_transaction");
-    dist::RegisterDistCallGraph(graph.get(), "run_transaction");
-    net_root = vprof::RegisterFunction(net::kNetRootFunc);
-
-    dist::BackendPoolOptions popt;
-    popt.service = net::ServiceId::kMinidb;
-    popt.connections = 2;
-    popt.calibrate_rounds = 8;
-    popt.span_sink = spans.ClientSink();
-    if (cold_start) {
-      popt.cold_start = true;
-      popt.spawn = [this]() { return SpawnBackend(); };
-      pool = std::make_unique<dist::BackendPool>(popt);
-    } else {
-      popt.port = SpawnBackend();
-      pool = std::make_unique<dist::BackendPool>(popt);
-      if (!pool->Warm()) {
-        std::fprintf(stderr, "distload: pool warm-up failed\n");
-        std::exit(1);
-      }
-    }
-
-    httpd::HttpdConfig hconf;
-    hconf.workers = kHttpdWorkers;
-    hconf.backend_call = [this](uint64_t) {
-      net::Frame req;
-      req.type = net::MsgType::kTxn;
-      {
-        std::lock_guard<std::mutex> lock(gen_mu);
-        req.txn = gen.Next(rng);
-      }
-      net::Frame reply;
-      (void)pool->Call(std::move(req), &reply);
-    };
-    http = std::make_unique<httpd::HttpServer>(hconf);
-
-    net::NetServerOptions fopt;
-    fopt.workers = kFrontNetWorkers;
-    fopt.max_dispatch_depth = kDispatchDepth;
-    fopt.max_connections = 2 * kConnections;
-    front = std::make_unique<net::NetServer>(fopt,
-                                             net::MakeHttpdHandler(http.get()));
-    if (!front->Start()) {
-      std::fprintf(stderr, "distload: front server failed to start\n");
-      std::exit(1);
-    }
+// The two-tier stack, or exit 1 when it does not come up.
+std::unique_ptr<bench::TwoTierStack> MakeStack(bool cold_start) {
+  bench::TwoTierOptions options;
+  options.front_workers = kFrontNetWorkers;
+  options.backend_workers = kBackendWorkers;
+  options.dispatch_depth = kDispatchDepth;
+  options.load_connections = kConnections;
+  options.seed = 0xd157;
+  options.cold_start = cold_start;
+  auto stack = std::make_unique<bench::TwoTierStack>(options);
+  if (!stack->ready) {
+    std::fprintf(stderr, "distload: the two-tier stack failed to start\n");
+    std::exit(1);
   }
-
-  ~Stack() {
-    front->Shutdown();
-    http->Shutdown();
-    pool->Shutdown();
-    if (backend != nullptr) {
-      backend->Shutdown();
-    }
-  }
-
-  uint16_t SpawnBackend() {
-    if (cold) {
-      // Stand-in for the spawned process's exec + init cost.
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(kColdSpawnDelayMs));
-    }
-    minidb::EngineConfig config = bench::MysqlMemoryResidentConfig();
-    config.warehouses = kWarehouses;
-    engine = std::make_unique<minidb::Engine>(config);
-    net::NetServerOptions bopt;
-    bopt.workers = kBackendWorkers;
-    bopt.span_sink = spans.ServerSink();
-    backend = std::make_unique<net::NetServer>(
-        bopt, net::MakeMinidbHandler(engine.get()));
-    if (!backend->Start()) {
-      return 0;
-    }
-    return backend->port();
-  }
-
-  dist::StitchResult Stitch(const vprof::Trace& trace,
-                            std::vector<vprof::Trace>* tiers_out) {
-    const std::vector<vprof::Trace> tiers = dist::SplitByTids(
-        trace, {{}, backend->ProfiledTids()}, /*default_index=*/0);
-    dist::TierTrace front_tier;
-    front_tier.name = "front";
-    front_tier.service = net::ServiceId::kFront;
-    front_tier.trace = tiers[0];
-    front_tier.client_spans = spans.ClientSpans();
-    dist::TierTrace backend_tier;
-    backend_tier.name = "minidb";
-    backend_tier.service = net::ServiceId::kMinidb;
-    backend_tier.trace = tiers[1];
-    backend_tier.server_spans = spans.ServerSpans();
-    backend_tier.clock_offset_ns = pool->calibration().offset_ns;
-    spans.Clear();
-    if (tiers_out != nullptr) {
-      *tiers_out = tiers;
-    }
-    return dist::StitchTraces(front_tier, {backend_tier});
-  }
-
-  bool cold = false;
-  std::shared_ptr<vprof::CallGraph> graph;
-  vprof::FuncId net_root = vprof::kInvalidFunc;
-  dist::SpanLog spans;
-  std::unique_ptr<minidb::Engine> engine;
-  std::unique_ptr<net::NetServer> backend;
-  std::unique_ptr<dist::BackendPool> pool;
-  std::unique_ptr<httpd::HttpServer> http;
-  std::unique_ptr<net::NetServer> front;
-
-  std::mutex gen_mu;
-  statkit::Rng rng{0xd157};
-  workload::TpccGenerator gen{workload::TpccOptions{}, kWarehouses};
-};
-
-workload::OpenLoopOptions LoadOptions(uint16_t port, double rate_per_s,
-                                      double seconds, uint64_t seed) {
-  workload::OpenLoopOptions options;
-  options.port = port;
-  options.connections = kConnections;
-  options.duration_s = seconds;
-  options.arrivals.process = workload::ArrivalProcess::kPoisson;
-  options.arrivals.rate_per_sec = rate_per_s;
-  options.seed = seed;
-  options.make_request = [](uint64_t i) {
-    net::Frame frame;
-    frame.type = net::MsgType::kHttpGet;
-    frame.file_id = i % 4;
-    return frame;
-  };
-  return options;
-}
-
-bool IsBackendFactor(const std::string& name) {
-  return name == "lock_rec_lock" || name == "os_event_wait" ||
-         name == "log_write_up_to" || name == "fil_flush" ||
-         name == "trx_commit" || name == "run_transaction";
-}
-
-bool IsFrontFactor(const std::string& name) {
-  return name.rfind("net:", 0) == 0 || name.rfind("apr_", 0) == 0 ||
-         name.rfind("ap_", 0) == 0 || name.rfind("rpc:", 0) == 0 ||
-         name == "process_request" || name == "default_handler";
+  return stack;
 }
 
 // One traced run: stitched offline top-3 plus the online per-tier view
 // (folded trees merged by DistMonitor), persisted as one statstore epoch.
-void TracePoint(Stack* stack, const workload::OpenLoopOptions& options,
+void TracePoint(bench::TwoTierStack* stack,
+                const workload::OpenLoopOptions& options,
                 uint64_t epoch, statstore::StatStore* store,
                 DistPoint* point) {
   std::vector<vprof::Trace> tiers;
   const dist::StitchResult stitched =
       stack->Stitch(bench::TraceOpenLoop(options), &tiers);
   point->top_factors = bench::OpenLoopTopFactors(
-      stitched.trace, *stack->graph, stack->net_root);
+      stitched.trace, stack->graph, stack->net_root);
 
   vprof::OnlineTreeOptions tree_options;
   tree_options.path_options.queue_wait_factor = net::kQueueWaitFactor;
@@ -296,11 +148,10 @@ void PrintPoints(const std::vector<DistPoint>& points) {
 // set up or the store refuses an append.
 DistRun RunOnce() {
   DistRun run;
-  Stack stack(/*cold_start=*/false);
+  const auto stack = MakeStack(/*cold_start=*/false);
 
   const workload::OpenLoopResult calibration = workload::RunOpenLoop(
-      LoadOptions(stack.front->port(), kCalibrationRate, kCalibrationSeconds,
-                  /*seed=*/7));
+      stack->Load(kCalibrationRate, kCalibrationSeconds, /*seed=*/7));
   if (calibration.connect_failed || calibration.acked == 0) {
     std::fprintf(stderr, "distload: calibration run failed\n");
     std::exit(1);
@@ -324,11 +175,10 @@ DistRun RunOnce() {
     DistPoint point;
     point.utilization = utilization;
     point.offered_per_s = run.capacity * utilization;
-    bench::MeasureLoad(LoadOptions(stack.front->port(), point.offered_per_s,
-                                   kMeasureSeconds, seed),
+    bench::MeasureLoad(stack->Load(point.offered_per_s, kMeasureSeconds, seed),
                        &point);
-    TracePoint(&stack, LoadOptions(stack.front->port(), point.offered_per_s,
-                                   kTraceSeconds, seed + 1),
+    TracePoint(stack.get(),
+               stack->Load(point.offered_per_s, kTraceSeconds, seed + 1),
                epoch, &store, &point);
     run.points.push_back(std::move(point));
     seed += 10;
@@ -344,13 +194,13 @@ DistRun RunOnce() {
 
   // Cold-start mode: a fresh stack whose backend does not exist until the
   // first request; trace covers the spawn.
-  Stack cold_stack(/*cold_start=*/true);
+  const auto cold_stack = MakeStack(/*cold_start=*/true);
   run.cold_point.offered_per_s = run.capacity * 0.4;
-  TracePoint(&cold_stack,
-             LoadOptions(cold_stack.front->port(), run.cold_point.offered_per_s,
-                         0.5, /*seed=*/4242),
+  TracePoint(cold_stack.get(),
+             cold_stack->Load(run.cold_point.offered_per_s, 0.5,
+                              /*seed=*/4242),
              epoch, nullptr, &run.cold_point);
-  run.cold_starts = cold_stack.pool->cold_starts();
+  run.cold_starts = cold_stack->pool->cold_starts();
   return run;
 }
 
@@ -404,8 +254,8 @@ int main(int argc, char** argv) {
   bool backend_at_overload = false;
   bool front_at_overload = false;
   for (const bench::FactorShare& f : merged.points.back().top_factors) {
-    backend_at_overload = backend_at_overload || IsBackendFactor(f.name);
-    front_at_overload = front_at_overload || IsFrontFactor(f.name);
+    backend_at_overload = backend_at_overload || bench::IsBackendFactor(f.name);
+    front_at_overload = front_at_overload || bench::IsFrontFactor(f.name);
   }
   bool cold_in_top3 = false;
   std::string cold_desc;
@@ -434,7 +284,6 @@ int main(int argc, char** argv) {
           .Set("benchmark", "distload")
           .Set("connections", kConnections)
           .Set("front_net_workers", kFrontNetWorkers)
-          .Set("httpd_workers", kHttpdWorkers)
           .Set("backend_workers", kBackendWorkers)
           .Set("runs_merged", runs)
           .Set("capacity_per_s", bench::Json(merged.capacity, 1))
@@ -442,7 +291,7 @@ int main(int argc, char** argv) {
           .Set("cold_start",
                bench::Json::Object()
                    .Set("spawns", merged.cold_starts)
-                   .Set("spawn_delay_ms", kColdSpawnDelayMs)
+                   .Set("spawn_delay_ms", bench::kColdSpawnDelayMs)
                    .Set("top_factors",
                         bench::FactorsJson(merged.cold_point.top_factors)))
           .Set("acceptance",

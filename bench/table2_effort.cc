@@ -34,8 +34,9 @@ int main() {
   httpd::HttpServer::RegisterCallGraph(&httpd_graph);
 
   // Annotation sites measured from src/: minidb (BeginInterval+EndInterval in
-  // Engine::Execute), minipg (PgEngine::Execute), httpd (submission-side
-  // Begin/End plus the two WorkOnBehalf calls in the worker loop).
+  // Engine::Execute), minipg (PgEngine::Execute), httpd (the submission-side
+  // Begin/End plus the two WorkOnBehalf calls of its in-process listener, in
+  // vprof::WorkerPool).
   const EffortRow rows[] = {
       {"minidb (MySQL)", 2, "9 lines", 13, 46, "235 (VATS 189 + LLU 46)"},
       {"minipg (Postgres)", 2, "7 lines", 12, 60, "355"},

@@ -44,10 +44,10 @@
 namespace {
 
 constexpr int kWarehouses = 1;  // Payment serializes -> lock waits dominate
-// Enough concurrency that the backend contends the same way the
-// single-process Table 4 run does: 4 httpd workers can keep 4 backend
-// workers busy, mirroring the 4-thread TPC-C driver below.
-constexpr int kWorkersPerTier = 4;
+// 4 backend workers mirror the 4-thread TPC-C driver below. The 2 front
+// workers, each holding its request through the RPC, bound the backend's
+// concurrency at 2.
+constexpr int kBackendWorkers = 4;
 constexpr double kRatePerSec = 1100.0;
 constexpr double kRunSeconds = 1.2;
 
@@ -91,7 +91,7 @@ int main() {
 
   minidb::Engine engine(EngineConfig());
   net::NetServerOptions backend_options;
-  backend_options.workers = kWorkersPerTier;
+  backend_options.workers = kBackendWorkers;
   backend_options.span_sink = spans.ServerSink();
   net::NetServer backend(backend_options, net::MakeMinidbHandler(&engine));
   if (!backend.Start()) {
@@ -114,7 +114,6 @@ int main() {
   statkit::Rng rng(0xd15e);
   workload::TpccGenerator gen{workload::TpccOptions{}, kWarehouses};
   httpd::HttpdConfig httpd_config;
-  httpd_config.workers = kWorkersPerTier;
   httpd_config.backend_call = [&](uint64_t) {
     net::Frame request;
     request.type = net::MsgType::kTxn;
@@ -167,7 +166,7 @@ int main() {
               static_cast<unsigned long long>(run.acked), latency.p99 / 1e6);
 
   // Per-tier split: the backend NetServer's threads are the minidb tier,
-  // everything else (loadgen, front loop, httpd workers, RPC loop) is front.
+  // everything else (loadgen, the front NetServer, RPC loop) is front.
   const std::vector<vprof::Trace> tiers =
       dist::SplitByTids(trace, {{}, backend.ProfiledTids()},
                         /*default_index=*/0);

@@ -5,10 +5,10 @@
 // tier (rendering, queueing) or from inside the database (lock waits,
 // log flushes).
 //
-// Architecture: client threads enqueue requests on a task queue; app workers
-// dequeue (created-by edge), parse, run a minidb transaction (which *joins*
-// the enclosing interval instead of opening its own), render, and signal the
-// client.
+// Architecture: client threads submit requests to a vprof::WorkerPool and
+// wait; app workers dequeue (created-by edge), parse, run a minidb
+// transaction (which *joins* the enclosing interval instead of opening its
+// own), render, and signal the client.
 //
 // Build & run:  ./build/examples/profile_multitier
 #include <cstdio>
@@ -18,16 +18,10 @@
 #include "src/minidb/engine.h"
 #include "src/vprof/analysis/profiler.h"
 #include "src/vprof/probe.h"
-#include "src/vprof/task_queue.h"
+#include "src/vprof/worker_pool.h"
 #include "src/workload/tpcc.h"
 
 namespace {
-
-struct AppRequest {
-  vprof::IntervalId sid = vprof::kNoInterval;
-  minidb::TxnRequest txn;
-  vprof::Event* done = nullptr;
-};
 
 void ParseRequest() {
   VPROF_FUNC("app_parse");
@@ -45,56 +39,21 @@ void RenderResponse() {
   }
 }
 
-class AppServer {
- public:
-  AppServer(minidb::Engine* db, int workers) : db_(db) {
-    for (int i = 0; i < workers; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
-  }
-
-  ~AppServer() {
-    queue_.Close();
-    for (auto& worker : workers_) {
-      worker.join();
-    }
-  }
-
-  void HandleBlocking(const minidb::TxnRequest& txn) {
-    const vprof::IntervalId sid = vprof::BeginInterval();
-    vprof::Event done;
-    queue_.Push(AppRequest{sid, txn, &done});
-    done.Wait();
-    vprof::EndInterval(sid);
-  }
-
- private:
-  void WorkerLoop() {
-    while (auto request = queue_.Pop()) {
-      vprof::WorkOnBehalf(request->sid);
-      {
-        VPROF_FUNC("app_handle_request");
-        ParseRequest();
-        db_->Execute(request->txn);  // joins the enclosing interval
-        RenderResponse();
-      }
-      request->done->Set();
-      vprof::WorkOnBehalf(vprof::kNoInterval);
-    }
-  }
-
-  minidb::Engine* db_;
-  vprof::TaskQueue<AppRequest> queue_;
-  std::vector<std::thread> workers_;
-};
-
 }  // namespace
 
 int main() {
   minidb::EngineConfig config = minidb::EngineConfig::MemoryResident();
   config.warehouses = 2;
   minidb::Engine db(config);
-  AppServer app(&db, /*workers=*/4);
+  // The app tier: each request is parsed, run and rendered on a worker.
+  vprof::WorkerPool<minidb::TxnRequest> app(
+      /*workers=*/4, /*max_depth=*/0,
+      [&db](vprof::IntervalId, minidb::TxnRequest& txn) {
+        VPROF_FUNC("app_handle_request");
+        ParseRequest();
+        db.Execute(txn);  // joins the enclosing interval
+        RenderResponse();
+      });
 
   // Combined call graph: app tier on top of the database's graph.
   vprof::CallGraph graph;
@@ -114,7 +73,7 @@ int main() {
       clients.emplace_back([&, c] {
         statkit::Rng rng(77 + static_cast<uint64_t>(c));
         for (int i = 0; i < options.transactions_per_thread; ++i) {
-          app.HandleBlocking(generator.Next(rng));
+          app.SubmitAndWait(generator.Next(rng));
         }
       });
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "src/vprof/service/history.h"
 
@@ -83,27 +84,47 @@ std::vector<DistFactor> DistMonitor::TopFactors(const vprof::CallGraph& graph,
                                                 size_t top_k) const {
   std::lock_guard<std::mutex> lock(mu_);
   const DistSnapshot merged = SnapshotLocked();
-  std::vector<DistFactor> out;
+  // The tiers whose factors enter the list, with their shares.
+  std::vector<std::pair<const Tier*, double>> ranked;
   for (const Tier& tier : tiers_) {
     if (!tier.has_snapshot || tier.config.root == vprof::kInvalidFunc) {
       continue;
     }
-    double share = 0.0;
     for (const TierStats& stats : merged.tiers) {
-      if (stats.name == tier.config.name) {
-        share = stats.share;
+      if (stats.name == tier.config.name && stats.share > 0.0) {
+        ranked.emplace_back(&tier, stats.share);
         break;
       }
     }
-    if (share <= 0.0) {
-      continue;
+  }
+  // True when `func` calls the root of a ranked tier other than `caller`:
+  // the front's rpc:call into a registered backend.
+  auto calls_ranked_tier = [&graph, &ranked](vprof::FuncId func,
+                                             const Tier* caller) {
+    if (func == vprof::kInvalidFunc) {
+      return false;
     }
+    for (const vprof::FuncId child : graph.Children(func)) {
+      for (const auto& [callee, callee_share] : ranked) {
+        if (callee != caller && callee->config.root == child) {
+          return true;
+        }
+      }
+    }
+    return false;
+  };
+  std::vector<DistFactor> out;
+  for (const auto& [tier, share] : ranked) {
     const std::vector<vprof::Factor> factors = vprof::AggregateFactors(
-        tier.snapshot.View(), graph, tier.config.root,
+        tier->snapshot.View(), graph, tier->config.root,
         vprof::SpecificityKind::kQuadratic);
     for (const vprof::Factor& factor : factors) {
+      if (calls_ranked_tier(factor.func_a, tier) ||
+          calls_ranked_tier(factor.func_b, tier)) {
+        continue;  // the callee tier's own factors stand in for the call
+      }
       DistFactor df;
-      df.tier = tier.config.name;
+      df.tier = tier->config.name;
       df.factor = factor;
       df.tier_share = share;
       df.global_contribution = factor.contribution * share;

@@ -17,8 +17,12 @@
 //
 // TopFactors re-ranks every tier's Eq. 4 factors in one list by scaling
 // each factor's contribution by its tier's share, so "minidb lock waits"
-// and "front allocator" compete directly. Sample() flattens the merged view
-// into statstore series:
+// and "front allocator" compete directly. A caller's factors on the call
+// into a ranked tier (the front's rpc:call, whose call-graph child is the
+// backend's root) are left out: the caller's wait on that call contains the
+// callee's whole interval, which the callee's own factors already rank, so
+// keeping both would count the backend twice. Sample() flattens the merged
+// view into statstore series:
 //
 //   tier:<name>:latency_mean_ns | :latency_variance_ns2 | :share
 //   tier:<name>:intervals
@@ -82,9 +86,10 @@ class DistMonitor {
 
   DistSnapshot Snapshot() const;
 
-  // All tiers' factors in one list, sorted by global_score descending.
-  // `graph` must contain every tier's functions (RegisterDistCallGraph plus
-  // the engines' and httpd's graphs).
+  // All tiers' factors in one list, sorted by global_score descending,
+  // less the factors naming a function whose `graph` child is another
+  // ranked tier's root. `graph` must contain every tier's functions
+  // (RegisterDistCallGraph plus the engines' and httpd's graphs).
   std::vector<DistFactor> TopFactors(const vprof::CallGraph& graph,
                                      size_t top_k) const;
 

@@ -20,91 +20,62 @@ HttpServer::HttpServer(const HttpdConfig& config)
     : config_(config),
       file_disk_(config.file_disk),
       global_list_(config.global_free_blocks, config.bulk_allocation),
-      page_cache_(config.page_cache_files, &file_disk_) {
-  workers_.reserve(static_cast<size_t>(config_.workers));
-  for (int i = 0; i < config_.workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
+      page_cache_(config.page_cache_files, &file_disk_) {}
 
 HttpServer::~HttpServer() { Shutdown(); }
 
 void HttpServer::Shutdown() {
-  if (shut_down_.exchange(true)) {
-    return;
-  }
-  queue_.Close();
-  for (auto& worker : workers_) {
-    worker.join();
+  // A HandleRequestBlocking after this starts no pool; it sheds.
+  std::call_once(pool_started_, [] {});
+  if (pool_ != nullptr) {
+    pool_->Shutdown();
   }
 }
 
 RequestStatus HttpServer::HandleRequestBlocking(uint64_t file_id) {
-  // Join an enclosing semantic interval when one exists — the network
-  // front-end anchors the interval at socket readability, and this call
-  // (queue hop included) must stay inside it. Standalone callers still get
-  // their own interval.
-  vprof::IntervalId sid = vprof::CurrentIntervalId();
-  const bool owns_interval = sid == vprof::kNoInterval;
-  if (owns_interval) {
-    sid = vprof::BeginInterval();
+  std::call_once(pool_started_, [this] {
+    pool_ = std::make_unique<vprof::WorkerPool<uint64_t>>(
+        config_.workers, static_cast<size_t>(config_.max_queue_depth),
+        [this](vprof::IntervalId, uint64_t& id) { Serve(id); });
+  });
+  if (pool_ != nullptr && pool_->SubmitAndWait(file_id)) {
+    return RequestStatus::kOk;
   }
-  const auto done = std::make_shared<vprof::Event>();
-  bool accepted = true;
-  if (config_.max_queue_depth > 0) {
-    accepted = queue_.PushIfBelow(PendingRequest{sid, file_id, done},
-                                  static_cast<size_t>(config_.max_queue_depth));
-  } else {
-    queue_.Push(PendingRequest{sid, file_id, done});
-  }
-  if (!accepted) {
-    // Shed: answer 503 immediately rather than deepening the backlog. The
-    // interval still closes so the profiler sees the (short) rejection.
-    requests_rejected_.fetch_add(1, std::memory_order_relaxed);
-    if (owns_interval) {
-      vprof::EndInterval(sid);
-    }
-    return RequestStatus::kServiceUnavailable;
-  }
-  done->Wait();
-  if (owns_interval) {
-    vprof::EndInterval(sid);
-  }
-  return RequestStatus::kOk;
+  requests_rejected_.fetch_add(1, std::memory_order_relaxed);
+  return RequestStatus::kServiceUnavailable;
 }
 
-void HttpServer::WorkerLoop() {
-  Filter core{Filter::Kind::kCoreOutput, nullptr};
-  Filter content_length{Filter::Kind::kContentLength, &core};
-
+void HttpServer::Serve(uint64_t file_id) {
   // The paper's fix pre-allocates larger chunks in advance and retains them:
-  // in bulk mode the allocator (with its big local cache) lives as long as
-  // the worker, so requests rarely touch the global list at all. The
+  // in bulk mode a request borrows an allocator (with its big local cache)
+  // that outlives it, so requests rarely touch the global list at all. The
   // baseline mirrors stock APR: the allocator belongs to the connection, so
   // every request starts with an empty local cache and churns the global
   // list — under memory pressure, expensively.
-  std::unique_ptr<BucketAllocator> retained;
-  if (config_.bulk_allocation) {
-    retained = std::make_unique<BucketAllocator>(&global_list_,
-                                                 /*bulk=*/true);
-  }
-
-  while (auto request = queue_.Pop()) {
-    vprof::WorkOnBehalf(request->sid);
-    if (retained != nullptr) {
-      ProcessRequest(*request, retained.get(), &content_length);
-    } else {
-      BucketAllocator allocator(&global_list_, /*bulk=*/false);
-      ProcessRequest(*request, &allocator, &content_length);
+  if (!config_.bulk_allocation) {
+    BucketAllocator allocator(&global_list_, /*bulk=*/false);
+    ProcessRequest(file_id, &allocator);
+  } else {
+    std::unique_ptr<BucketAllocator> allocator;
+    {
+      std::lock_guard<std::mutex> lock(retained_mu_);
+      if (!retained_.empty()) {
+        allocator = std::move(retained_.back());
+        retained_.pop_back();
+      }
     }
-    requests_served_.fetch_add(1, std::memory_order_relaxed);
-    request->done->Set();
-    vprof::WorkOnBehalf(vprof::kNoInterval);
+    if (allocator == nullptr) {
+      allocator = std::make_unique<BucketAllocator>(&global_list_,
+                                                    /*bulk=*/true);
+    }
+    ProcessRequest(file_id, allocator.get());
+    std::lock_guard<std::mutex> lock(retained_mu_);
+    retained_.push_back(std::move(allocator));
   }
+  requests_served_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void HttpServer::ProcessRequest(const PendingRequest& request,
-                                BucketAllocator* allocator, Filter* chain) {
+void HttpServer::ProcessRequest(uint64_t file_id, BucketAllocator* allocator) {
   VPROF_FUNC("process_request");
   {
     // Request parsing, URI walk, per-request pool setup.
@@ -116,15 +87,17 @@ void HttpServer::ProcessRequest(const PendingRequest& request,
   if (config_.backend_call) {
     // The data-tier RPC: runs between parsing and the handler, still under
     // process_request, on the originating interval.
-    config_.backend_call(request.file_id);
+    config_.backend_call(file_id);
   }
   {
     VPROF_FUNC("default_handler");
     Brigade brigade(allocator);
-    AprFileOpen(request.file_id, config_.page_bytes, &brigade, &page_cache_);
+    AprFileOpen(file_id, config_.page_bytes, &brigade, &page_cache_);
     BasicHttpHeader(&brigade);
     brigade.Append(BucketType::kEos, 0);
-    ApPassBrigade(chain, &brigade);
+    Filter core{Filter::Kind::kCoreOutput, nullptr};
+    Filter content_length{Filter::Kind::kContentLength, &core};
+    ApPassBrigade(&content_length, &brigade);
   }
 }
 

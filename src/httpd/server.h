@@ -1,9 +1,11 @@
 // Event-based static-file web server, the Apache HTTPD stand-in for the
 // paper's Section 4.7 case study.
 //
-// A listener-side submission enqueues the request on a shared task queue
-// (the semantic interval begins at submission); a pool worker dequeues it,
-// executes the request path, and signals completion. Instrumented hierarchy:
+// Serve runs one request's path on the calling thread, inside the caller's
+// semantic interval: a NetServer worker calls it for each kHttpGet. The
+// in-process listener, HandleRequestBlocking, begins the interval at
+// submission and hands the request to a vprof::WorkerPool, whose worker
+// calls Serve and signals completion. Instrumented hierarchy:
 //
 //   process_request
 //    |- ap_process_request_internal ----- apr_bucket_alloc
@@ -21,19 +23,19 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <thread>
+#include <mutex>
 #include <vector>
 
 #include "src/httpd/bucket_alloc.h"
 #include "src/httpd/filters.h"
 #include "src/simio/disk.h"
 #include "src/vprof/analysis/call_graph.h"
-#include "src/vprof/sync.h"
-#include "src/vprof/task_queue.h"
+#include "src/vprof/worker_pool.h"
 
 namespace httpd {
 
 struct HttpdConfig {
+  // HandleRequestBlocking's worker pool, started at its first call.
   int workers = 4;
 
   // The paper's fix: pre-allocate memory in large chunks (Section 4.7).
@@ -47,14 +49,14 @@ struct HttpdConfig {
   uint64_t page_bytes = 169;   // the paper's 169-byte static page
   int page_cache_files = 1024; // effectively everything stays cached
 
-  // When > 0, a submission finding this many requests already queued is
-  // rejected with 503 instead of deepening the backlog (load shedding).
-  // 0 keeps the historical unbounded queue.
+  // When > 0, a HandleRequestBlocking submission finding this many requests
+  // already queued is rejected with 503 instead of deepening the backlog
+  // (load shedding). 0 keeps the historical unbounded queue.
   int max_queue_depth = 0;
 
   simio::DiskConfig file_disk;
 
-  // Distributed tier hook: invoked on the worker, inside process_request,
+  // Distributed tier hook: invoked by Serve, inside process_request,
   // between request parsing and the handler — where stock httpd would call
   // out to its data tier. dist::BackendPool::Call goes here; the RPC's
   // rpc:call probe then nests under process_request in the variance tree.
@@ -69,8 +71,8 @@ struct HttpdStats {
 
 // Submission outcome, named after the HTTP status the client would see.
 enum class RequestStatus : uint8_t {
-  kOk,                  // 200: executed by a worker
-  kServiceUnavailable,  // 503: shed because the worker queue was full
+  kOk,                  // 200: served by a pool worker
+  kServiceUnavailable,  // 503: shed because the pool's queue was full
 };
 
 class HttpServer {
@@ -81,11 +83,16 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  // Client-side entry point: begins a semantic interval, enqueues the
-  // request, and blocks until a worker completes it — or sheds it with 503
-  // when the queue is at max_queue_depth. Thread-safe.
+  // Runs process_request for `file_id` on the calling thread, inside the
+  // caller's semantic interval. Thread-safe.
+  void Serve(uint64_t file_id);
+
+  // In-process listener: begins a semantic interval, queues the request for
+  // the worker pool, and blocks until a worker has served it — or sheds it
+  // with 503 when max_queue_depth requests are queued. Thread-safe.
   RequestStatus HandleRequestBlocking(uint64_t file_id);
 
+  // Drains and joins the pool, if a call started one. Idempotent.
   void Shutdown();
 
   static void RegisterCallGraph(vprof::CallGraph* graph);
@@ -95,28 +102,20 @@ class HttpServer {
   GlobalFreeList& global_free_list() { return global_list_; }
 
  private:
-  struct PendingRequest {
-    vprof::IntervalId sid = vprof::kNoInterval;
-    uint64_t file_id = 0;
-    // Shared with the worker: the caller returns, and drops its reference,
-    // as soon as Wait sees the event set, which can be before the worker's
-    // Set has finished notifying.
-    std::shared_ptr<vprof::Event> done;
-  };
-
-  void WorkerLoop();
-  void ProcessRequest(const PendingRequest& request, BucketAllocator* allocator,
-                      Filter* chain);
+  void ProcessRequest(uint64_t file_id, BucketAllocator* allocator);
 
   HttpdConfig config_;
   simio::Disk file_disk_;
   GlobalFreeList global_list_;
   PageCache page_cache_;
-  vprof::TaskQueue<PendingRequest> queue_;
-  std::vector<std::thread> workers_;
+  // Bulk mode's retained allocators, idle between the requests that borrow
+  // them: one per request served concurrently, at the peak.
+  std::mutex retained_mu_;
+  std::vector<std::unique_ptr<BucketAllocator>> retained_;
   std::atomic<uint64_t> requests_served_{0};
   std::atomic<uint64_t> requests_rejected_{0};
-  std::atomic<bool> shut_down_{false};
+  std::once_flag pool_started_;
+  std::unique_ptr<vprof::WorkerPool<uint64_t>> pool_;
 };
 
 }  // namespace httpd

@@ -53,15 +53,9 @@ NetServer::Handler MakeHttpdHandler(httpd::HttpServer* server) {
     if (request.type != MsgType::kHttpGet) {
       return BadType(request);
     }
-    const httpd::RequestStatus status =
-        server->HandleRequestBlocking(request.file_id);
+    server->Serve(request.file_id);
     Frame reply;
-    if (status == httpd::RequestStatus::kServiceUnavailable) {
-      reply.type = MsgType::kRejected;
-    } else {
-      reply.type = MsgType::kHttpReply;
-      reply.status = 0;
-    }
+    reply.type = MsgType::kHttpReply;  // status 0: 200 OK
     return reply;
   };
 }

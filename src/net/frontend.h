@@ -30,8 +30,7 @@ NetServer::Handler MakeMinidbHandler(minidb::Engine* engine);
 // id or error detail over the wire).
 NetServer::Handler MakeMinipgHandler(minipg::PgEngine* engine);
 
-// kHttpGet -> httpd::HttpServer::HandleRequestBlocking. The httpd server's
-// own queue shedding (503) surfaces as kRejected.
+// kHttpGet -> httpd::HttpServer::Serve, on the NetServer worker.
 NetServer::Handler MakeHttpdHandler(httpd::HttpServer* server);
 
 }  // namespace net

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 
 #include <chrono>
+#include <latch>
 #include <utility>
 
 #include "src/fault/failpoint.h"
@@ -102,16 +103,19 @@ bool NetServer::Start() {
   running_.store(true, std::memory_order_release);
   shut_down_.store(false, std::memory_order_release);
 
-  loop_thread_ = std::thread([this] {
-    RegisterTid(vprof::CurrentThread()->tid());
+  // The pool first: the loop thread submits to it from its first frame.
+  pool_ = std::make_unique<vprof::WorkerPool<Task>>(
+      options_.workers, options_.max_dispatch_depth,
+      [this](vprof::IntervalId sid, Task& task) { RunTask(sid, task); });
+  std::latch loop_registered(1);
+  loop_thread_ = std::thread([this, &loop_registered] {
+    loop_tid_ = vprof::CurrentThread()->tid();
+    loop_registered.count_down();
     loop_.Add(listener_.get(), EPOLLIN | EPOLLET,
               [this](uint32_t) { OnListenerReadable(); });
     loop_.Run(options_.sweep_interval_ms, [this] { SweepConnections(); });
   });
-  workers_.reserve(static_cast<size_t>(options_.workers));
-  for (int i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
+  loop_registered.wait();
   return true;
 }
 
@@ -129,13 +133,9 @@ void NetServer::Shutdown() {
       listener_.reset();
     }
   });
-  // 2. Drain the dispatch queue: Close wakes the workers, Pop hands out the
-  // remaining tasks, and each worker posts its reply before exiting.
-  dispatch_.Close();
-  for (auto& worker : workers_) {
-    worker.join();
-  }
-  workers_.clear();
+  // 2. Drain the dispatch queue: the workers run the remaining tasks, each
+  // posting its reply, before they are joined.
+  pool_->Shutdown();
   // 3. Best-effort flush of everything the workers posted, then stop. The
   // loop runs one final posted batch after Stop, so the flush is ordered
   // after every reply handoff.
@@ -193,14 +193,13 @@ NetServerStats NetServer::stats() const {
   return out;
 }
 
-void NetServer::RegisterTid(vprof::ThreadId tid) {
-  std::lock_guard<std::mutex> lock(tids_mu_);
-  profiled_tids_.push_back(tid);
-}
-
 std::vector<vprof::ThreadId> NetServer::ProfiledTids() const {
-  std::lock_guard<std::mutex> lock(tids_mu_);
-  return profiled_tids_;
+  if (pool_ == nullptr) {
+    return {};  // never started
+  }
+  std::vector<vprof::ThreadId> tids = {loop_tid_};
+  tids.insert(tids.end(), pool_->tids().begin(), pool_->tids().end());
+  return tids;
 }
 
 int64_t NetServer::NowMs() const {
@@ -344,7 +343,6 @@ void NetServer::HandleFrame(Conn* conn, Frame frame) {
           : vprof::kNoLabel;
   const vprof::IntervalId sid = vprof::BeginInterval(label);
   const uint64_t request_id = frame.request_id;
-  const uint64_t conn_id = conn->id;
   bool queued = false;
   {
     // "net:readable" covers parse + dispatch on the loop thread; the walker
@@ -352,8 +350,7 @@ void NetServer::HandleFrame(Conn* conn, Frame frame) {
     // worker, so epoll-side time is attributable by name.
     VPROF_FUNC(kReadableFunc);
     Task task;
-    task.sid = sid;
-    task.conn_id = conn_id;
+    task.conn_id = conn->id;
     if (frame.has_trace_context) {
       // Distributed request: remember when it became readable and on which
       // loop thread, so the worker can stamp the reply's server-timing
@@ -362,19 +359,13 @@ void NetServer::HandleFrame(Conn* conn, Frame frame) {
       task.loop_tid = vprof::CurrentThread()->tid();
     }
     task.request = std::move(frame);
-    if (options_.max_dispatch_depth == 0) {
-      dispatch_.Push(std::move(task));
-      queued = true;
-    } else {
-      queued = dispatch_.PushIfBelow(std::move(task),
-                                     options_.max_dispatch_depth);
-    }
+    queued = pool_->Submit(sid, std::move(task));
   }
   if (queued) {
     stats_->dispatched.fetch_add(1, std::memory_order_relaxed);
-    BumpPeak(&stats_->peak_dispatch_depth, dispatch_.Size());
+    BumpPeak(&stats_->peak_dispatch_depth, pool_->depth());
     // The loop thread goes back to background work; the interval lives on
-    // and is picked up by whichever worker dequeues the task.
+    // and is picked up, and ended, by whichever worker dequeues the task.
     vprof::WorkOnBehalf(vprof::kNoInterval);
   } else {
     // Shed at the dispatch queue: immediate 503 from the loop thread, and
@@ -386,56 +377,48 @@ void NetServer::HandleFrame(Conn* conn, Frame frame) {
   }
 }
 
-void NetServer::WorkerLoop() {
-  RegisterTid(vprof::CurrentThread()->tid());
-  while (auto task = dispatch_.Pop()) {
-    // Pop attached the created-by edge; WorkOnBehalf relabels this thread's
-    // segment to the interval so the edge lands on it.
-    vprof::WorkOnBehalf(task->sid);
-    Frame reply = handler_(task->request);
-    reply.request_id = task->request.request_id;
-    if (task->request.has_trace_context) {
-      // Stamp the backend's half of the span on the reply and hand the full
-      // record to the dist layer. reply_time is taken before the encode so
-      // it brackets exactly the handler's work.
-      const vprof::TimeNs reply_time = vprof::Now();
-      const TraceContext& ctx = task->request.trace_context;
-      reply.has_server_timing = true;
-      reply.server_timing.span_id = ctx.span_id;
-      reply.server_timing.recv_time_ns = task->recv_time_ns;
-      reply.server_timing.reply_time_ns = reply_time;
-      reply.server_timing.worker_tid =
-          static_cast<int32_t>(vprof::CurrentThread()->tid());
-      if (options_.span_sink) {
-        ServerSpanRecord span;
-        span.origin_service = ctx.origin_service;
-        span.origin_interval_id = ctx.interval_id;
-        span.span_id = ctx.span_id;
-        span.local_sid = task->sid;
-        span.recv_time_ns = task->recv_time_ns;
-        span.reply_time_ns = reply_time;
-        span.loop_tid = task->loop_tid;
-        span.worker_tid = vprof::CurrentThread()->tid();
-        options_.span_sink(span);
-      }
+void NetServer::RunTask(vprof::IntervalId sid, Task& task) {
+  Frame reply = handler_(task.request);
+  reply.request_id = task.request.request_id;
+  if (task.request.has_trace_context) {
+    // Stamp the backend's half of the span on the reply and hand the full
+    // record to the dist layer. reply_time is taken before the encode so
+    // it brackets exactly the handler's work.
+    const vprof::TimeNs reply_time = vprof::Now();
+    const TraceContext& ctx = task.request.trace_context;
+    reply.has_server_timing = true;
+    reply.server_timing.span_id = ctx.span_id;
+    reply.server_timing.recv_time_ns = task.recv_time_ns;
+    reply.server_timing.reply_time_ns = reply_time;
+    reply.server_timing.worker_tid =
+        static_cast<int32_t>(vprof::CurrentThread()->tid());
+    if (options_.span_sink) {
+      ServerSpanRecord span;
+      span.origin_service = ctx.origin_service;
+      span.origin_interval_id = ctx.interval_id;
+      span.span_id = ctx.span_id;
+      span.local_sid = sid;
+      span.recv_time_ns = task.recv_time_ns;
+      span.reply_time_ns = reply_time;
+      span.loop_tid = task.loop_tid;
+      span.worker_tid = vprof::CurrentThread()->tid();
+      options_.span_sink(span);
     }
-    std::string bytes;
-    EncodeFrame(reply, &bytes);
-    const uint64_t conn_id = task->conn_id;
-    loop_.Post([this, conn_id, bytes = std::move(bytes)] {
-      auto it = conns_.find(conn_id);
-      if (it == conns_.end()) {
-        stats_->replies_dropped.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      stats_->replies_sent.fetch_add(1, std::memory_order_relaxed);
-      QueueBytes(it->second.get(), bytes);
-    });
-    // The reply buffer is handed off; the response lifecycle on this
-    // request's critical path is done from the worker's point of view.
-    vprof::EndInterval(task->sid);
   }
-  vprof::WorkOnBehalf(vprof::kNoInterval);
+  std::string bytes;
+  EncodeFrame(reply, &bytes);
+  // Once the reply buffer is handed off, the response lifecycle on this
+  // request's critical path is done from the worker's point of view: the
+  // pool ends the interval when this returns.
+  loop_.Post([this, conn_id = task.conn_id, bytes = std::move(bytes)] {
+    auto it = conns_.find(conn_id);
+    if (it == conns_.end()) {
+      stats_->replies_dropped.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    stats_->replies_sent.fetch_add(1, std::memory_order_relaxed);
+    QueueBytes(it->second.get(), bytes);
+  });
 }
 
 void NetServer::QueueBytes(Conn* conn, const std::string& bytes) {

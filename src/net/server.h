@@ -4,9 +4,8 @@
 // One event-loop thread owns the listener and every connection: non-blocking
 // accept, then one FramedConn (conn.h) per peer for the edge-triggered reads
 // into a bounded FrameParser and the writes out of an outbox this server
-// caps. Parsed requests are dispatched to a worker pool through an
-// instrumented vprof::TaskQueue; the same bounded-queue shedding httpd uses
-// generalizes to the accept path — when the dispatch queue is at
+// caps. Parsed requests are dispatched to a vprof::WorkerPool; its bounded
+// queue sheds on the accept path — when the dispatch queue is at
 // max_dispatch_depth the loop answers kRejected (a 503) immediately instead
 // of deepening the backlog.
 //
@@ -14,7 +13,7 @@
 // Section 3.1): the interval begins on the event-loop thread the moment a
 // complete request frame becomes readable — the "net:readable" probe wraps
 // parse + dispatch — and ends on the worker after the reply buffer is handed
-// back to the connection. The TaskQueue's created-by edge lets the
+// back to the connection. The pool queue's created-by edge lets the
 // critical-path walker jump from the worker back through the dispatch queue
 // into the epoll wakeup, and the enqueue-to-dequeue gap surfaces as the
 // "net:queue_wait" variance factor (CriticalPathOptions::queue_wait_factor).
@@ -30,7 +29,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -42,7 +40,7 @@
 #include "src/net/protocol.h"
 #include "src/net/socket.h"
 #include "src/vprof/runtime.h"
-#include "src/vprof/task_queue.h"
+#include "src/vprof/worker_pool.h"
 
 namespace net {
 
@@ -144,11 +142,11 @@ class NetServer {
 
   NetServerStats stats() const;
 
-  // vprof tids of the loop thread and every worker, in registration order
-  // (loop first). dist::SplitByTier uses this roster to assign this server's
-  // threads to its tier when the two tiers share a process; each tid is
-  // stable for the life of the OS thread. Valid after Start() returns and
-  // the threads have spun up (they register before their first poll/pop).
+  // vprof tids of the loop thread, then every worker. dist::SplitByTids
+  // uses this roster to assign this server's threads to its tier when the
+  // two tiers share a process; each tid is stable for the life of the OS
+  // thread. Complete once Start() has returned true; empty before, or
+  // after a Start() that failed.
   std::vector<vprof::ThreadId> ProfiledTids() const;
 
   // Registers the front-end's probe/factor names plus the virtual
@@ -169,7 +167,6 @@ class NetServer {
   };
 
   struct Task {
-    vprof::IntervalId sid = vprof::kNoInterval;
     uint64_t conn_id = 0;
     Frame request;
     // Distributed request bookkeeping (request carried a trace context).
@@ -191,7 +188,8 @@ class NetServer {
   int64_t NowMs() const;
 
   // --- worker threads -----------------------------------------------------
-  void WorkerLoop();
+  // Runs the handler for the pool and posts the reply to the loop thread.
+  void RunTask(vprof::IntervalId sid, Task& task);
 
   NetServerOptions options_;
   Handler handler_;
@@ -201,15 +199,11 @@ class NetServer {
   uint16_t port_ = 0;
 
   std::thread loop_thread_;
-  std::vector<std::thread> workers_;
-  vprof::TaskQueue<Task> dispatch_;
+  vprof::ThreadId loop_tid_ = vprof::kNoThread;
+  std::unique_ptr<vprof::WorkerPool<Task>> pool_;
 
   uint64_t next_conn_id_ = 1;  // loop-thread only
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
-
-  void RegisterTid(vprof::ThreadId tid);
-  mutable std::mutex tids_mu_;
-  std::vector<vprof::ThreadId> profiled_tids_;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> shut_down_{false};

@@ -7,10 +7,12 @@
 // dequeues a task for a semantic interval must follow Pop with
 // WorkOnBehalf(sid): the edge is held pending until the relabeled segment so
 // the unlabeled sliver between Pop and WorkOnBehalf cannot swallow it.
+// vprof::WorkerPool (worker_pool.h) is that worker.
 #ifndef SRC_VPROF_TASK_QUEUE_H_
 #define SRC_VPROF_TASK_QUEUE_H_
 
 #include <deque>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -26,28 +28,23 @@ class TaskQueue {
   TaskQueue(const TaskQueue&) = delete;
   TaskQueue& operator=(const TaskQueue&) = delete;
 
-  // Enqueues a task; wakes one waiting consumer.
+  // Enqueues a task; wakes one waiting consumer. Dropped after Close().
   void Push(T item) {
-    const ThreadId producer =
-        IsTracing() ? CurrentThread()->tid() : kNoThread;
-    const TimeNs enqueue_time = IsTracing() ? Now() : -1;
-    {
-      std::lock_guard<Mutex> lock(mu_);
-      entries_.push_back(Entry{std::move(item), producer, enqueue_time});
-    }
-    cv_.NotifyOne();
+    (void)PushIfBelow(std::move(item), std::numeric_limits<size_t>::max());
   }
 
-  // Enqueues only while the queue holds fewer than `limit` entries; returns
-  // false (dropping the task) otherwise. The bounded variant producers use
-  // to shed load instead of building an unbounded backlog.
+  // Enqueues only while the queue is open and holds fewer than `limit`
+  // entries; returns false (dropping the task) otherwise. The bounded
+  // variant producers use to shed load instead of building an unbounded
+  // backlog. After Close() it refuses every task: the consumers may already
+  // have drained the queue and gone.
   bool PushIfBelow(T item, size_t limit) {
     const ThreadId producer =
         IsTracing() ? CurrentThread()->tid() : kNoThread;
     const TimeNs enqueue_time = IsTracing() ? Now() : -1;
     {
       std::lock_guard<Mutex> lock(mu_);
-      if (entries_.size() >= limit) {
+      if (closed_ || entries_.size() >= limit) {
         return false;
       }
       entries_.push_back(Entry{std::move(item), producer, enqueue_time});
@@ -78,25 +75,8 @@ class TaskQueue {
     return std::move(entry.item);
   }
 
-  // Non-blocking pop; returns std::nullopt when empty.
-  std::optional<T> TryPop() {
-    Entry entry;
-    {
-      std::lock_guard<Mutex> lock(mu_);
-      if (entries_.empty()) {
-        return std::nullopt;
-      }
-      entry = std::move(entries_.front());
-      entries_.pop_front();
-    }
-    if (IsTracing() && entry.producer_tid != kNoThread) {
-      CurrentThread()->AttachGeneratorEdge(entry.producer_tid,
-                                           entry.enqueue_time);
-    }
-    return std::move(entry.item);
-  }
-
-  // Wakes all waiters; subsequent Pops drain the queue then return nullopt.
+  // Wakes all waiters; subsequent Pops drain the queue then return nullopt,
+  // and subsequent pushes are refused.
   void Close() {
     {
       std::lock_guard<Mutex> lock(mu_);

@@ -1,10 +1,8 @@
 // Tentpole acceptance: end-to-end p99 variance decomposed ACROSS the tier
-// boundary. httpd (front tier, behind its own NetServer) calls minidb (the
-// backend tier, behind another NetServer) through dist::BackendPool for
-// every request; all tiers share this process, so SplitByTids carves the one
-// trace into the same per-tier shape separate processes would produce, and
-// dist::StitchTraces merges them back into a single trace whose critical
-// paths cross the wire twice per request.
+// boundary, on the two-tier stack of bench/two_tier.h: httpd (front tier,
+// behind its own NetServer) calls minidb (the backend tier, behind another
+// NetServer) through dist::BackendPool for every request, and the stack's
+// Stitch splits the one trace by tier and joins it back on span ids.
 //
 // At overload the merged Eq. 2 decomposition must rank BOTH sides: a backend
 // engine factor (lock/WAL) and a front-side factor (net:queue_wait or the
@@ -14,189 +12,45 @@
 // make the on-demand backend spawn rankable as dist:cold_start.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "src/dist/backend_pool.h"
+#include "bench/two_tier.h"
 #include "src/dist/monitor.h"
-#include "src/dist/stitcher.h"
-#include "src/dist/tier.h"
-#include "src/httpd/server.h"
-#include "src/minidb/engine.h"
-#include "src/net/frontend.h"
-#include "src/net/server.h"
-#include "src/statkit/rng.h"
 #include "src/vprof/analysis/factor_selection.h"
 #include "src/vprof/service/history.h"
-#include "src/workload/openloop.h"
-#include "src/workload/tpcc.h"
 
 namespace {
 
+bench::TwoTierOptions StackOptions(bool cold_start) {
+  bench::TwoTierOptions options;
 #if defined(__SANITIZE_THREAD__)
-constexpr int kFrontNetWorkers = 1;
-constexpr int kHttpdWorkers = 2;
-constexpr int kBackendWorkers = 1;
-constexpr size_t kConnections = 32;
+  options.front_workers = 1;
+  options.backend_workers = 1;
+  options.load_connections = 32;
+#else
+  options.front_workers = 2;
+  options.backend_workers = 2;
+  options.load_connections = 96;
+#endif
+  options.dispatch_depth = 16;
+  options.seed = 0x7ea5;
+  options.cold_start = cold_start;
+  return options;
+}
+
+#if defined(__SANITIZE_THREAD__)
 constexpr double kCalibrationRate = 400.0;
 constexpr int kOnlineEpochs = 4;
 constexpr int kEpochMs = 120;
 #else
-constexpr int kFrontNetWorkers = 2;
-constexpr int kHttpdWorkers = 3;
-constexpr int kBackendWorkers = 2;
-constexpr size_t kConnections = 96;
 constexpr double kCalibrationRate = 2500.0;
 constexpr int kOnlineEpochs = 5;
 constexpr int kEpochMs = 100;
 #endif
-constexpr size_t kDispatchDepth = 16;
-constexpr int kWarehouses = 1;  // one warehouse -> Payment serializes on it
 constexpr double kOverloadFactor = 1.5;
-
-// The whole two-tier stack in one process. `spawn_backend` defers the
-// backend (engine + server + pool connect) to the first request —
-// BackendPool cold-start mode.
-struct DistStack {
-  explicit DistStack(bool cold_start) : cold_(cold_start) {
-    graph = std::make_shared<vprof::CallGraph>();
-    minidb::Engine::RegisterCallGraph(graph.get());
-    httpd::HttpServer::RegisterCallGraph(graph.get());
-    net::NetServer::RegisterNetCallGraph(graph.get(), "process_request");
-    net::NetServer::RegisterNetCallGraph(graph.get(), "run_transaction");
-    dist::RegisterDistCallGraph(graph.get(), "run_transaction");
-    net_root = vprof::RegisterFunction(net::kNetRootFunc);
-
-    dist::BackendPoolOptions popt;
-    popt.service = net::ServiceId::kMinidb;
-    popt.connections = 2;
-    popt.calibrate_rounds = 8;
-    popt.span_sink = spans.ClientSink();
-    if (cold_start) {
-      popt.cold_start = true;
-      popt.spawn = [this]() { return SpawnBackend(); };
-    }
-    pool = std::make_unique<dist::BackendPool>(popt);
-    if (!cold_start) {
-      const uint16_t port = SpawnBackend();
-      // Rebuild the pool with the live port (options are ctor-only).
-      popt.cold_start = false;
-      popt.port = port;
-      pool = std::make_unique<dist::BackendPool>(popt);
-      EXPECT_TRUE(pool->Warm());
-    }
-
-    httpd::HttpdConfig hconf;
-    hconf.workers = kHttpdWorkers;
-    hconf.backend_call = [this](uint64_t file_id) {
-      net::Frame req;
-      req.type = net::MsgType::kTxn;
-      {
-        std::lock_guard<std::mutex> lock(gen_mu);
-        req.txn = gen.Next(rng);
-      }
-      (void)file_id;
-      net::Frame reply;
-      (void)pool->Call(std::move(req), &reply);
-    };
-    http = std::make_unique<httpd::HttpServer>(hconf);
-
-    net::NetServerOptions fopt;
-    fopt.workers = kFrontNetWorkers;
-    fopt.max_dispatch_depth = kDispatchDepth;
-    front = std::make_unique<net::NetServer>(fopt,
-                                             net::MakeHttpdHandler(http.get()));
-    EXPECT_TRUE(front->Start());
-  }
-
-  ~DistStack() {
-    front->Shutdown();
-    http->Shutdown();
-    pool->Shutdown();
-    if (backend != nullptr) {
-      backend->Shutdown();
-    }
-  }
-
-  uint16_t SpawnBackend() {
-    if (cold_) {
-      // Stand-in for the real process startup (exec, allocator warmup,
-      // listening socket) a lazily-spawned backend pays; the engine below
-      // is only a fraction of it in-process.
-      std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    }
-    minidb::EngineConfig config = minidb::EngineConfig::MemoryResident();
-    config.warehouses = kWarehouses;
-    engine = std::make_unique<minidb::Engine>(config);
-    net::NetServerOptions bopt;
-    bopt.workers = kBackendWorkers;
-    bopt.span_sink = spans.ServerSink();
-    backend = std::make_unique<net::NetServer>(
-        bopt, net::MakeMinidbHandler(engine.get()));
-    if (!backend->Start()) {
-      return 0;
-    }
-    return backend->port();
-  }
-
-  // Harvests one trace into the two stitched-tier shapes. Everything not on
-  // the backend server's threads (httpd workers, the AsyncClient loop, load
-  // generators, the front NetServer) is front-tier.
-  dist::StitchResult Stitch(const vprof::Trace& trace) {
-    const std::vector<vprof::Trace> tiers = dist::SplitByTids(
-        trace, {{}, backend->ProfiledTids()}, /*default_index=*/0);
-    dist::TierTrace front_tier;
-    front_tier.name = "front";
-    front_tier.service = net::ServiceId::kFront;
-    front_tier.trace = tiers[0];
-    front_tier.client_spans = spans.ClientSpans();
-    dist::TierTrace backend_tier;
-    backend_tier.name = "minidb";
-    backend_tier.service = net::ServiceId::kMinidb;
-    backend_tier.trace = tiers[1];
-    backend_tier.server_spans = spans.ServerSpans();
-    backend_tier.clock_offset_ns = pool->calibration().offset_ns;
-    spans.Clear();
-    return dist::StitchTraces(front_tier, {backend_tier});
-  }
-
-  bool cold_ = false;
-  std::shared_ptr<vprof::CallGraph> graph;
-  vprof::FuncId net_root = vprof::kInvalidFunc;
-  dist::SpanLog spans;
-  std::unique_ptr<minidb::Engine> engine;
-  std::unique_ptr<net::NetServer> backend;
-  std::unique_ptr<dist::BackendPool> pool;
-  std::unique_ptr<httpd::HttpServer> http;
-  std::unique_ptr<net::NetServer> front;
-
-  std::mutex gen_mu;
-  statkit::Rng rng{0x7ea5};
-  workload::TpccGenerator gen{workload::TpccOptions{}, kWarehouses};
-};
-
-workload::OpenLoopOptions LoadOptions(uint16_t port, double rate_per_s,
-                                      double seconds, uint64_t seed) {
-  workload::OpenLoopOptions options;
-  options.port = port;
-  options.connections = kConnections;
-  options.duration_s = seconds;
-  options.arrivals.process = workload::ArrivalProcess::kPoisson;
-  options.arrivals.rate_per_sec = rate_per_s;
-  options.seed = seed;
-  options.make_request = [](uint64_t i) {
-    net::Frame frame;
-    frame.type = net::MsgType::kHttpGet;
-    frame.file_id = i % 4;
-    return frame;
-  };
-  return options;
-}
 
 std::vector<std::string> TopLabels(const std::vector<vprof::Factor>& factors,
                                    const std::vector<std::string>& names,
@@ -214,22 +68,6 @@ std::vector<std::string> TopLabels(const std::vector<vprof::Factor>& factors,
   return top;
 }
 
-// Backend engine factors: lock waits and the WAL path.
-bool IsBackendFactor(const std::string& label) {
-  static const std::set<std::string> kBackend = {
-      "lock_rec_lock", "os_event_wait", "log_write_up_to",
-      "fil_flush",     "trx_commit",    "run_transaction"};
-  return kBackend.count(label) != 0;
-}
-
-// Front-side factors: the net layer (queues, readable) and httpd's
-// allocator chain.
-bool IsFrontFactor(const std::string& label) {
-  return label.rfind("net:", 0) == 0 || label.rfind("apr_", 0) == 0 ||
-         label.rfind("ap_", 0) == 0 || label.rfind("rpc:", 0) == 0 ||
-         label == "process_request";
-}
-
 void EnableAllProbes() {
   const size_t registered = vprof::RegisteredFunctionCount();
   for (vprof::FuncId id = 0; id < registered; ++id) {
@@ -238,11 +76,12 @@ void EnableAllProbes() {
 }
 
 TEST(DistVarianceIntegration, CrossTierFactorsAtOverloadAndOnlineTiers) {
-  DistStack stack(/*cold_start=*/false);
+  bench::TwoTierStack stack(StackOptions(/*cold_start=*/false));
+  ASSERT_TRUE(stack.ready);
 
   // Find the two-tier capacity untraced, then overload it.
   const workload::OpenLoopResult calibration = workload::RunOpenLoop(
-      LoadOptions(stack.front->port(), kCalibrationRate, 0.6, /*seed=*/7));
+      stack.Load(kCalibrationRate, 0.6, /*seed=*/7));
   ASSERT_FALSE(calibration.connect_failed);
   ASSERT_GT(calibration.acked, 0u);
   const double overload = calibration.achieved_per_s * kOverloadFactor;
@@ -250,8 +89,8 @@ TEST(DistVarianceIntegration, CrossTierFactorsAtOverloadAndOnlineTiers) {
   // ---- Offline: one traced overload run, stitched and decomposed. --------
   EnableAllProbes();
   vprof::StartTracing();
-  const workload::OpenLoopResult offline_run = workload::RunOpenLoop(
-      LoadOptions(stack.front->port(), overload, 0.9, /*seed=*/21));
+  const workload::OpenLoopResult offline_run =
+      workload::RunOpenLoop(stack.Load(overload, 0.9, /*seed=*/21));
   const vprof::Trace raw = vprof::StopTracing();
   ASSERT_GT(offline_run.acked, 0u);
 
@@ -287,15 +126,15 @@ TEST(DistVarianceIntegration, CrossTierFactorsAtOverloadAndOnlineTiers) {
   }
 
   const std::vector<vprof::Factor> factors = vprof::AggregateFactors(
-      analysis, *stack.graph, stack.net_root, vprof::SpecificityKind::kQuadratic);
+      analysis, stack.graph, stack.net_root, vprof::SpecificityKind::kQuadratic);
   const std::vector<std::string> top =
       TopLabels(factors, stitched.trace.function_names, 3);
   ASSERT_FALSE(top.empty());
   bool has_backend = false;
   bool has_front = false;
   for (const std::string& label : top) {
-    has_backend = has_backend || IsBackendFactor(label);
-    has_front = has_front || IsFrontFactor(label);
+    has_backend = has_backend || bench::IsBackendFactor(label);
+    has_front = has_front || bench::IsFrontFactor(label);
   }
   std::string joined;
   for (const std::string& label : top) {
@@ -327,9 +166,8 @@ TEST(DistVarianceIntegration, CrossTierFactorsAtOverloadAndOnlineTiers) {
 
   vprof::StartTracing();
   std::thread load([&stack, overload]() {
-    (void)workload::RunOpenLoop(LoadOptions(
-        stack.front->port(), overload,
-        (kOnlineEpochs + 1) * kEpochMs / 1000.0, /*seed=*/35));
+    (void)workload::RunOpenLoop(stack.Load(
+        overload, (kOnlineEpochs + 1) * kEpochMs / 1000.0, /*seed=*/35));
   });
   std::vector<statstore::EpochSample> samples;
   for (int e = 0; e < kOnlineEpochs; ++e) {
@@ -359,7 +197,7 @@ TEST(DistVarianceIntegration, CrossTierFactorsAtOverloadAndOnlineTiers) {
 
   // The merged factor list must rank entries from both tiers.
   const std::vector<dist::DistFactor> merged =
-      monitor.TopFactors(*stack.graph, 8);
+      monitor.TopFactors(stack.graph, 8);
   ASSERT_FALSE(merged.empty());
   std::set<std::string> tiers_seen;
   for (const dist::DistFactor& f : merged) {
@@ -383,7 +221,8 @@ TEST(DistVarianceIntegration, CrossTierFactorsAtOverloadAndOnlineTiers) {
 }
 
 TEST(DistVarianceIntegration, ColdStartIsRankable) {
-  DistStack stack(/*cold_start=*/true);
+  bench::TwoTierStack stack(StackOptions(/*cold_start=*/true));
+  ASSERT_TRUE(stack.ready);
   EXPECT_FALSE(stack.pool->ready());
 
   // Trace from before the first request: the spawn happens inside the run
@@ -391,7 +230,7 @@ TEST(DistVarianceIntegration, ColdStartIsRankable) {
   EnableAllProbes();
   vprof::StartTracing();
   const workload::OpenLoopResult run = workload::RunOpenLoop(
-      LoadOptions(stack.front->port(), kCalibrationRate / 2, 0.5, /*seed=*/11));
+      stack.Load(kCalibrationRate / 2, 0.5, /*seed=*/11));
   const vprof::Trace raw = vprof::StopTracing();
   vprof::DisableAllFunctions();
   ASSERT_GT(run.acked, 0u);
@@ -405,7 +244,7 @@ TEST(DistVarianceIntegration, ColdStartIsRankable) {
   ASSERT_GT(analysis.overall_variance(), 0.0);
 
   const std::vector<vprof::Factor> factors = vprof::AggregateFactors(
-      analysis, *stack.graph, stack.net_root, vprof::SpecificityKind::kQuadratic);
+      analysis, stack.graph, stack.net_root, vprof::SpecificityKind::kQuadratic);
   const std::vector<std::string> top =
       TopLabels(factors, stitched.trace.function_names, 3);
   ASSERT_FALSE(top.empty());

@@ -1,11 +1,13 @@
 // NetServer end-to-end over real loopback sockets: request/reply for all
-// three engine adapters, pipelining with out-of-order reply matching,
-// dispatch-queue shedding (503), protocol-violation handling, and idle
-// eviction.
+// three engine adapters, the httpd adapter's single hand-off, pipelining
+// with out-of-order reply matching, dispatch-queue shedding (503),
+// protocol-violation handling, and idle eviction.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -73,9 +75,7 @@ TEST(NetServerTest, MinipgAndHttpdAdaptersAnswer) {
     server.Shutdown();
   }
   {
-    httpd::HttpdConfig config;
-    config.workers = 2;
-    httpd::HttpServer http(config);
+    httpd::HttpServer http(httpd::HttpdConfig{});
     NetServer server(NetServerOptions{}, MakeHttpdHandler(&http));
     ASSERT_TRUE(server.Start());
     BlockingClient client;
@@ -91,6 +91,51 @@ TEST(NetServerTest, MinipgAndHttpdAdaptersAnswer) {
     client.Close();
     server.Shutdown();
     http.Shutdown();
+  }
+}
+
+TEST(NetServerTest, HttpdGetCrossesOneHandOff) {
+  // httpd serves on the worker that dequeued the request, so each traced
+  // GET's interval sits on the loop thread and that worker, joined by the
+  // dispatch queue's one created-by edge.
+  httpd::HttpServer http(httpd::HttpdConfig{});
+  NetServerOptions options;
+  options.workers = 2;
+  NetServer server(options, MakeHttpdHandler(&http));
+  ASSERT_TRUE(server.Start());
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+
+  constexpr uint64_t kGets = 20;
+  vprof::StartTracing();
+  for (uint64_t id = 1; id <= kGets; ++id) {
+    Frame request;
+    request.type = MsgType::kHttpGet;
+    request.request_id = id;
+    request.file_id = id % 4;
+    Frame reply;
+    ASSERT_TRUE(client.Call(request, &reply));
+    EXPECT_EQ(reply.type, MsgType::kHttpReply);
+  }
+  const vprof::Trace trace = vprof::StopTracing();
+  client.Close();
+  server.Shutdown();
+
+  std::map<vprof::IntervalId, std::set<vprof::ThreadId>> threads;
+  std::map<vprof::IntervalId, int> edges;
+  for (const vprof::ThreadTrace& thread : trace.threads) {
+    for (const vprof::Segment& seg : thread.segments) {
+      if (seg.sid == vprof::kNoInterval) {
+        continue;
+      }
+      threads[seg.sid].insert(thread.tid);
+      edges[seg.sid] += seg.generator_tid != vprof::kNoThread ? 1 : 0;
+    }
+  }
+  ASSERT_EQ(threads.size(), kGets);
+  for (const auto& [sid, tids] : threads) {
+    EXPECT_EQ(tids.size(), 2u) << "threads of interval " << sid;
+    EXPECT_EQ(edges[sid], 1) << "created-by edges of interval " << sid;
   }
 }
 

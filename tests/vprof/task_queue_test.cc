@@ -29,13 +29,6 @@ TEST_F(TaskQueueTest, FifoOrder) {
   EXPECT_EQ(q.Pop(), 3);
 }
 
-TEST_F(TaskQueueTest, TryPopEmptyReturnsNullopt) {
-  TaskQueue<int> q;
-  EXPECT_FALSE(q.TryPop().has_value());
-  q.Push(9);
-  EXPECT_EQ(q.TryPop(), 9);
-}
-
 TEST_F(TaskQueueTest, PushIfBelowRejectsAtLimit) {
   TaskQueue<int> q;
   EXPECT_TRUE(q.PushIfBelow(1, 2));
