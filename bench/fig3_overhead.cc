@@ -82,8 +82,8 @@ int main() {
   const int kTxns = 1200;
   RunWorkload(&engine, 500, kTxns);  // full-length warm-up: populate the pool
 
-  // Traced warm-up: first-run tracing costs (buffer growth, owner-map
-  // population) must not be charged to the first measured point.
+  // Traced warm-up: first-run tracing costs (trace buffer growth) must not
+  // be charged to the first measured point.
   vprof::SetFunctionEnabled(g_wrapper, true);
   vprof::StartTracing();
   RunWorkload(&engine, 500, 200);

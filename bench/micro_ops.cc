@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include "src/minidb/btree.h"
-#include "src/statkit/covariance.h"
 #include "src/statkit/distributions.h"
 #include "src/statkit/welford.h"
 #include "src/vprof/probe.h"
@@ -95,18 +94,6 @@ void BM_WelfordAdd(benchmark::State& state) {
   benchmark::DoNotOptimize(moments.variance());
 }
 BENCHMARK(BM_WelfordAdd);
-
-void BM_CovarianceMatrixAdd(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  statkit::CovarianceMatrix matrix(n);
-  std::vector<double> row(n, 1.0);
-  for (auto _ : state) {
-    row[0] += 1.0;
-    matrix.Add(row);
-  }
-  benchmark::DoNotOptimize(matrix.VarianceOfSum());
-}
-BENCHMARK(BM_CovarianceMatrixAdd)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_ZipfSample(benchmark::State& state) {
   statkit::ZipfGenerator zipf(static_cast<uint64_t>(state.range(0)), 0.99);

@@ -36,10 +36,11 @@ tsan       tsan     -R   ^(vprof_(runtime|stress|registry|sync|task_queue|worker
 # The fault-injection suite (crash recovery, torn tails, arena-cap overflow,
 # quarantine, thread exit), the trace-analysis tests (the variance tree's
 # overlap walk and position search are index arithmetic over loaded trace
-# records, also in vprofd's fold), and the framed connection's buffer and
+# records, also in vprofd's fold), the framed connection's buffer and
 # offset arithmetic under the server, the open-loop generator and the RPC
-# client.
-asan       asan     -R   ^(fault_failpoint|simio_disk|vprof_runtime|minidb_redo_crash|minipg_wal_crash|httpd_server|integration_failure_injection|vprof_variance_tree|vprof_analysis_edge|vprof_critical_path|vprof_cross_thread|vprof_trace_io|vprof_pool|vprof_online_tree|net_(server|fault|openloop)|dist_async_client)_test$  0
+# client, the statkit accumulators with the Eq. 2 property tests, and the
+# sync primitives' shift-and-cast owner-stamp packing.
+asan       asan     -R   ^(fault_failpoint|simio_disk|vprof_runtime|minidb_redo_crash|minipg_wal_crash|httpd_server|integration_failure_injection|vprof_variance_tree|vprof_analysis_edge|vprof_critical_path|vprof_cross_thread|vprof_trace_io|vprof_pool|vprof_online_tree|vprof_sync|statkit_[a-z_]+|net_(server|fault|openloop)|dist_async_client)_test$  0
 # vprofd: epoch rotation and snapshots are all cross-thread.
 online     tsan     -R   ^(statkit_decay|vprof_online_tree|vprof_service)_test$  0
 # Compressed history: pointer-heavy bitstream code fed by torn writes.

@@ -60,7 +60,6 @@ bool BackendPool::EnsureReady() {
   client_options.port = port;
   client_options.connections = options_.connections;
   client_options.service = options_.service;
-  client_options.call_timeout_ns = options_.call_timeout_ns;
   client_options.span_sink = options_.span_sink;
   auto client = std::make_unique<net::AsyncClient>(client_options);
   if (!client->Connect()) {

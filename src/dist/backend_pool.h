@@ -42,7 +42,6 @@ void RegisterDistCallGraph(vprof::CallGraph* graph,
 struct BackendPoolOptions {
   net::ServiceId service = net::ServiceId::kMinidb;
   size_t connections = 2;
-  int64_t call_timeout_ns = 5'000'000'000;
   int calibrate_rounds = 16;
 
   // Warm mode: the backend is already listening here.

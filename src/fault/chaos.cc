@@ -9,6 +9,10 @@ namespace fault {
 
 namespace {
 
+// Probability-trigger intensity range for armed faults.
+constexpr double kMinProbability = 0.02;
+constexpr double kMaxProbability = 0.35;
+
 // Whether a failpoint consumes a Trigger payload (byte offsets for torn /
 // mid-batch sites); those get one-shot valued triggers so the value is spent
 // on a single deterministic firing.
@@ -28,8 +32,8 @@ Trigger PickTrigger(statkit::Rng& rng, const ChaosOptions& options,
     return Trigger::EveryNth(2 + rng.NextBelow(7));
   }
   if (roll < 8) {
-    const double span = options.max_probability - options.min_probability;
-    const double p = options.min_probability + span * rng.NextDouble();
+    const double span = kMaxProbability - kMinProbability;
+    const double p = kMinProbability + span * rng.NextDouble();
     return Trigger::Probability(p, rng.Next());
   }
   if (roll < 9) {

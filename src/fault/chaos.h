@@ -68,10 +68,6 @@ struct ChaosOptions {
   uint64_t min_downtime_steps = 10;
   uint64_t max_downtime_steps = 60;
 
-  // Probability-trigger intensity range for armed faults.
-  double min_probability = 0.02;
-  double max_probability = 0.35;
-
   // Upper bound (exclusive) for valued triggers on failpoints that consume a
   // payload (e.g. the tear offset of */crash_mid_batch). 0 disables valued
   // triggers.

@@ -7,6 +7,9 @@ namespace httpd {
 
 namespace {
 
+// The paper's 169-byte static page.
+constexpr uint64_t kPageBytes = 169;
+
 void ByteWork(uint64_t bytes) {
   volatile uint64_t h = 14695981039346656037ull;
   for (uint64_t i = 0; i < bytes; ++i) {
@@ -92,7 +95,7 @@ void HttpServer::ProcessRequest(uint64_t file_id, BucketAllocator* allocator) {
   {
     VPROF_FUNC("default_handler");
     Brigade brigade(allocator);
-    AprFileOpen(file_id, config_.page_bytes, &brigade, &page_cache_);
+    AprFileOpen(file_id, kPageBytes, &brigade, &page_cache_);
     BasicHttpHeader(&brigade);
     brigade.Append(BucketType::kEos, 0);
     Filter core{Filter::Kind::kCoreOutput, nullptr};

@@ -45,8 +45,6 @@ struct HttpdConfig {
   // memory-pressure regime the paper observed.
   int global_free_blocks = 48;
 
-  uint64_t file_count = 4;     // distinct static files served
-  uint64_t page_bytes = 169;   // the paper's 169-byte static page
   int page_cache_files = 1024; // effectively everything stays cached
 
   // When > 0, a HandleRequestBlocking submission finding this many requests

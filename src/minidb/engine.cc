@@ -414,54 +414,4 @@ std::unique_ptr<vprof::Vprofd> Engine::StartOnlineProfiler(
   return daemon;
 }
 
-std::vector<vprof::AppGauge> Engine::ScaleGauges() const {
-  std::vector<vprof::AppGauge> gauges;
-  for (int i = 0; i < pool_->instances(); ++i) {
-    const BufferPoolStats s = pool_->shard_stats(i);
-    const std::string prefix = "minidb.buf_pool.shard" + std::to_string(i);
-    gauges.push_back(
-        {prefix + ".mutex_waits", static_cast<double>(s.mutex_waits)});
-    gauges.push_back(
-        {prefix + ".mutex_wait_ns", static_cast<double>(s.mutex_wait_ns)});
-  }
-  for (int i = 0; i < locks_.shard_count(); ++i) {
-    const LockStats lk = locks_.ShardStats(i);
-    if (lk.waits == 0 && lk.wait_ns == 0) {
-      continue;  // keep the gauge set sparse; most shards stay cold
-    }
-    const std::string prefix = "minidb.lock.shard" + std::to_string(i);
-    gauges.push_back({prefix + ".waits", static_cast<double>(lk.waits)});
-    gauges.push_back({prefix + ".wait_ns", static_cast<double>(lk.wait_ns)});
-  }
-  const RedoLogStats ls = log_->stats();
-  const uint64_t flushes = ls.leader_flushes + ls.background_flushes;
-  gauges.push_back(
-      {"minidb.redo.commit_waits", static_cast<double>(ls.commit_waits)});
-  gauges.push_back(
-      {"minidb.redo.batch_records_avg",
-       flushes > 0 ? static_cast<double>(ls.batched_records) /
-                         static_cast<double>(flushes)
-                   : 0.0});
-  return gauges;
-}
-
-std::vector<vprof::AppGauge> Engine::RobustnessGauges() const {
-  const LockStats lk = locks_.stats();
-  const RedoLogStats ls = log_->stats();
-  std::vector<vprof::AppGauge> gauges;
-  gauges.push_back(
-      {"minidb.lock.timeouts", static_cast<double>(lk.timeouts)});
-  gauges.push_back(
-      {"minidb.lock.deadlocks", static_cast<double>(lk.deadlocks)});
-  gauges.push_back(
-      {"minidb.redo.io_errors", static_cast<double>(ls.io_errors)});
-  gauges.push_back({"minidb.redo.wedges", static_cast<double>(ls.wedges)});
-  gauges.push_back({"minidb.redo.crashes", static_cast<double>(ls.crashes)});
-  gauges.push_back(
-      {"minidb.txn.committed", static_cast<double>(committed_count())});
-  gauges.push_back(
-      {"minidb.txn.aborted", static_cast<double>(aborted_count())});
-  return gauges;
-}
-
 }  // namespace minidb

@@ -92,15 +92,6 @@ class Engine {
   static std::unique_ptr<vprof::Vprofd> StartOnlineProfiler(
       vprof::VprofdOptions options = {});
 
-  // Scale-out gauges for vprofd (VprofdOptions.app_gauges): per-shard
-  // buffer-pool lock waits and redo-log group-commit batch sizes.
-  std::vector<vprof::AppGauge> ScaleGauges() const;
-
-  // Robustness gauges for vprofd: lock-wait timeouts, deadlock aborts,
-  // redo-log I/O errors / wedges / crashes, and the commit/abort counters —
-  // the counters a chaos storm moves.
-  std::vector<vprof::AppGauge> RobustnessGauges() const;
-
   // Sum of every row balance across all tables. Committed transactions move
   // balance in zero-sum transfers, so this is 0 at all quiesced points — the
   // chaos invariant library's conservation check.

@@ -256,24 +256,16 @@ void LockManager::ReleaseAll(Transaction* trx) {
 
 LockStats LockManager::stats() const {
   LockStats total;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    total += ShardStats(static_cast<int>(i));
+  for (const Shard& shard : shards_) {
+    LockStats stats;
+    {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      stats = shard.stats;
+    }
+    stats.wait_ns = shard.wait_ns.load(std::memory_order_relaxed);
+    total += stats;
   }
   return total;
-}
-
-LockStats LockManager::ShardStats(int shard) const {
-  if (shard < 0 || static_cast<size_t>(shard) >= shards_.size()) {
-    return LockStats{};
-  }
-  const Shard& s = shards_[static_cast<size_t>(shard)];
-  LockStats out;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    out = s.stats;
-  }
-  out.wait_ns = s.wait_ns.load(std::memory_order_relaxed);
-  return out;
 }
 
 size_t LockManager::ActiveObjects() const {

@@ -87,11 +87,6 @@ class LockManager {
   // Aggregate over all shards.
   LockStats stats() const;
 
-  // Per-shard wait statistics, for the engine's scale gauges: a hot key
-  // shows up as one shard carrying most of the wait_ns.
-  LockStats ShardStats(int shard) const;
-  int shard_count() const { return static_cast<int>(shards_.size()); }
-
   // True if `trx` holds a lock on the object at least as strong as `mode`.
   bool Holds(const Transaction* trx, uint64_t object_id, LockMode mode) const;
 

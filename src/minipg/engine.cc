@@ -141,42 +141,4 @@ void PgEngine::RegisterCallGraph(vprof::CallGraph* graph) {
   graph->AddEdge("XLogFlush", "issue_xlog_fsync");
 }
 
-std::vector<vprof::AppGauge> PgEngine::ScaleGauges() {
-  std::vector<vprof::AppGauge> gauges;
-  for (int i = 0; i < wal_.unit_count(); ++i) {
-    const WalStats s = wal_.unit(i).stats();
-    const std::string prefix = "minipg.wal.unit" + std::to_string(i);
-    gauges.push_back(
-        {prefix + ".flush_waits", static_cast<double>(s.flush_waits)});
-    gauges.push_back(
-        {prefix + ".batch_records_avg",
-         s.flushes_performed > 0
-             ? static_cast<double>(s.batched_records) /
-                   static_cast<double>(s.flushes_performed)
-             : 0.0});
-  }
-  return gauges;
-}
-
-std::vector<vprof::AppGauge> PgEngine::RobustnessGauges() {
-  uint64_t io_errors = 0;
-  uint64_t wedges = 0;
-  uint64_t crashes = 0;
-  for (int i = 0; i < wal_.unit_count(); ++i) {
-    const WalStats s = wal_.unit(i).stats();
-    io_errors += s.io_errors;
-    wedges += s.wedges;
-    crashes += s.crashes;
-  }
-  std::vector<vprof::AppGauge> gauges;
-  gauges.push_back({"minipg.wal.io_errors", static_cast<double>(io_errors)});
-  gauges.push_back({"minipg.wal.wedges", static_cast<double>(wedges)});
-  gauges.push_back({"minipg.wal.crashes", static_cast<double>(crashes)});
-  gauges.push_back(
-      {"minipg.txn.committed", static_cast<double>(committed_count())});
-  gauges.push_back(
-      {"minipg.txn.aborted", static_cast<double>(aborted_count())});
-  return gauges;
-}
-
 }  // namespace minipg

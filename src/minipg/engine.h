@@ -24,7 +24,6 @@
 #include "src/minipg/predicate_locks.h"
 #include "src/minipg/wal.h"
 #include "src/vprof/analysis/call_graph.h"
-#include "src/vprof/service/vprofd.h"
 
 namespace minipg {
 
@@ -63,14 +62,6 @@ class PgEngine {
   bool stopped() const { return stopped_.load(std::memory_order_acquire); }
 
   static void RegisterCallGraph(vprof::CallGraph* graph);
-
-  // Scale-out gauges for vprofd (VprofdOptions.app_gauges): per-unit WAL
-  // write-lock waits and group-commit batch sizes.
-  std::vector<vprof::AppGauge> ScaleGauges();
-
-  // Robustness gauges: per-engine totals of WAL I/O errors, wedges, crashes,
-  // and the commit/abort counters — the counters a chaos storm moves.
-  std::vector<vprof::AppGauge> RobustnessGauges();
 
   Wal& wal() { return wal_; }
   PredicateLockManager& predicate_locks() { return predicate_locks_; }

@@ -1,8 +1,9 @@
 // Exponentially-decayed streaming moment accumulators for the online
 // profiling service's sliding-window statistics.
 //
-// DecayedMoments/DecayedCovariance are the weighted (West 1979) forms of the
-// accumulators in welford.h plus a Scale() operation that ages the window:
+// DecayedMoments/DecayedCovariance are the weighted (West 1979) forms of
+// Welford's mean/variance update (welford.h) and its co-moment analogue,
+// plus a Scale() operation that ages the window:
 // multiplying the accumulated weight and second moment by gamma in (0, 1)
 // discounts every past observation by gamma without touching the mean, so
 // applying Scale once per epoch yields exponentially-weighted statistics

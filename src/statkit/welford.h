@@ -1,5 +1,4 @@
-// Streaming first/second-moment accumulators (Welford's algorithm) and the
-// pairwise covariance accumulator used by the variance tree.
+// Streaming first/second-moment accumulator (Welford's algorithm).
 #ifndef SRC_STATKIT_WELFORD_H_
 #define SRC_STATKIT_WELFORD_H_
 
@@ -24,30 +23,6 @@ class StreamingMoments {
     }
   }
 
-  // Merges another accumulator into this one (parallel Welford / Chan et al.).
-  void Merge(const StreamingMoments& other) {
-    if (other.count_ == 0) {
-      return;
-    }
-    if (count_ == 0) {
-      *this = other;
-      return;
-    }
-    const double na = static_cast<double>(count_);
-    const double nb = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    const double n = na + nb;
-    mean_ += delta * nb / n;
-    m2_ += other.m2_ + delta * delta * na * nb / n;
-    count_ += other.count_;
-    if (other.min_ < min_) {
-      min_ = other.min_;
-    }
-    if (other.max_ > max_) {
-      max_ = other.max_;
-    }
-  }
-
   uint64_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
   double min() const { return count_ > 0 ? min_ : 0.0; }
@@ -58,11 +33,6 @@ class StreamingMoments {
   // forms, so the whole project standardizes on them.
   double variance() const {
     return count_ > 0 ? m2_ / static_cast<double>(count_) : 0.0;
-  }
-
-  // Unbiased sample variance (divide by n-1).
-  double sample_variance() const {
-    return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
   }
 
   double stddev() const { return std::sqrt(variance()); }
@@ -76,35 +46,6 @@ class StreamingMoments {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-// Streaming covariance of a pair of co-observed series.
-class StreamingCovariance {
- public:
-  void Add(double x, double y) {
-    ++count_;
-    const double n = static_cast<double>(count_);
-    const double dx = x - mean_x_;
-    mean_x_ += dx / n;
-    mean_y_ += (y - mean_y_) / n;
-    // Uses the updated mean_y_ (co-moment form of Welford).
-    comoment_ += dx * (y - mean_y_);
-  }
-
-  uint64_t count() const { return count_; }
-  double mean_x() const { return mean_x_; }
-  double mean_y() const { return mean_y_; }
-
-  // Population covariance.
-  double covariance() const {
-    return count_ > 0 ? comoment_ / static_cast<double>(count_) : 0.0;
-  }
-
- private:
-  uint64_t count_ = 0;
-  double mean_x_ = 0.0;
-  double mean_y_ = 0.0;
-  double comoment_ = 0.0;
 };
 
 }  // namespace statkit

@@ -62,21 +62,4 @@ std::vector<FuncId> CallGraph::Functions() const {
   return std::vector<FuncId>(functions_.begin(), functions_.end());
 }
 
-std::string CallGraph::ToDot(const std::string& graph_name) const {
-  std::string out = "digraph " + graph_name + " {\n";
-  std::vector<FuncId> functions = Functions();
-  std::sort(functions.begin(), functions.end());
-  for (FuncId func : functions) {
-    out += "  \"" + FunctionName(func) + "\";\n";
-  }
-  for (FuncId func : functions) {
-    for (FuncId child : Children(func)) {
-      out += "  \"" + FunctionName(func) + "\" -> \"" + FunctionName(child) +
-             "\";\n";
-    }
-  }
-  out += "}\n";
-  return out;
-}
-
 }  // namespace vprof

@@ -39,10 +39,6 @@ class CallGraph {
   // All declared functions.
   std::vector<FuncId> Functions() const;
 
-  // Graphviz DOT rendering of the declared edges (for documentation and
-  // debugging of instrumentation coverage).
-  std::string ToDot(const std::string& graph_name = "call_graph") const;
-
  private:
   int HeightRecursive(FuncId func,
                       std::unordered_set<FuncId>& on_stack) const;

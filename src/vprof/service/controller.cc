@@ -6,6 +6,13 @@
 
 namespace vprof {
 
+namespace {
+
+// Contribution below which an expanded function counts toward retirement.
+constexpr double kRetireContribution = 0.005;
+
+}  // namespace
+
 RefinementController::RefinementController(FuncId root, const CallGraph* graph,
                                            ControllerOptions options)
     : root_(root), graph_(graph), options_(options) {
@@ -94,7 +101,7 @@ int RefinementController::Step(const OnlineTreeSnapshot& snapshot) {
     if (func == root_) continue;
     auto it = best_contribution.find(func);
     const double contribution = it == best_contribution.end() ? 0.0 : it->second;
-    if (contribution < options_.retire_contribution) {
+    if (contribution < kRetireContribution) {
       if (++low_streak_[func] >= options_.retire_patience) {
         to_retire.push_back(func);
       }

@@ -35,9 +35,8 @@ struct ControllerOptions {
   double min_contribution = 0.01;
   SpecificityKind specificity = SpecificityKind::kQuadratic;
 
-  // An expanded function is retired when no factor involving it reaches
-  // this contribution for `retire_patience` consecutive effective steps.
-  double retire_contribution = 0.005;
+  // An expanded function is retired when no factor involving it reaches a
+  // 0.5% contribution for `retire_patience` consecutive effective steps.
   int retire_patience = 3;
 
   // Steps are skipped (no bitmap changes) until the snapshot carries at

@@ -6,8 +6,6 @@ std::string NodeSeriesName(const std::string& path, const char* field) {
   return "node:" + path + ":" + field;
 }
 
-std::string AppSeriesName(const std::string& name) { return "app:" + name; }
-
 std::string TierSeriesName(const std::string& tier, const char* field) {
   return "tier:" + tier + ":" + field;
 }

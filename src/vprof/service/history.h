@@ -14,8 +14,6 @@
 //   health:dropped_records | health:stuck_threads |
 //     health:stuck_thread_epochs | health:rotation_gap_last_ns |
 //     health:rotation_gap_max_ns | health:rotation_gap_total_ns
-//   app:<gauge name> — application gauges (VprofdOptions.app_gauges),
-//     e.g. app:minidb.buf_pool.shard0.mutex_wait_ns
 //   tier:<tier name>:latency_mean_ns | :latency_variance_ns2 | :share |
 //     :intervals — per-tier rows of the distributed dist:request view
 //     (dist::DistMonitor), persisted next to the front daemon's streams
@@ -45,11 +43,6 @@ struct HarvestHealth {
 // Series name of one node stream, e.g.
 // NodeSeriesName("run_transaction/fil_flush", "share").
 std::string NodeSeriesName(const std::string& path, const char* field);
-
-// Series name of an application-published gauge (VprofdOptions.app_gauges),
-// e.g. AppSeriesName("minidb.buf_pool.shard0.mutex_wait_ns") ->
-// "app:minidb.buf_pool.shard0.mutex_wait_ns".
-std::string AppSeriesName(const std::string& name);
 
 // Series name of one distributed-tier stream (dist::DistMonitor), e.g.
 // TierSeriesName("minidb", "share") -> "tier:minidb:share".

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <span>
-#include <sstream>
 
 #include "src/vprof/analysis/pool.h"
-#include "src/vprof/json.h"
 #include "src/vprof/service/prom.h"
 
 namespace vprof {
@@ -310,45 +308,6 @@ std::string OnlineTreeSnapshot::ToPromText() const {
              overall > 0.0 ? node_variance[id] / overall : 0.0);
   }
   return w.Text();
-}
-
-namespace {
-
-void NodeToJson(const OnlineTreeSnapshot& snap, NodeId id, double overall,
-                std::ostringstream* out) {
-  const size_t idx = static_cast<size_t>(id);
-  *out << "{\"label\":\"" << JsonEscape(snap.NodeLabel(id)) << "\""
-       << ",\"mean_ns\":" << snap.node_mean[idx]
-       << ",\"variance_ns2\":" << snap.node_variance[idx] << ",\"share\":"
-       << (overall > 0.0 ? snap.node_variance[idx] / overall : 0.0)
-       << ",\"children\":[";
-  bool first = true;
-  for (NodeId child : snap.nodes[idx].children) {
-    if (!first) {
-      *out << ",";
-    }
-    first = false;
-    NodeToJson(snap, child, overall, out);
-  }
-  *out << "]}";
-}
-
-}  // namespace
-
-std::string OnlineTreeSnapshot::ToJson() const {
-  std::ostringstream out;
-  out << "{\"epochs\":" << epochs << ",\"intervals\":" << intervals
-      << ",\"weight\":" << weight << ",\"dropped_records\":" << dropped_records
-      << ",\"stuck_thread_epochs\":" << stuck_thread_epochs
-      << ",\"latency_mean_ns\":" << overall_mean()
-      << ",\"latency_variance_ns2\":" << overall_variance() << ",\"tree\":";
-  if (nodes.empty()) {
-    out << "null";
-  } else {
-    NodeToJson(*this, kRootNode, overall_variance(), &out);
-  }
-  out << "}";
-  return out.str();
 }
 
 }  // namespace vprof

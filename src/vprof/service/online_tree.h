@@ -85,9 +85,6 @@ struct OnlineTreeSnapshot {
   // (dropped records, stuck threads, uncovered critical-path time). Sorted
   // family order with HELP/TYPE lines for every family (see prom.h).
   std::string ToPromText() const;
-
-  // Nested-tree JSON document (stats header + recursive node objects).
-  std::string ToJson() const;
 };
 
 // Thread-safe: Fold runs on the harvester thread while Snapshot serves

@@ -6,9 +6,8 @@ Supervisor::Supervisor(SupervisorOptions options) : options_(options) {}
 
 bool Supervisor::Unhealthy(const EpochHealth& health) const {
   return health.rotation_gap_ns > options_.max_rotation_gap_ns ||
-         health.dropped_records > options_.max_dropped_records ||
-         health.stuck_threads > options_.max_stuck_threads ||
-         health.history_append_errors > options_.max_history_append_errors;
+         health.dropped_records > 0 || health.stuck_threads > 0 ||
+         health.history_append_errors > 0;
 }
 
 bool Supervisor::Observe(const EpochHealth& health) {

@@ -7,8 +7,7 @@
 //
 //   Normal      full profiling: every knob at its configured value.
 //   Degraded    profiling keeps running but sheds load: epochs lengthen
-//               (fewer rotations per second), app-gauge sampling is shed
-//               from the persisted history, and the refinement controller
+//               (fewer rotations per second) and the refinement controller
 //               is frozen so the probe set stops growing.
 //   Quarantined tracing is turned off entirely. The served workload runs
 //               untouched; the harvester keeps rotating (empty epochs) so
@@ -51,11 +50,9 @@ struct EpochHealth {
 };
 
 struct SupervisorOptions {
-  // An epoch is unhealthy when any delta exceeds its threshold.
+  // An epoch is unhealthy when its rotation gap exceeds this, or when it
+  // dropped any record, quarantined any thread or failed any history append.
   uint64_t max_rotation_gap_ns = 50'000'000;  // half the default epoch
-  uint64_t max_dropped_records = 0;
-  uint64_t max_stuck_threads = 0;
-  uint64_t max_history_append_errors = 0;
 
   // Hysteresis: consecutive unhealthy epochs before stepping one level down
   // the ladder, and consecutive healthy epochs before stepping one back up.
@@ -63,8 +60,8 @@ struct SupervisorOptions {
   int restore_after = 4;
 
   // Degraded-state knob; it also applies in Quarantined (rotations are
-  // cheap there, but there is no reason to hurry them). Off Normal, app
-  // gauges are always shed and the controller always frozen.
+  // cheap there, but there is no reason to hurry them). Off Normal, the
+  // controller is always frozen.
   double degraded_epoch_multiplier = 4.0;
 };
 
@@ -102,7 +99,6 @@ class Supervisor {
                ? 1.0
                : options_.degraded_epoch_multiplier;
   }
-  bool shed_app_gauges() const { return state() != SupervisorState::kNormal; }
   bool controller_enabled() const {
     return state() == SupervisorState::kNormal;
   }

@@ -72,15 +72,8 @@ void Vprofd::HandleEpoch(Trace&& trace) {
     health.rotation_gap_max_ns = static_cast<uint64_t>(max_gap_ns());
     health.rotation_gap_total_ns = static_cast<uint64_t>(total_gap_ns());
     statstore::EpochSample sample = SampleFromSnapshot(snapshot, epoch, health);
-    // App gauges are shed while degraded/quarantined; the supervisor state
-    // itself is always persisted so transitions are visible in the history.
-    const bool shed =
-        options_.enable_supervisor && supervisor_.shed_app_gauges();
-    if (options_.app_gauges && !shed) {
-      for (const AppGauge& gauge : options_.app_gauges()) {
-        sample.values.push_back({AppSeriesName(gauge.name), gauge.value});
-      }
-    }
+    // The supervisor state is persisted every epoch so transitions are
+    // visible in the history.
     if (options_.enable_supervisor) {
       sample.values.push_back(
           {"health:supervisor_state",
@@ -174,16 +167,6 @@ std::string Vprofd::MetricsText() const {
     w.Family("vprofd_history_persist_max_ns", "gauge",
              "Worst write-path latency of an epoch append.");
     w.Sample("vprofd_history_persist_max_ns", hs.max_append_ns);
-  }
-
-  if (options_.app_gauges) {
-    w.Family("vprofd_app_gauge", "gauge",
-             "Application-published gauges (per-shard lock waits, "
-             "group-commit batch sizes).");
-    for (const AppGauge& gauge : options_.app_gauges()) {
-      w.Sample("vprofd_app_gauge", PromWriter::Labels{{"series", gauge.name}},
-               gauge.value);
-    }
   }
 
   if (options_.enable_supervisor) {

@@ -19,7 +19,6 @@
 #ifndef SRC_VPROF_SERVICE_VPROFD_H_
 #define SRC_VPROF_SERVICE_VPROFD_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,16 +34,6 @@
 #include "src/vprof/types.h"
 
 namespace vprof {
-
-// One application-published gauge sampled at each epoch boundary, e.g. a
-// per-shard lock-wait counter or a group-commit batch size. Names should be
-// scrape-clean dotted paths ("minidb.buf_pool.shard0.mutex_wait_ns"); they
-// become statstore series "app:<name>" and the `series` label of
-// vprofd_app_gauge.
-struct AppGauge {
-  std::string name;
-  double value = 0.0;
-};
 
 struct VprofdOptions {
   // Function whose invocations delimit the semantic interval (the root of
@@ -64,14 +53,6 @@ struct VprofdOptions {
   // bench and by operators who want a fixed probe set).
   bool enable_controller = true;
 
-  // Application gauges, sampled once per epoch on the harvester thread and
-  // once per MetricsText() scrape. Persisted as "app:<name>" series next to
-  // the epoch's node streams (when history is enabled) and exposed as
-  // vprofd_app_gauge{series="<name>"}. Engines publish per-shard lock-wait
-  // and group-commit batch-size gauges here so a scaling run's factor
-  // migration is visible in the persisted history.
-  std::function<std::vector<AppGauge>()> app_gauges;
-
   // Durable history: when history.dir is non-empty, every epoch's snapshot
   // is flattened (see history.h) and appended to a compressed statstore
   // there on the harvester thread, with the append latency tracked in the
@@ -79,20 +60,20 @@ struct VprofdOptions {
   // continue past the persisted tail.
   statstore::StoreOptions history;
 
+  // Self-healing supervision: after each epoch the supervisor observes the
+  // service's own health deltas (rotation gap, tracer drops, stuck threads,
+  // history append errors) and walks the Normal -> Degraded -> Quarantined
+  // escalation ladder, lengthening epochs, freezing the controller, and
+  // ultimately turning tracing off while the served workload runs
+  // untouched. See supervisor.h. Restoration is automatic.
+  bool enable_supervisor = false;
+  SupervisorOptions supervisor;
+
   // Regression detection over per-node contribution shares. Defaults tuned
   // for share streams in [0, 1]: a factor must move by more than 5 points
   // AND 6 sigma of its decayed history (sigma floored at 1 point) to flag,
   // which rides out steady-workload wobble but catches a migrating factor
   // within an epoch or two.
-  // Self-healing supervision: after each epoch the supervisor observes the
-  // service's own health deltas (rotation gap, tracer drops, stuck threads,
-  // history append errors) and walks the Normal -> Degraded -> Quarantined
-  // escalation ladder, lengthening epochs, shedding app gauges, freezing
-  // the controller, and ultimately turning tracing off while the served
-  // workload runs untouched. See supervisor.h. Restoration is automatic.
-  bool enable_supervisor = false;
-  SupervisorOptions supervisor;
-
   statstore::RegressionOptions regression{
       .k_sigma = 6.0,
       .sigma_floor = 0.01,

@@ -1,65 +1,35 @@
 #include "src/vprof/sync.h"
 
 #include <chrono>
-#include <unordered_map>
 
 namespace vprof {
 
+namespace {
+
+// PackOwnerStamp's layout: tid + 1 above kTimeBits bits of time, so that 0
+// is the empty stamp.
+constexpr int kTimeBits = 40;
+constexpr uint64_t kTimeMask = (uint64_t{1} << kTimeBits) - 1;
+constexpr uint64_t kTidFieldMax = (uint64_t{1} << (64 - kTimeBits)) - 1;
+
+}  // namespace
+
 uint64_t PackOwnerStamp(ThreadId tid, TimeNs time) {
-  // 16 bits of tid, 48 bits of time (enough for ~78 hours of ns).
-  return (static_cast<uint64_t>(static_cast<uint16_t>(tid)) << 48) |
-         (static_cast<uint64_t>(time) & 0xffffffffffffull);
+  if (tid < 0 || static_cast<uint64_t>(tid) >= kTidFieldMax || time < 0 ||
+      static_cast<uint64_t>(time) > kTimeMask) {
+    return 0;
+  }
+  return ((static_cast<uint64_t>(tid) + 1) << kTimeBits) |
+         static_cast<uint64_t>(time);
 }
 
 OwnerStamp UnpackOwnerStamp(uint64_t packed) {
-  OwnerStamp stamp;
-  stamp.tid = static_cast<ThreadId>(static_cast<int16_t>(packed >> 48));
-  stamp.time = static_cast<TimeNs>(packed & 0xffffffffffffull);
-  return stamp;
-}
-
-// --- OwnerMap ---------------------------------------------------------------
-
-struct OwnerMap::Shard {
-  mutable std::mutex mu;
-  std::unordered_map<const void*, OwnerStamp> map;
-};
-
-namespace {
-OwnerMap::Shard g_shards[64];
-}  // namespace
-
-OwnerMap& OwnerMap::Get() {
-  static OwnerMap* map = new OwnerMap();
-  return *map;
-}
-
-OwnerMap::Shard* OwnerMap::ShardFor(const void* object) const {
-  const auto h = reinterpret_cast<uintptr_t>(object);
-  return &g_shards[(h >> 4) % kShardCount];
-}
-
-void OwnerMap::Record(const void* object, ThreadId tid, TimeNs time) {
-  Shard* shard = ShardFor(object);
-  std::lock_guard<std::mutex> lock(shard->mu);
-  shard->map[object] = OwnerStamp{tid, time};
-}
-
-std::optional<OwnerStamp> OwnerMap::Lookup(const void* object) const {
-  Shard* shard = ShardFor(object);
-  std::lock_guard<std::mutex> lock(shard->mu);
-  auto it = shard->map.find(object);
-  if (it == shard->map.end()) {
-    return std::nullopt;
+  const uint64_t tid_field = packed >> kTimeBits;
+  if (tid_field == 0) {
+    return OwnerStamp{};
   }
-  return it->second;
-}
-
-void OwnerMap::Clear() {
-  for (auto& shard : g_shards) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-  }
+  return OwnerStamp{static_cast<ThreadId>(tid_field - 1),
+                    static_cast<TimeNs>(packed & kTimeMask)};
 }
 
 // --- Mutex ------------------------------------------------------------------
@@ -75,15 +45,14 @@ void Mutex::lock() {
   ThreadState* thread = CurrentThread();
   thread->BeginBlocked(SegmentState::kBlocked);
   mu_.lock();
-  const auto owner = OwnerMap::Get().Lookup(this);
-  thread->EndBlocked(owner ? owner->tid : kNoThread, owner ? owner->time : -1);
+  thread->EndBlocked(last_release_.tid, last_release_.time);
 }
 
 bool Mutex::try_lock() { return mu_.try_lock(); }
 
 void Mutex::unlock() {
   if (IsTracing()) {
-    OwnerMap::Get().Record(this, CurrentThread()->tid(), Now());
+    last_release_ = OwnerStamp{CurrentThread()->tid(), Now()};
   }
   mu_.unlock();
 }
@@ -98,13 +67,9 @@ void CondVar::Wait(Mutex& mu) {
   ThreadState* thread = CurrentThread();
   thread->BeginBlocked(SegmentState::kBlocked);
   cv_.wait(mu);
-  const uint64_t packed = last_notify_.load(std::memory_order_relaxed);
-  if (packed != 0) {
-    const OwnerStamp stamp = UnpackOwnerStamp(packed);
-    thread->EndBlocked(stamp.tid, stamp.time);
-  } else {
-    thread->EndBlocked(kNoThread, -1);
-  }
+  const OwnerStamp stamp =
+      UnpackOwnerStamp(last_notify_.load(std::memory_order_relaxed));
+  thread->EndBlocked(stamp.tid, stamp.time);
 }
 
 bool CondVar::WaitFor(Mutex& mu, int64_t timeout_ns) {
@@ -116,14 +81,10 @@ bool CondVar::WaitFor(Mutex& mu, int64_t timeout_ns) {
   ThreadState* thread = CurrentThread();
   thread->BeginBlocked(SegmentState::kBlocked);
   const bool signaled = cv_.wait_until(mu, deadline) == std::cv_status::no_timeout;
-  const uint64_t packed =
-      signaled ? last_notify_.load(std::memory_order_relaxed) : 0;
-  if (packed != 0) {
-    const OwnerStamp stamp = UnpackOwnerStamp(packed);
-    thread->EndBlocked(stamp.tid, stamp.time);
-  } else {
-    thread->EndBlocked(kNoThread, -1);
-  }
+  const OwnerStamp stamp =
+      signaled ? UnpackOwnerStamp(last_notify_.load(std::memory_order_relaxed))
+               : OwnerStamp{};
+  thread->EndBlocked(stamp.tid, stamp.time);
   return signaled;
 }
 

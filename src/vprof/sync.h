@@ -1,11 +1,14 @@
 // Instrumented synchronization primitives (paper Section 3.3.2).
 //
 // The paper wraps an application's blocking primitives so the runtime can log
-// (a) blocked segments and (b) wake-up dependence edges <tid, tid', t>. Lock
-// ownership is tracked through a global hash map of [object -> last releasing
-// thread], exactly as described in the paper. Applications built in this
-// repository use vprof::Mutex / CondVar / Event wherever a blocking wait can
-// put a semantic interval's critical path onto another thread.
+// (a) blocked segments and (b) wake-up dependence edges <tid, tid', t>. It
+// finds a lock's last releasing thread through a global hash map of
+// [object -> last releasing thread], because it instruments locks it does not
+// own. Every instrumented lock here is a vprof::Mutex this repository owns,
+// so each one keeps its last releaser inline, which serves the same purpose.
+// Applications built in this repository use vprof::Mutex / CondVar / Event
+// wherever a blocking wait can put a semantic interval's critical path onto
+// another thread.
 #ifndef SRC_VPROF_SYNC_H_
 #define SRC_VPROF_SYNC_H_
 
@@ -13,7 +16,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 
 #include "src/vprof/runtime.h"
 #include "src/vprof/types.h"
@@ -24,24 +26,6 @@ namespace vprof {
 struct OwnerStamp {
   ThreadId tid = kNoThread;
   TimeNs time = -1;
-};
-
-// Global sharded map: synchronization object address -> last releasing
-// thread. Matches the [oid -> tid] hash map of paper Section 3.3.2.
-class OwnerMap {
- public:
-  static OwnerMap& Get();
-
-  void Record(const void* object, ThreadId tid, TimeNs time);
-  std::optional<OwnerStamp> Lookup(const void* object) const;
-  void Clear();
-
-  struct Shard;
-
- private:
-  OwnerMap() = default;
-  static constexpr int kShardCount = 64;
-  Shard* ShardFor(const void* object) const;
 };
 
 // Mutex whose contended acquisitions are recorded as blocked segments with a
@@ -58,6 +42,9 @@ class Mutex {
 
  private:
   std::mutex mu_;
+  // The last traced release: written before unlock and read after lock, so
+  // mu_ itself orders the two.
+  OwnerStamp last_release_;
 };
 
 // Condition variable usable with vprof::Mutex; notifiers are recorded so a
@@ -88,8 +75,7 @@ class CondVar {
 
  private:
   std::condition_variable_any cv_;
-  // Packed (tid << 48 | time_ns) stamp of the last notifier; racy reads are
-  // acceptable for diagnostic edges.
+  // PackOwnerStamp of the last notifier; 0 until the first traced notify.
   std::atomic<uint64_t> last_notify_{0};
 
   friend class Event;
@@ -120,7 +106,10 @@ class Event {
   bool set_ = false;
 };
 
-// Packs/unpacks notifier stamps (exposed for tests).
+// Packs a notifier stamp into one word: tid + 1 in the top 24 bits, time in
+// the low 40 (about 18 minutes of ns). A stamp whose tid or time does not
+// fit packs to 0, which unpacks to no thread, so an unpacked stamp names the
+// notifier or no thread at all. Exposed for tests.
 uint64_t PackOwnerStamp(ThreadId tid, TimeNs time);
 OwnerStamp UnpackOwnerStamp(uint64_t packed);
 

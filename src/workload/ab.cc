@@ -4,21 +4,21 @@
 #include <mutex>
 #include <thread>
 
-#include "src/simio/disk.h"
 #include "src/statkit/rng.h"
 
 namespace workload {
 
+namespace {
+
+// Distinct static files the clients fetch.
+constexpr uint64_t kFileCount = 4;
+
+}  // namespace
+
 AbDriver::AbDriver(httpd::HttpServer* server, const AbOptions& options)
     : server_(server), options_(options) {}
 
-AbResult AbDriver::Run() { return RunLoop(nullptr); }
-
-AbResult AbDriver::RunUntil(const std::atomic<bool>& stop) {
-  return RunLoop(&stop);
-}
-
-AbResult AbDriver::RunLoop(const std::atomic<bool>* stop) {
+AbResult AbDriver::Run() {
   AbResult result;
   std::mutex result_mu;
   const auto run_start = std::chrono::steady_clock::now();
@@ -30,11 +30,8 @@ AbResult AbDriver::RunLoop(const std::atomic<bool>* stop) {
       std::vector<double> local;
       local.reserve(static_cast<size_t>(options_.requests_per_client));
       uint64_t local_rejected = 0;
-      for (int i = 0; stop != nullptr
-                          ? !stop->load(std::memory_order_acquire)
-                          : i < options_.requests_per_client;
-           ++i) {
-        const uint64_t file_id = rng.NextBelow(server_->config().file_count);
+      for (int i = 0; i < options_.requests_per_client; ++i) {
+        const uint64_t file_id = rng.NextBelow(kFileCount);
         const auto t0 = std::chrono::steady_clock::now();
         const httpd::RequestStatus status =
             server_->HandleRequestBlocking(file_id);
@@ -44,9 +41,6 @@ AbResult AbDriver::RunLoop(const std::atomic<bool>* stop) {
               std::chrono::duration<double, std::nano>(t1 - t0).count());
         } else {
           ++local_rejected;
-        }
-        if (options_.think_time_us > 0.0) {
-          simio::SleepUs(options_.think_time_us);
         }
       }
       std::lock_guard<std::mutex> lock(result_mu);

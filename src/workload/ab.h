@@ -3,7 +3,6 @@
 #ifndef SRC_WORKLOAD_AB_H_
 #define SRC_WORKLOAD_AB_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -14,7 +13,6 @@ namespace workload {
 struct AbOptions {
   int clients = 8;
   int requests_per_client = 250;
-  double think_time_us = 0.0;
   uint64_t seed = 77;
 };
 
@@ -32,13 +30,7 @@ class AbDriver {
 
   AbResult Run();
 
-  // Open-ended variant for long-running servers: clients keep issuing
-  // requests until `stop` becomes true; requests_per_client is ignored.
-  AbResult RunUntil(const std::atomic<bool>& stop);
-
  private:
-  AbResult RunLoop(const std::atomic<bool>* stop);
-
   httpd::HttpServer* server_;
   AbOptions options_;
 };

@@ -21,6 +21,14 @@ int64_t NowNs() {
       .count();
 }
 
+// kBursty shape: the burst state fires at kBurstRateMultiplier times the
+// calm state's rate and occupies kBurstTimeFraction of wall time, with a
+// mean burst dwell of kBurstDwellMs (the calm dwell follows from the
+// fraction). The long-run mean stays rate_per_sec.
+constexpr double kBurstRateMultiplier = 8.0;
+constexpr double kBurstTimeFraction = 0.1;
+constexpr double kBurstDwellMs = 20.0;
+
 }  // namespace
 
 std::vector<int64_t> GenerateInterArrivalsNs(const ArrivalConfig& config,
@@ -40,12 +48,12 @@ std::vector<int64_t> GenerateInterArrivalsNs(const ArrivalConfig& config,
 
   // Two-state MMPP. Solve the calm rate so the long-run mean is
   // rate_per_sec:  rate = f*m*rc + (1-f)*rc  =>  rc = rate / (1 - f + f*m).
-  const double f = std::clamp(config.burst_time_fraction, 0.01, 0.99);
-  const double m = std::max(config.burst_rate_multiplier, 1.0);
+  const double f = kBurstTimeFraction;
+  const double m = kBurstRateMultiplier;
   const double calm_rate = config.rate_per_sec / (1.0 - f + f * m);
   const double burst_rate = m * calm_rate;
   // Dwell means chosen so the burst state occupies fraction f of time.
-  const double dwell_burst_ns = config.burst_dwell_ms * 1e6;
+  const double dwell_burst_ns = kBurstDwellMs * 1e6;
   const double dwell_calm_ns = dwell_burst_ns * (1.0 - f) / f;
 
   bool burst = false;

@@ -34,14 +34,6 @@ enum class ArrivalProcess {
 struct ArrivalConfig {
   ArrivalProcess process = ArrivalProcess::kPoisson;
   double rate_per_sec = 1000.0;  // long-run mean arrival rate
-
-  // kBursty shape: the burst state fires at `burst_rate_multiplier` times
-  // the calm state's rate and occupies `burst_time_fraction` of wall time
-  // (mean dwell in burst = burst_dwell_ms; calm dwell follows from the
-  // fraction). The long-run mean stays rate_per_sec.
-  double burst_rate_multiplier = 8.0;
-  double burst_time_fraction = 0.1;
-  double burst_dwell_ms = 20.0;
 };
 
 // The arrival schedule itself, exposed so the statistical self-test can

@@ -12,6 +12,19 @@ namespace workload {
 using minidb::TxnRequest;
 using minidb::TxnType;
 
+namespace {
+
+// Transaction mix in percent; the remainder goes to StockLevel.
+constexpr int kPctNewOrder = 45;
+constexpr int kPctPayment = 43;
+constexpr int kPctOrderStatus = 4;
+constexpr int kPctDelivery = 4;
+
+// Share of partitioned payments made to a remote warehouse (TPC-C's ~15%).
+constexpr double kRemotePaymentFraction = 0.15;
+
+}  // namespace
+
 TpccGenerator::TpccGenerator(const TpccOptions& options, int warehouses)
     : options_(options), warehouses_(warehouses) {
   if (options.customer_zipf_theta > 0.0) {
@@ -33,15 +46,14 @@ TxnRequest TpccGenerator::Next(statkit::Rng& rng) const {
 TxnRequest TpccGenerator::Next(statkit::Rng& rng, int home_warehouse) const {
   TxnRequest request;
   const int roll = static_cast<int>(rng.NextBelow(100));
-  if (roll < options_.pct_new_order) {
+  if (roll < kPctNewOrder) {
     request.type = TxnType::kNewOrder;
-  } else if (roll < options_.pct_new_order + options_.pct_payment) {
+  } else if (roll < kPctNewOrder + kPctPayment) {
     request.type = TxnType::kPayment;
-  } else if (roll < options_.pct_new_order + options_.pct_payment +
-                        options_.pct_order_status) {
+  } else if (roll < kPctNewOrder + kPctPayment + kPctOrderStatus) {
     request.type = TxnType::kOrderStatus;
-  } else if (roll < options_.pct_new_order + options_.pct_payment +
-                        options_.pct_order_status + options_.pct_delivery) {
+  } else if (roll <
+             kPctNewOrder + kPctPayment + kPctOrderStatus + kPctDelivery) {
     request.type = TxnType::kDelivery;
   } else {
     request.type = TxnType::kStockLevel;
@@ -50,7 +62,7 @@ TxnRequest TpccGenerator::Next(statkit::Rng& rng, int home_warehouse) const {
   if (options_.partition_by_warehouse && home_warehouse >= 0) {
     request.warehouse = home_warehouse % warehouses_;
     if (request.type == TxnType::kPayment && warehouses_ > 1 &&
-        rng.NextDouble() < options_.remote_payment_fraction) {
+        rng.NextDouble() < kRemotePaymentFraction) {
       // Remote payment: a uniformly-chosen warehouse other than home.
       int remote = static_cast<int>(
           rng.NextBelow(static_cast<uint64_t>(warehouses_ - 1)));
@@ -73,8 +85,8 @@ TxnRequest TpccGenerator::Next(statkit::Rng& rng, int home_warehouse) const {
 
   if (request.type == TxnType::kNewOrder ||
       request.type == TxnType::kStockLevel) {
-    const int count = static_cast<int>(rng.NextInRange(options_.min_items,
-                                                       options_.max_items));
+    const int count = static_cast<int>(
+        rng.NextInRange(TpccOptions::min_items, TpccOptions::max_items));
     request.items.reserve(static_cast<size_t>(count));
     for (int i = 0; i < count; ++i) {
       request.items.push_back(
@@ -193,9 +205,6 @@ TpccResult TpccDriver::RunLoop(const TypedExecutor& executor, int warehouses,
           } else {
             ++local_non_retryable;
           }
-        }
-        if (options_.think_time_us > 0.0) {
-          simio::SleepUs(options_.think_time_us);
         }
       }
       std::lock_guard<std::mutex> lock(result_mu);

@@ -23,32 +23,23 @@ struct TpccOptions {
   int threads = 4;
   int transactions_per_thread = 500;
 
-  // Transaction mix in percent; remainder goes to StockLevel.
-  int pct_new_order = 45;
-  int pct_payment = 43;
-  int pct_order_status = 4;
-  int pct_delivery = 4;
-
-  int min_items = 3;
-  int max_items = 8;
+  // Items per NewOrder / StockLevel request, drawn uniformly from this
+  // range.
+  static constexpr int min_items = 3;
+  static constexpr int max_items = 8;
 
   // Access skew (TPC-C's NURand analogue): 0 = uniform; ~0.9 concentrates
   // accesses on a few hot customers/items, raising record contention.
   double customer_zipf_theta = 0.0;
   double item_zipf_theta = 0.0;
 
-  // Optional client think time between transactions (us).
-  double think_time_us = 0.0;
-
   // Warehouse partitioning (the scale-out benchmark shape): each worker
   // thread gets a home warehouse (thread t -> warehouse t mod warehouses)
   // and issues its transactions there, so threads stop colliding on one
   // warehouse's hot rows and the engines' scalability becomes observable.
-  // Payments cross to a uniformly-chosen remote warehouse with probability
-  // remote_payment_fraction (TPC-C's ~15% remote payments), keeping some
-  // cross-partition traffic.
+  // 15% of payments (TPC-C's remote payments) cross to a uniformly-chosen
+  // remote warehouse, keeping some cross-partition traffic.
   bool partition_by_warehouse = false;
-  double remote_payment_fraction = 0.15;
 
   // Retry policy for retryable aborts (lock timeout, deadlock, log I/O
   // error): up to max_retries re-executions with capped exponential backoff

@@ -54,7 +54,6 @@ TEST_F(SupervisorTest, LadderWalksDownAndUpWithHysteresis) {
   EXPECT_EQ(supervisor.state(), vprof::SupervisorState::kNormal);
   EXPECT_TRUE(supervisor.tracing_enabled());
   EXPECT_DOUBLE_EQ(supervisor.epoch_multiplier(), 1.0);
-  EXPECT_FALSE(supervisor.shed_app_gauges());
   EXPECT_TRUE(supervisor.controller_enabled());
 
   // One unhealthy epoch is hysteresis-absorbed; the second escalates.
@@ -66,7 +65,6 @@ TEST_F(SupervisorTest, LadderWalksDownAndUpWithHysteresis) {
   EXPECT_TRUE(supervisor.tracing_enabled());
   EXPECT_DOUBLE_EQ(supervisor.epoch_multiplier(),
                    options.degraded_epoch_multiplier);
-  EXPECT_TRUE(supervisor.shed_app_gauges());
   EXPECT_FALSE(supervisor.controller_enabled());
 
   // Two more unhealthy epochs quarantine: tracing off entirely.
@@ -227,48 +225,52 @@ TEST_F(SupervisorTest, QuarantinedServingOverheadWithinFivePercent) {
     const auto t1 = std::chrono::steady_clock::now();
     return std::chrono::duration<double>(t1 - t0).count();
   };
-  const auto best_of = [&run_once](int trials, uint64_t seed_base) {
-    double best = 1e18;
-    for (int i = 0; i < trials; ++i) {
-      best = std::min(best, run_once(seed_base + i));
-    }
-    return best;
-  };
-
-  run_once(1);  // warm-up
-  const double baseline_s = best_of(3, 10);
 
   const std::string dir =
       std::string(::testing::TempDir()) + "/quarantine_history";
-  std::filesystem::remove_all(dir);
-  vprof::VprofdOptions options;
-  options.enable_controller = false;
-  options.epoch_ns = 2'000'000;
-  options.history.dir = dir;
-  options.history.fault_scope = "supq_hist";
-  options.enable_supervisor = true;
-  options.supervisor.escalate_after = 1;
-  options.supervisor.restore_after = 1'000'000;  // park at the bottom
-  options.supervisor.degraded_epoch_multiplier = 1.0;
+  // Starts a daemon and parks it in Quarantined.
+  const auto start_quarantined = [&dir] {
+    std::filesystem::remove_all(dir);
+    vprof::VprofdOptions options;
+    options.enable_controller = false;
+    options.epoch_ns = 2'000'000;
+    options.history.dir = dir;
+    options.history.fault_scope = "supq_hist";
+    options.enable_supervisor = true;
+    options.supervisor.escalate_after = 1;
+    options.supervisor.restore_after = 1'000'000;  // park at the bottom
+    options.supervisor.degraded_epoch_multiplier = 1.0;
 
-  fault::Activate("supq_hist/write_error", fault::Trigger::Always());
-  auto daemon = minidb::Engine::StartOnlineProfiler(std::move(options));
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (daemon->supervisor_state() != vprof::SupervisorState::kQuarantined &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    fault::Activate("supq_hist/write_error", fault::Trigger::Always());
+    auto daemon = minidb::Engine::StartOnlineProfiler(std::move(options));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (daemon->supervisor_state() !=
+               vprof::SupervisorState::kQuarantined &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    // Disarm before measuring: an armed failpoint anywhere makes every disk
+    // op take the registry lock, which would bill orchestration cost to the
+    // quarantined daemon.
+    fault::Deactivate("supq_hist/write_error");
+    return daemon;
+  };
+
+  run_once(1);  // warm-up
+  // Best of three trials per arm. The arms alternate and run the same
+  // seeds, so the engine's growth and the host's drift reach both alike.
+  double baseline_s = 1e18;
+  double quarantined_s = 1e18;
+  for (uint64_t seed = 10; seed < 13; ++seed) {
+    baseline_s = std::min(baseline_s, run_once(seed));
+    const auto daemon = start_quarantined();
+    ASSERT_EQ(daemon->supervisor_state(),
+              vprof::SupervisorState::kQuarantined);
+    EXPECT_FALSE(daemon->supervisor().tracing_enabled());
+    quarantined_s = std::min(quarantined_s, run_once(seed));
+    daemon->Stop();
   }
-  ASSERT_EQ(daemon->supervisor_state(),
-            vprof::SupervisorState::kQuarantined);
-  // Disarm before measuring: an armed failpoint anywhere makes every disk
-  // op take the registry lock, which would bill orchestration cost to the
-  // quarantined daemon.
-  fault::Deactivate("supq_hist/write_error");
-  EXPECT_FALSE(daemon->supervisor().tracing_enabled());
-
-  const double quarantined_s = best_of(3, 20);
-  daemon->Stop();
   std::filesystem::remove_all(dir);
 
   // 5% relative plus a 2ms absolute allowance for scheduler noise on the

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/statkit/covariance.h"
 #include "src/statkit/rng.h"
 #include "src/statkit/welford.h"
 
@@ -95,17 +94,30 @@ TEST(DecayedMomentsTest, FractionalWeightsMatchRepeatedSamples) {
   EXPECT_NEAR(weighted.variance(), repeated.variance(), 1e-9);
 }
 
-TEST(DecayedCovarianceTest, UndcayedMatchesStreamingCovariance) {
+TEST(DecayedCovarianceTest, UndcayedMatchesTwoPassCovariance) {
   Rng rng(25);
   DecayedCovariance decayed;
-  StreamingCovariance plain;
+  std::vector<double> xs;
+  std::vector<double> ys;
   for (int i = 0; i < 2000; ++i) {
     const double x = rng.NextDouble() * 3.0;
     const double y = 0.5 * x + rng.NextDouble();
     decayed.Add(x, y);
-    plain.Add(x, y);
+    xs.push_back(x);
+    ys.push_back(y);
   }
-  EXPECT_NEAR(decayed.covariance(), plain.covariance(), 1e-7);
+  const double n = static_cast<double>(xs.size());
+  double mean_x = 0.0;
+  double mean_y = 0.0;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    mean_x += xs[i] / n;
+    mean_y += ys[i] / n;
+  }
+  double comoment = 0.0;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    comoment += (xs[i] - mean_x) * (ys[i] - mean_y);
+  }
+  EXPECT_NEAR(decayed.covariance(), comoment / n, 1e-7);
 }
 
 TEST(DecayedCovarianceTest, SeededEqualsConstantHistory) {

@@ -58,14 +58,6 @@ TEST(StreamingMomentsTest, MatchesNaiveComputation) {
   EXPECT_NEAR(m.variance(), NaiveVariance(values), 1e-7);
 }
 
-TEST(StreamingMomentsTest, SampleVarianceUsesNMinusOne) {
-  StreamingMoments m;
-  m.Add(1.0);
-  m.Add(3.0);
-  EXPECT_DOUBLE_EQ(m.variance(), 1.0);         // ((1-2)^2 + (3-2)^2) / 2
-  EXPECT_DOUBLE_EQ(m.sample_variance(), 2.0);  // / 1
-}
-
 TEST(StreamingMomentsTest, MinMaxTracksExtremes) {
   StreamingMoments m;
   for (double x : {3.0, -1.0, 7.0, 2.0}) {
@@ -75,119 +67,12 @@ TEST(StreamingMomentsTest, MinMaxTracksExtremes) {
   EXPECT_DOUBLE_EQ(m.max(), 7.0);
 }
 
-TEST(StreamingMomentsTest, MergeEqualsSinglePass) {
-  Rng rng(11);
-  StreamingMoments all;
-  StreamingMoments a;
-  StreamingMoments b;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.NextDouble() * 10.0;
-    all.Add(x);
-    (i % 2 == 0 ? a : b).Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(StreamingMomentsTest, MergeWithEmptySides) {
-  StreamingMoments a;
-  StreamingMoments b;
-  b.Add(4.0);
-  a.Merge(b);  // empty <- non-empty
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_DOUBLE_EQ(a.mean(), 4.0);
-  StreamingMoments c;
-  a.Merge(c);  // non-empty <- empty
-  EXPECT_EQ(a.count(), 1u);
-}
-
 TEST(StreamingMomentsTest, CvIsStddevOverMean) {
   StreamingMoments m;
   m.Add(10.0);
   m.Add(20.0);
   EXPECT_NEAR(m.cv(), m.stddev() / m.mean(), 1e-12);
 }
-
-TEST(StreamingCovarianceTest, IndependentSeriesNearZero) {
-  Rng rng(3);
-  StreamingCovariance cov;
-  for (int i = 0; i < 20000; ++i) {
-    cov.Add(rng.NextDouble(), rng.NextDouble());
-  }
-  EXPECT_NEAR(cov.covariance(), 0.0, 0.005);
-}
-
-TEST(StreamingCovarianceTest, PerfectlyCorrelated) {
-  StreamingCovariance cov;
-  StreamingMoments var;
-  Rng rng(5);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.NextDouble() * 4.0;
-    cov.Add(x, 2.0 * x + 1.0);
-    var.Add(x);
-  }
-  // Cov(X, 2X+1) = 2 Var(X).
-  EXPECT_NEAR(cov.covariance(), 2.0 * var.variance(), 1e-9);
-}
-
-TEST(StreamingCovarianceTest, VarianceSumIdentity) {
-  // Var(X+Y) = Var(X) + Var(Y) + 2 Cov(X,Y): the identity underlying the
-  // paper's Equation (2).
-  Rng rng(9);
-  StreamingMoments vx;
-  StreamingMoments vy;
-  StreamingMoments vsum;
-  StreamingCovariance cov;
-  for (int i = 0; i < 5000; ++i) {
-    const double x = rng.NextDouble() * 3.0;
-    const double y = x * 0.5 + rng.NextDouble();
-    vx.Add(x);
-    vy.Add(y);
-    vsum.Add(x + y);
-    cov.Add(x, y);
-  }
-  EXPECT_NEAR(vsum.variance(),
-              vx.variance() + vy.variance() + 2.0 * cov.covariance(), 1e-7);
-}
-
-// Mixes small and large magnitudes to stress numerical stability.
-double SampleForIndex(Rng& rng, int i) {
-  const double scale = (i % 3 == 0) ? 1e6 : 1.0;
-  return (rng.NextDouble() - 0.5) * scale;
-}
-
-// Property sweep: the merge operation is associative-enough across chunk
-// sizes and value scales.
-class WelfordMergeProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(WelfordMergeProperty, ChunkedMergeMatchesSinglePass) {
-  const int chunk = GetParam();
-  Rng rng(static_cast<uint64_t>(chunk) * 977 + 13);
-  StreamingMoments all;
-  StreamingMoments merged;
-  StreamingMoments current;
-  for (int i = 0; i < 1200; ++i) {
-    const double x = SampleForIndex(rng, i);
-    all.Add(x);
-    current.Add(x);
-    if ((i + 1) % chunk == 0) {
-      merged.Merge(current);
-      current = StreamingMoments();
-    }
-  }
-  merged.Merge(current);
-  EXPECT_EQ(merged.count(), all.count());
-  EXPECT_NEAR(merged.mean(), all.mean(), 1e-7 * (1.0 + std::abs(all.mean())));
-  EXPECT_NEAR(merged.variance(), all.variance(),
-              1e-7 * (1.0 + all.variance()));
-}
-
-INSTANTIATE_TEST_SUITE_P(Chunks, WelfordMergeProperty,
-                         ::testing::Values(1, 2, 7, 50, 300, 1200));
 
 }  // namespace
 }  // namespace statkit

@@ -171,18 +171,6 @@ TEST(FactorSelectionTest, SpecificityKindsChangeOrdering) {
   EXPECT_GT(quad_ratio, lin_ratio);
 }
 
-TEST(CallGraphTest, DotExportContainsNodesAndEdges) {
-  CallGraph g;
-  g.AddEdge("dot_a", "dot_b");
-  g.AddEdge("dot_a", "dot_c");
-  const std::string dot = g.ToDot("mygraph");
-  EXPECT_NE(dot.find("digraph mygraph {"), std::string::npos);
-  EXPECT_NE(dot.find("\"dot_a\" -> \"dot_b\";"), std::string::npos);
-  EXPECT_NE(dot.find("\"dot_a\" -> \"dot_c\";"), std::string::npos);
-  EXPECT_NE(dot.find("\"dot_c\";"), std::string::npos);
-  EXPECT_EQ(dot.back(), '\n');
-}
-
 TEST(FactorTest, LabelFormats) {
   Factor f;
   f.func_a = 1;

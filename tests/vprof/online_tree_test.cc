@@ -237,15 +237,6 @@ TEST(OnlineVarianceTreeTest, PromTextExposesCountersAndNodeGauges) {
   EXPECT_NE(prom.find("# TYPE vprof_node_mean_ns gauge"), std::string::npos);
 }
 
-TEST(OnlineVarianceTreeTest, JsonSnapshotNestsTree) {
-  OnlineVarianceTree tree;
-  tree.Fold(BuildTwoChildTrace({500, 1000}));
-  const std::string json = tree.Snapshot().ToJson();
-  EXPECT_NE(json.find("\"epochs\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"label\":\"txn\""), std::string::npos);
-  EXPECT_NE(json.find("\"children\":["), std::string::npos);
-}
-
 TEST(OnlineVarianceTreeTest, SurfacesStuckAndDroppedCounts) {
   Trace trace = BuildTwoChildTrace({500, 900});
   trace.stuck_threads.push_back(42);

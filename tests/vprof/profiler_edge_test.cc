@@ -1,5 +1,7 @@
 // Edge behavior of the refinement driver: iteration caps, covariance-driven
 // workloads, instrumentation bookkeeping, and report stability.
+#include <sys/prctl.h>
+
 #include <gtest/gtest.h>
 
 #include "src/simio/disk.h"
@@ -13,15 +15,30 @@ namespace {
 statkit::Rng g_rng(41);
 bool g_slow_phase = false;
 
+// Takes `us` on the fast clock: sleeps, with no timer slack, until
+// kSpinTailUs before the set time, then spins until the set time has
+// passed. A sleep alone overshoots by a varying amount, which dilutes the
+// coupling the test sets; a spin alone is preempted for whole timeslices
+// on a loaded host.
+constexpr double kSpinTailUs = 50.0;
+
+void RunForUs(double us) {
+  const TimeNs until = Now() + static_cast<TimeNs>(us * 1000.0);
+  ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+  simio::SleepUs(us - kSpinTailUs);
+  while (Now() < until) {
+  }
+}
+
 // App whose two children co-vary: a shared "system state" slows both.
 void CoupledA() {
   VPROF_FUNC("pe_coupled_a");
-  simio::SleepUs(g_slow_phase ? 900.0 : 100.0);
+  RunForUs(g_slow_phase ? 900.0 : 100.0);
 }
 
 void CoupledB() {
   VPROF_FUNC("pe_coupled_b");
-  simio::SleepUs(g_slow_phase ? 1100.0 : 120.0);
+  RunForUs(g_slow_phase ? 1100.0 : 120.0);
 }
 
 void CoupledRoot() {
@@ -58,7 +75,7 @@ TEST(ProfilerEdgeTest, CovarianceFactorRanksHighForCoupledFunctions) {
     }
   }
   ASSERT_NE(pair, nullptr);
-  // 2*Cov(A,B) should carry a large share: both sleep in lockstep.
+  // 2*Cov(A,B) should carry a large share: both slow down in lockstep.
   EXPECT_GT(pair->contribution, 0.3);
 }
 

@@ -9,8 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/minidb/engine.h"
-#include "src/minipg/engine.h"
 #include "src/vprof/service/online_tree.h"
 #include "src/vprof/service/prom.h"
 #include "src/vprof/service/vprofd.h"
@@ -215,63 +213,6 @@ TEST(PromWriterTest, FamilyWithoutSamplesStillDeclared) {
   const std::string text = w.Text();
   ValidatePromText(text);
   EXPECT_NE(text.find("# TYPE empty_total counter\n"), std::string::npos);
-}
-
-TEST(PromWriterTest, AppGaugeSeriesNamesAreScrapeClean) {
-  // The scale-out gauges (per-shard lock waits, group-commit batch sizes)
-  // carry dotted shard/unit paths. Dots are illegal in metric names, so the
-  // path travels as a `series` label value and the family name stays fixed —
-  // the exposition must remain conformant.
-  PromWriter w;
-  w.Family("vprofd_app_gauge", "gauge", "Application-published gauges.");
-  w.Sample(
-      "vprofd_app_gauge",
-      PromWriter::Labels{{"series", "minidb.buf_pool.shard0.mutex_waits"}},
-      17.0);
-  w.Sample(
-      "vprofd_app_gauge",
-      PromWriter::Labels{{"series", "minipg.wal.unit1.batch_records_avg"}},
-      3.25);
-  const std::string text = w.Text();
-  ValidatePromText(text);
-  EXPECT_NE(
-      text.find("vprofd_app_gauge{series=\"minidb.buf_pool.shard0.mutex_waits\"}"),
-      std::string::npos);
-  EXPECT_NE(
-      text.find("vprofd_app_gauge{series=\"minipg.wal.unit1.batch_records_avg\"}"),
-      std::string::npos);
-}
-
-TEST(PromWriterTest, EngineRobustnessCountersExposeAsAppGauges) {
-  // Both engines publish their robustness counters (lock timeouts, deadlock
-  // aborts, WAL/redo I/O errors, wedges, crashes, commit/abort totals) as
-  // dotted app-gauge series; the exposition must stay conformant with the
-  // full set plugged in as vprofd would.
-  minidb::Engine db{minidb::EngineConfig{}};
-  minipg::PgEngine pg{minipg::PgConfig{}};
-  PromWriter w;
-  w.Family("vprofd_app_gauge", "gauge", "Application-published gauges.");
-  for (const AppGauge& gauge : db.RobustnessGauges()) {
-    w.Sample("vprofd_app_gauge", PromWriter::Labels{{"series", gauge.name}},
-             gauge.value);
-  }
-  for (const AppGauge& gauge : pg.RobustnessGauges()) {
-    w.Sample("vprofd_app_gauge", PromWriter::Labels{{"series", gauge.name}},
-             gauge.value);
-  }
-  const std::string text = w.Text();
-  ValidatePromText(text);
-  for (const char* series :
-       {"minidb.lock.timeouts", "minidb.lock.deadlocks",
-        "minidb.redo.io_errors", "minidb.redo.wedges", "minidb.redo.crashes",
-        "minidb.txn.committed", "minidb.txn.aborted", "minipg.wal.io_errors",
-        "minipg.wal.wedges", "minipg.wal.crashes", "minipg.txn.committed",
-        "minipg.txn.aborted"}) {
-    EXPECT_NE(text.find("vprofd_app_gauge{series=\"" + std::string(series) +
-                        "\"}"),
-              std::string::npos)
-        << series;
-  }
 }
 
 TEST(VprofdPromTest, SupervisorFamiliesAreConformant) {

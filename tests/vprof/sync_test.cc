@@ -19,21 +19,20 @@ class SyncTest : public ::testing::Test {
 };
 
 TEST_F(SyncTest, OwnerStampPackUnpack) {
-  const uint64_t packed = PackOwnerStamp(7, 123456789);
-  const OwnerStamp stamp = UnpackOwnerStamp(packed);
-  EXPECT_EQ(stamp.tid, 7);
-  EXPECT_EQ(stamp.time, 123456789);
-}
-
-TEST_F(SyncTest, OwnerMapRecordLookup) {
-  int object = 0;
-  OwnerMap::Get().Record(&object, 3, 999);
-  const auto stamp = OwnerMap::Get().Lookup(&object);
-  ASSERT_TRUE(stamp.has_value());
-  EXPECT_EQ(stamp->tid, 3);
-  EXPECT_EQ(stamp->time, 999);
-  int other = 0;
-  EXPECT_FALSE(OwnerMap::Get().Lookup(&other).has_value());
+  // Thread ids are never reused, so they grow past 16 bits in a long run.
+  for (const ThreadId tid : {0, 7, 32768, 65535, 70000}) {
+    const OwnerStamp stamp = UnpackOwnerStamp(PackOwnerStamp(tid, 123456789));
+    EXPECT_EQ(stamp.tid, tid);
+    EXPECT_EQ(stamp.time, 123456789);
+  }
+  // A stamp that does not fit names no thread rather than a wrong one.
+  for (const OwnerStamp& unfit : {OwnerStamp{1 << 30, 5},
+                                  OwnerStamp{3, int64_t{1} << 50},
+                                  OwnerStamp{3, -5}}) {
+    EXPECT_EQ(UnpackOwnerStamp(PackOwnerStamp(unfit.tid, unfit.time)).tid,
+              kNoThread);
+  }
+  EXPECT_EQ(UnpackOwnerStamp(0).tid, kNoThread);
 }
 
 TEST_F(SyncTest, MutexBasicExclusion) {

@@ -95,14 +95,6 @@ TEST_F(EdgeCaseTest, DeepRecursionBeyondProbeStackIsSafe) {
   EXPECT_EQ(count, static_cast<uint64_t>(kMaxProbeDepth) + 51);
 }
 
-TEST_F(EdgeCaseTest, OwnerMapClearRemovesEntries) {
-  int object = 0;
-  OwnerMap::Get().Record(&object, 5, 123);
-  ASSERT_TRUE(OwnerMap::Get().Lookup(&object).has_value());
-  OwnerMap::Get().Clear();
-  EXPECT_FALSE(OwnerMap::Get().Lookup(&object).has_value());
-}
-
 TEST_F(EdgeCaseTest, ManyThreadsManyIntervalsAllRecorded) {
   StartTracing();
   constexpr int kThreads = 6;

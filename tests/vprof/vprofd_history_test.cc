@@ -140,47 +140,6 @@ TEST_F(VprofdHistoryTest, EmptyDirDisablesHistory) {
   EXPECT_NE(metrics.find("vprofd_harvest_epochs_total"), std::string::npos);
 }
 
-// Application-published gauges (the scale-out wiring): every harvested epoch
-// samples the app_gauges callback into "app:<name>" history series, and
-// MetricsText exposes the live values under vprofd_app_gauge.
-TEST_F(VprofdHistoryTest, AppGaugesLandInHistoryAndMetrics) {
-  EXPECT_EQ(AppSeriesName("minidb.redo.commit_waits"),
-            "app:minidb.redo.commit_waits");
-
-  std::atomic<uint64_t> ticks{0};
-  VprofdOptions options = Options();
-  options.app_gauges = [&ticks] {
-    const double t = static_cast<double>(ticks.fetch_add(1)) + 1.0;
-    return std::vector<AppGauge>{{"test.shard0.mutex_waits", 10.0 * t},
-                                 {"test.redo.batch_records_avg", 3.5}};
-  };
-  Vprofd daemon(std::move(options));
-  const uint64_t epochs = RunDaemon(&daemon, 3);
-
-  ASSERT_NE(daemon.history(), nullptr);
-  const std::vector<statstore::SeriesPoint> waits = daemon.history()->Query(
-      "app:test.shard0.mutex_waits", 0, UINT64_MAX);
-  ASSERT_EQ(waits.size(), epochs);
-  // The callback runs once per harvested epoch, in epoch order.
-  for (size_t i = 1; i < waits.size(); ++i) {
-    EXPECT_GT(waits[i].value, waits[i - 1].value);
-  }
-  const std::vector<statstore::SeriesPoint> batch = daemon.history()->Query(
-      "app:test.redo.batch_records_avg", 0, UINT64_MAX);
-  ASSERT_EQ(batch.size(), epochs);
-  EXPECT_DOUBLE_EQ(batch.back().value, 3.5);
-
-  // Scrape surface: one family, series-labelled samples.
-  const std::string metrics = daemon.MetricsText();
-  EXPECT_NE(metrics.find("# TYPE vprofd_app_gauge gauge\n"),
-            std::string::npos);
-  EXPECT_NE(metrics.find("vprofd_app_gauge{series=\"test.shard0.mutex_waits\"} "),
-            std::string::npos);
-  EXPECT_NE(
-      metrics.find("vprofd_app_gauge{series=\"test.redo.batch_records_avg\"} "),
-      std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // Snapshot flattening (history.h) without a live daemon
 // ---------------------------------------------------------------------------
