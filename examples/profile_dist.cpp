@@ -12,16 +12,15 @@
 //      front factors (queue wait, allocator) compete with backend factors
 //      (lock waits, the WAL path) in a single Eq. 2 ranking.
 //
-// The final step profiles the same engine single-process (the paper's
-// Table 4 setting) and checks that the backend's top factor seen THROUGH
-// the distributed tier matches the factors the classic profiler finds —
-// the wire must not change what the decomposition blames.
+// The final step checks the online view against the offline one on the
+// same recording: the backend tier's top factors in the DistMonitor (the
+// streaming tree's fold of the backend's trace) must be, rank by rank, the
+// factors the offline variance analysis of that trace ranks first.
 //
 // Build & run:  ./build/examples/profile_dist
 #include <cstdio>
-#include <memory>
+#include <limits>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -36,7 +35,6 @@
 #include "src/statkit/rng.h"
 #include "src/statkit/summary.h"
 #include "src/vprof/analysis/factor_selection.h"
-#include "src/vprof/analysis/profiler.h"
 #include "src/vprof/analysis/variance_tree.h"
 #include "src/workload/openloop.h"
 #include "src/workload/tpcc.h"
@@ -44,9 +42,8 @@
 namespace {
 
 constexpr int kWarehouses = 1;  // Payment serializes -> lock waits dominate
-// 4 backend workers mirror the 4-thread TPC-C driver below. The 2 front
-// workers, each holding its request through the RPC, bound the backend's
-// concurrency at 2.
+// The 2 front workers, each holding its request through the RPC, bound the
+// backend's concurrency at 2.
 constexpr int kBackendWorkers = 4;
 constexpr double kRatePerSec = 1100.0;
 constexpr double kRunSeconds = 1.2;
@@ -57,20 +54,30 @@ minidb::EngineConfig EngineConfig() {
   return config;
 }
 
-std::set<std::string> TopLabels(const std::vector<vprof::Factor>& factors,
-                                const std::vector<std::string>& names,
-                                size_t k) {
-  std::set<std::string> top;
+// The labels of the first `k` variance (not covariance) factors, in rank
+// order.
+std::vector<std::string> TopLabels(const std::vector<vprof::Factor>& factors,
+                                   const std::vector<std::string>& names,
+                                   size_t k) {
+  std::vector<std::string> top;
   for (const vprof::Factor& factor : factors) {
     if (factor.is_covariance()) {
       continue;
     }
-    top.insert(factor.Label(names));
+    top.push_back(factor.Label(names));
     if (top.size() == k) {
       break;
     }
   }
   return top;
+}
+
+void PrintRanking(const char* title, const std::vector<std::string>& labels) {
+  std::printf("  %s:", title);
+  for (size_t i = 0; i < labels.size(); ++i) {
+    std::printf("  %zu. %s", i + 1, labels[i].c_str());
+  }
+  std::printf("\n");
 }
 
 }  // namespace
@@ -178,6 +185,7 @@ int main() {
   vprof::OnlineVarianceTree backend_tree(tree_options);
   front_tree.Fold(tiers[0]);
   backend_tree.Fold(tiers[1]);
+  const vprof::OnlineTreeSnapshot backend_snapshot = backend_tree.Snapshot();
 
   dist::DistMonitor monitor;
   dist::TierConfig front_tier;
@@ -190,8 +198,15 @@ int main() {
   backend_tier.root = vprof::RegisterFunction("run_transaction");
   monitor.RegisterTier(backend_tier);
   monitor.UpdateTier("front", front_tree.Snapshot());
-  monitor.UpdateTier("minidb", backend_tree.Snapshot());
+  monitor.UpdateTier("minidb", backend_snapshot);
   std::printf("%s\n", monitor.ToText(graph, /*top_k=*/4).c_str());
+  std::vector<vprof::Factor> online_backend;
+  for (const dist::DistFactor& factor :
+       monitor.TopFactors(graph, std::numeric_limits<size_t>::max())) {
+    if (factor.tier == "minidb") {
+      online_backend.push_back(factor.factor);
+    }
+  }
 
   std::printf("Step 4: offline view — stitched cross-tier decomposition.\n\n");
   dist::TierTrace front_view;
@@ -234,52 +249,27 @@ int main() {
   pool.Shutdown();
   backend.Shutdown();
 
-  // What did the distributed view blame INSIDE the backend? Rank the
-  // backend tier on its own root, exactly as a per-tier vprofd would.
+  // The same recording two ways: the backend tier as the DistMonitor ranks
+  // it online (Step 3), and as the offline variance analysis of the
+  // backend's trace ranks it on its own root, exactly as a per-tier vprofd
+  // would. The fold and the analysis see the same intervals, so they must
+  // agree rank by rank.
+  std::printf("\nStep 5: the backend tier online and offline, from the same "
+              "recording.\n\n");
   const vprof::VarianceAnalysis backend_only(tiers[1], path_options);
-  const std::vector<vprof::Factor> backend_factors = vprof::AggregateFactors(
-      backend_only, graph, vprof::RegisterFunction("run_transaction"),
-      vprof::SpecificityKind::kQuadratic);
-  const std::set<std::string> dist_backend_top =
-      TopLabels(backend_factors, tiers[1].function_names, 3);
-
-  std::printf("\nStep 5: single-process profile of the same engine "
-              "(Table 4 setting).\n\n");
-  minidb::Engine solo(EngineConfig());
-  workload::TpccOptions tpcc;
-  tpcc.threads = 4;
-  tpcc.transactions_per_thread = 400;
-  workload::TpccDriver driver(&solo, tpcc);
-  driver.Run();  // warm-up
-  vprof::Profiler profiler("run_transaction", &graph, [&] { driver.Run(); });
-  const vprof::ProfileResult offline = profiler.Run();
-  const std::set<std::string> solo_top =
-      TopLabels(offline.all_factors, offline.function_names, 5);
-
-  std::printf("  backend top factors through the wire:");
-  for (const std::string& label : dist_backend_top) {
-    std::printf(" %s", label.c_str());
-  }
-  std::printf("\n  single-process top factors:         ");
-  for (const std::string& label : solo_top) {
-    std::printf(" %s", label.c_str());
-  }
-
-  // The wire must not change the blame: the distributed backend tier's #1
-  // factor has to be one the single-process profiler also ranks highly.
-  const std::string backend_top =
-      dist_backend_top.empty() ? "" : *dist_backend_top.begin();
-  size_t overlap = 0;
-  for (const std::string& label : dist_backend_top) {
-    overlap += solo_top.count(label);
-  }
-  std::printf("\n\n  agreement: %zu of %zu backend factors also in the "
-              "single-process top-5\n",
-              overlap, dist_backend_top.size());
-  const bool pass = overlap >= 1 && !backend_top.empty();
-  std::printf("  %s\n", pass ? "PASS: the distributed decomposition matches "
-                               "the single-process picture."
-                             : "FAIL: distributed and single-process "
-                               "decompositions disagree.");
+  const std::vector<std::string> offline_top = TopLabels(
+      vprof::AggregateFactors(backend_only, graph,
+                              vprof::RegisterFunction("run_transaction"),
+                              vprof::SpecificityKind::kQuadratic),
+      tiers[1].function_names, 3);
+  const std::vector<std::string> online_top =
+      TopLabels(online_backend, backend_snapshot.function_names, 3);
+  PrintRanking("online (DistMonitor)", online_top);
+  PrintRanking("offline (VarianceAnalysis)", offline_top);
+  const bool pass = !online_top.empty() && online_top == offline_top;
+  std::printf("\n  %s\n", pass ? "PASS: the online fold ranks the backend's "
+                                  "top factors as the offline analysis does."
+                                : "FAIL: the online and offline rankings of "
+                                  "the backend differ.");
   return pass ? 0 : 1;
 }

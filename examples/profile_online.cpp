@@ -8,10 +8,15 @@
 // and checks that the online service converged to the same top factors
 // (the paper's Table 4 picture).
 //
+// vprofd persists every epoch to profile_online_history/ in the working
+// directory, emptied at the start of each run; `statstore_inspect
+// profile_online_history` reads it.
+//
 // Build & run:  ./build/examples/profile_online
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <thread>
@@ -23,6 +28,8 @@
 #include "src/workload/tpcc.h"
 
 namespace {
+
+constexpr char kHistoryDir[] = "profile_online_history";
 
 std::set<std::string> TopVarianceFactors(const std::vector<vprof::Factor>& factors,
                                          const std::vector<std::string>& names,
@@ -60,6 +67,8 @@ int main() {
   vprof::VprofdOptions daemon_options;
   daemon_options.epoch_ns = 120'000'000;  // 120 ms epochs
   daemon_options.controller.min_weight = 50.0;
+  std::filesystem::remove_all(kHistoryDir);
+  daemon_options.history.dir = kHistoryDir;
   auto daemon = minidb::Engine::StartOnlineProfiler(std::move(daemon_options));
 
   // Let the controller refine until it has been stable for 3 epochs (or

@@ -6,6 +6,8 @@
 // sequence on every run; the failpoint-based tests use per-test fault
 // scopes so no armed failpoint can leak between tests.
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "src/httpd/server.h"
 #include "src/minidb/engine.h"
 #include "src/minipg/engine.h"
+#include "src/simio/disk.h"
 #include "src/vprof/analysis/profiler.h"
 #include "src/workload/ab.h"
 #include "src/workload/tpcc.h"
@@ -217,37 +220,63 @@ TEST_F(FailureInjectionFaultTest, WalDeviceStallTopFactorIsWalPath) {
       << "top factor was " << top;
 }
 
-// Fault class 3 — worker-pool saturation: far more clients than workers.
-// The latency is queueing, not execution: the analysis must attribute the
-// bulk of the interval to queue wait, and the bounded queue must shed the
-// overload with 503s instead of letting the backlog grow without bound.
+// Fault class 3 — worker-pool saturation: more clients than the one worker
+// and its bounded queue can hold. The latency is queueing, not execution:
+// the analysis must attribute the bulk of the interval to queue wait, and
+// the bounded queue must shed the overload with 503s instead of letting the
+// backlog grow without bound. The saturation is built, not timed: each
+// round sends one request from every client, and the first request parks
+// the lone worker until the queue has overflowed and shed the clients it
+// cannot hold, then holds it kHoldUs longer. So at least kQueueDepth - 1
+// queued requests wait kHoldUs or more each, while only the parked one is
+// in service that long.
 TEST_F(FailureInjectionFaultTest, WorkerSaturationIsQueueWaitAndSheds) {
+  constexpr int kClients = 8;
+  constexpr int kQueueDepth = 4;
+  // With the worker parked, one request is in service and kQueueDepth are
+  // queued; the round's other clients are shed.
+  constexpr uint64_t kShedPerRound = kClients - 1 - kQueueDepth;
+  constexpr double kHoldUs = 50000.0;
+  httpd::HttpServer* server_ptr = nullptr;
+  std::atomic<bool> park{false};
+  uint64_t shed_target = 0;  // published to the worker by `park`
   httpd::HttpdConfig config;
   config.workers = 1;
-  // Must sit below the client count: 8 closed-loop clients can have at most
-  // 8 requests outstanding, so a deeper queue would never reject.
-  config.max_queue_depth = 4;
-  // A one-file cache over four files keeps the miss rate high: most requests
-  // pay a ~55us disk read, so the lone worker is always behind the clients.
-  config.page_cache_files = 1;
-  config.file_disk.read_mu = 4.0;
-  config.file_disk.serialize_access = false;
+  config.max_queue_depth = kQueueDepth;
+  config.backend_call = [&](uint64_t) {
+    if (!park.exchange(false)) {
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server_ptr->stats().requests_rejected < shed_target &&
+           std::chrono::steady_clock::now() < deadline) {
+      simio::SleepUs(100);
+    }
+    simio::SleepUs(kHoldUs);
+  };
   httpd::HttpServer server(config);
+  server_ptr = &server;
   vprof::CallGraph graph;
   httpd::HttpServer::RegisterCallGraph(&graph);
   workload::AbOptions options;
-  options.clients = 8;
-  options.requests_per_client = 400;
+  options.clients = kClients;
+  options.requests_per_client = 1;
   options.seed = 106;
   workload::AbDriver driver(&server, options);
-  driver.Run();  // warm-up
-  vprof::Profiler profiler("process_request", &graph, [&] { driver.Run(); });
+  auto round = [&] {
+    shed_target = server.stats().requests_rejected + kShedPerRound;
+    park.store(true);
+    driver.Run();
+  };
+  round();  // warm-up
+  vprof::Profiler profiler("process_request", &graph, round);
   const auto result = profiler.Run();
   ASSERT_NE(result.analysis, nullptr);
   const double total_latency_ns = std::accumulate(
       result.latencies_ns.begin(), result.latencies_ns.end(), 0.0);
   ASSERT_GT(total_latency_ns, 0.0);
-  // Most of every interval is spent queued behind the saturated pool.
+  // Most of every interval is spent queued behind the parked worker.
   EXPECT_GT(result.analysis->total_queue_wait_ns(), 0.5 * total_latency_ns);
   // And the server visibly shed part of the overload.
   EXPECT_GT(server.stats().requests_rejected, 0u);

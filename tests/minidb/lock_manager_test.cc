@@ -159,26 +159,35 @@ TEST(LockManagerTest, SharedWaitersGrantedTogether) {
   Transaction holder(1, 1);
   ASSERT_TRUE(lm.Lock(&holder, 5, LockMode::kExclusive));
   std::atomic<int> granted{0};
+  std::atomic<int> held_together{0};
   std::vector<std::thread> readers;
   for (int i = 0; i < 3; ++i) {
     readers.emplace_back([&, i] {
       Transaction trx(static_cast<uint64_t>(i + 2), 100 + i);
       EXPECT_TRUE(lm.Lock(&trx, 5, LockMode::kShared));
       granted.fetch_add(1);
-      simio::SleepUs(20000);
+      // Hold the lock until all three readers hold it. Grants made one at a
+      // time never get there: the wait runs out with the others still
+      // queued behind this reader.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (granted.load() < 3 && std::chrono::steady_clock::now() < deadline) {
+        simio::SleepUs(100);
+      }
+      if (granted.load() == 3) {
+        held_together.fetch_add(1);
+      }
       lm.ReleaseAll(&trx);
     });
   }
   simio::SleepUs(10000);
-  EXPECT_EQ(granted.load(), 0);
+  EXPECT_EQ(granted.load(), 0);  // no reader gets past the holder
   lm.ReleaseAll(&holder);
-  // All three shared waiters must be granted concurrently (well before the
-  // first one releases).
-  simio::SleepUs(10000);
-  EXPECT_EQ(granted.load(), 3);
   for (auto& r : readers) {
     r.join();
   }
+  // All three shared waiters held the lock at once.
+  EXPECT_EQ(held_together.load(), 3);
 }
 
 TEST(LockManagerTest, StressManyObjectsNoLostWakeups) {

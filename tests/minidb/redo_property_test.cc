@@ -1,6 +1,9 @@
-// Property tests for the redo log: durability ordering, monotonicity, and
-// group-commit batching across policies and thread counts.
+// Property tests for the redo log's lazy flush policies: LSN monotonicity
+// and the flushed <= next ordering across policies and thread counts, and a
+// prompt flusher shutdown. The kEager rows, whose commit is the group-commit
+// log's own, run on both engines in tests/commitlog/.
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -34,7 +37,6 @@ TEST_P(RedoLogProperty, LsnsAndDurabilityInvariants) {
   simio::Disk disk(QuickDisk());
   RedoLog log(param.policy, &disk, 300.0);
 
-  std::atomic<uint64_t> max_seen_lsn{0};
   std::atomic<bool> violation{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < param.threads; ++t) {
@@ -47,13 +49,7 @@ TEST_P(RedoLogProperty, LsnsAndDurabilityInvariants) {
           violation.store(true);
         }
         previous = lsn;
-        uint64_t seen = max_seen_lsn.load();
-        while (seen < lsn && !max_seen_lsn.compare_exchange_weak(seen, lsn)) {
-        }
         log.CommitUpTo(lsn);
-        if (param.policy == FlushPolicy::kEager && log.flushed_lsn() < lsn) {
-          violation.store(true);  // eager commit returned before durability
-        }
         // flushed <= written <= next everywhere.
         if (log.flushed_lsn() > log.next_lsn() - 1) {
           violation.store(true);
@@ -65,19 +61,12 @@ TEST_P(RedoLogProperty, LsnsAndDurabilityInvariants) {
     thread.join();
   }
   EXPECT_FALSE(violation.load());
-  const auto stats = log.stats();
-  EXPECT_EQ(stats.appends, static_cast<uint64_t>(param.threads) * 120u);
-  if (param.policy == FlushPolicy::kEager && param.threads > 1) {
-    // Group commit batches: strictly fewer leader flushes than commits.
-    EXPECT_LT(stats.leader_flushes, stats.appends);
-  }
+  EXPECT_EQ(log.stats().appends, static_cast<uint64_t>(param.threads) * 120u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, RedoLogProperty,
-    ::testing::Values(PropertyCase{FlushPolicy::kEager, 1},
-                      PropertyCase{FlushPolicy::kEager, 4},
-                      PropertyCase{FlushPolicy::kLazyFlush, 1},
+    ::testing::Values(PropertyCase{FlushPolicy::kLazyFlush, 1},
                       PropertyCase{FlushPolicy::kLazyFlush, 4},
                       PropertyCase{FlushPolicy::kLazyWrite, 4}));
 

@@ -1,3 +1,5 @@
+// The distributed WAL's unit placement. Each unit is the group-commit log
+// tested on both engines in tests/commitlog/.
 #include "src/minipg/wal.h"
 
 #include <thread>
@@ -19,55 +21,6 @@ simio::DiskConfig FastWalDisk() {
   config.fsync_spike_prob = 0.0;
   config.serialize_access = false;
   return config;
-}
-
-TEST(WalUnitTest, InsertAdvancesLsn) {
-  WalUnit wal(FastWalDisk());
-  const uint64_t a = wal.Insert(100);
-  const uint64_t b = wal.Insert(50);
-  EXPECT_LT(a, b);
-  EXPECT_EQ(wal.insert_lsn(), 151u);
-}
-
-TEST(WalUnitTest, FlushMakesDurable) {
-  WalUnit wal(FastWalDisk());
-  const uint64_t lsn = wal.Insert(512);
-  EXPECT_LT(wal.flushed_lsn(), lsn);
-  wal.Flush(lsn);
-  EXPECT_GE(wal.flushed_lsn(), lsn);
-  EXPECT_GE(wal.disk().fsyncs(), 1u);
-}
-
-TEST(WalUnitTest, FlushIdempotent) {
-  WalUnit wal(FastWalDisk());
-  const uint64_t lsn = wal.Insert(512);
-  wal.Flush(lsn);
-  const uint64_t syncs = wal.disk().fsyncs();
-  wal.Flush(lsn);
-  EXPECT_EQ(wal.disk().fsyncs(), syncs);
-}
-
-TEST(WalUnitTest, GroupCommitBatchesConcurrentFlushes) {
-  WalUnit wal(FastWalDisk());
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 50; ++i) {
-        const uint64_t lsn = wal.Insert(128);
-        wal.Flush(lsn);
-        ASSERT_GE(wal.flushed_lsn(), lsn);
-      }
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  const WalStats stats = wal.stats();
-  EXPECT_EQ(stats.inserts, 200u);
-  EXPECT_EQ(stats.flush_calls, 200u);
-  // Group commit: strictly fewer actual flushes than flush calls.
-  EXPECT_LT(stats.flushes_performed, 200u);
-  EXPECT_GE(stats.flushes_performed, 1u);
 }
 
 TEST(WalTest, SingleUnitDefault) {
@@ -114,6 +67,9 @@ TEST(WalTest, PlacementAvoidsBusyUnit) {
   const uint64_t total_inserts =
       wal.unit(0).stats().inserts + wal.unit(1).stats().inserts;
   EXPECT_EQ(total_inserts, 200u);
+  // Each unit counts the flush calls that reached it.
+  EXPECT_EQ(wal.unit(0).stats().flush_calls + wal.unit(1).stats().flush_calls,
+            200u);
 }
 
 }  // namespace
