@@ -31,13 +31,15 @@ tier1      default  all  -                                                 0
 # The vprof runtime's lock-free probe hot path (epoch handshake, chunked
 # buffers, full-tracer rings, freeing exited threads' states), the worker
 # pool and its users (httpd's first-use pool start and submit-and-wait,
-# NetServer's dispatch and cross-thread reply post), the analysis pool with
+# NetServer's dispatch, cross-thread reply post and deferred replies, and
+# the event-loop stress whose engine stop drives minidb's pipelined commits
+# completing on other workers), the analysis pool with
 # the trace loading, critical-path, variance-tree and streaming-tree tests
 # that run on it, real profiling runs (httpd, whose 6000-interval traces
 # are analyzed on the pool, and concurrent minidb TPC-C with its graceful
 # shutdown), and the group-commit log (election, crash, recovery, shutdown)
 # on both engines' wrappers, with each engine's own log tests.
-tsan       tsan     -R   ^(vprof_(runtime|stress|registry|sync|task_queue|worker_pool|pool|critical_path|variance_tree|trace_io|online_tree)|httpd_server|net_server|integration_(httpd_profile|minidb_profile|shutdown)|commitlog|minidb_(redo_log|redo_crash|redo_property|group_commit_crash)|minipg_(wal|wal_crash|wal_group_commit_crash))_test$  0
+tsan       tsan     -R   ^(vprof_(runtime|stress|registry|sync|task_queue|worker_pool|pool|critical_path|variance_tree|trace_io|online_tree)|httpd_server|net_(server|stress)|integration_(httpd_profile|minidb_profile|shutdown)|commitlog|minidb_(redo_log|redo_crash|redo_property|group_commit_crash)|minipg_(wal|wal_crash|wal_group_commit_crash))_test$  0
 # The fault-injection suite (crash recovery, torn tails, arena-cap overflow,
 # quarantine, thread exit), the trace-analysis tests (the variance tree's
 # overlap walk and position search are index arithmetic over loaded trace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "src/fault/failpoint.h"
 #include "src/statkit/rng.h"
@@ -131,6 +132,89 @@ Status CommitLog::GroupCommitUpTo(uint64_t lsn) {
   return Status::kOk;
 }
 
+void CommitLog::CommitPipelined(uint64_t lsn, Completion done) {
+  if (mode_ == CommitMode::kExclusive) {
+    done(CommitUpTo(lsn));
+    return;
+  }
+  Status refused = Status::kOk;
+  {
+    std::lock_guard<std::mutex> lock(pipe_mu_);
+    refused = EntryStatus();
+    if (refused == Status::kOk) {
+      pipe_pending_.push_back(
+          PendingCommit{lsn, incarnation_.load(std::memory_order_acquire),
+                        vprof::HandOffInterval(), std::move(done)});
+      if (pipe_leader_) {
+        return;  // the active leader settles it
+      }
+      pipe_leader_ = true;
+    }
+  }
+  if (refused != Status::kOk) {
+    done(refused);
+    return;
+  }
+  LeadPipelinedRounds();
+}
+
+void CommitLog::LeadPipelinedRounds() {
+  std::vector<std::pair<PendingCommit, Status>> settled;
+  while (true) {
+    uint64_t target = 0;
+    {
+      std::lock_guard<std::mutex> lock(pipe_mu_);
+      if (pipe_pending_.empty()) {
+        pipe_leader_ = false;
+        return;
+      }
+      for (const PendingCommit& pending : pipe_pending_) {
+        target = std::max(target, pending.lsn);
+      }
+    }
+    Status status = Status::kOk;
+    {
+      MaybeProbe round(traits_.round_probe);
+      status = GroupCommitUpTo(target);
+    }
+    // Settle what the round decided: every LSN now durable with kOk, and on
+    // a failure every LSN up to the round's with its status. The flushed
+    // LSN is read before the incarnation, and Recover bumps the incarnation
+    // before it moves the flushed LSN, so a commit of this incarnation at
+    // or below `durable` is on the device.
+    const uint64_t durable = flushed_lsn();
+    const uint64_t incarnation = incarnation_.load(std::memory_order_acquire);
+    {
+      std::lock_guard<std::mutex> lock(pipe_mu_);
+      std::vector<PendingCommit> kept;
+      for (PendingCommit& pending : pipe_pending_) {
+        if (pending.incarnation != incarnation) {
+          settled.emplace_back(std::move(pending), Status::kCrashed);
+        } else if (pending.lsn <= durable) {
+          settled.emplace_back(std::move(pending), Status::kOk);
+        } else if (status != Status::kOk && pending.lsn <= target) {
+          settled.emplace_back(std::move(pending), status);
+        } else {
+          kept.push_back(std::move(pending));
+        }
+      }
+      pipe_pending_.swap(kept);
+    }
+    // In LSN order, each on behalf of its registrant's interval. A
+    // completion that ends that interval (its reply is sent) leaves this
+    // thread on its own interval again.
+    std::sort(settled.begin(), settled.end(),
+              [](const auto& a, const auto& b) {
+                return a.first.lsn < b.first.lsn;
+              });
+    for (auto& [commit, outcome] : settled) {
+      vprof::ResumedInterval on_behalf(commit.handoff);
+      commit.done(outcome);
+    }
+    settled.clear();
+  }
+}
+
 Status CommitLog::ExclusiveCommitUpTo(uint64_t lsn) {
   // One write+fsync per commit, even when another's flush already covered
   // `lsn`: the prepare_commit_mutex regime.
@@ -162,15 +246,18 @@ Status CommitLog::WriteBatch(bool do_fsync, bool background) {
   return WriteBatchLocked(do_fsync, background);
 }
 
-void CommitLog::AppendBatchToDevice(const std::vector<Record>& batch,
-                                    uint64_t intact_bytes) {
+size_t CommitLog::AppendBatchToDevice(const std::vector<Record>& batch,
+                                      size_t first, uint64_t intact_bytes) {
   // Records wholly within the transferred prefix land intact; the record
   // crossing the tear point lands with a bad checksum; anything beyond it
   // never reached the device.
   uint64_t offset = 0;
-  for (const Record& rec : batch) {
+  size_t whole = 0;
+  for (size_t i = first; i < batch.size(); ++i) {
+    const Record& rec = batch[i];
     if (offset + rec.bytes <= intact_bytes) {
       device_records_.push_back(rec);
+      ++whole;
     } else if (offset < intact_bytes) {
       device_records_.push_back(rec);
       device_records_.back().checksum ^= kTornChecksumMask;
@@ -180,6 +267,15 @@ void CommitLog::AppendBatchToDevice(const std::vector<Record>& batch,
     }
     offset += rec.bytes;
   }
+  return whole;
+}
+
+void CommitLog::RestoreToBuffer(const std::vector<Record>& batch,
+                                size_t first) {
+  std::lock_guard<std::mutex> lock(buffer_mu_);
+  buffer_records_.insert(buffer_records_.begin(),
+                         batch.begin() + static_cast<std::ptrdiff_t>(first),
+                         batch.end());
 }
 
 Status CommitLog::WriteBatchLocked(bool do_fsync, bool background) {
@@ -191,54 +287,76 @@ Status CommitLog::WriteBatchLocked(bool do_fsync, bool background) {
     std::lock_guard<std::mutex> lock(buffer_mu_);
     batch.swap(buffer_records_);
   }
-  uint64_t bytes = 0;
-  for (const Record& rec : batch) {
-    bytes += rec.bytes;
-  }
   const uint64_t batch_end =
       batch.empty() ? written_lsn() : batch.back().end_lsn;
   const uint64_t crash_seed = crash_seed_.load(std::memory_order_relaxed);
-  auto restore_batch = [&] {
-    std::lock_guard<std::mutex> lock(buffer_mu_);
-    buffer_records_.insert(buffer_records_.begin(), batch.begin(), batch.end());
-  };
 
   if (Fires("/crash_before_write")) [[unlikely]] {
-    restore_batch();  // dies in the buffer; the crash accounts it as lost
+    RestoreToBuffer(batch, 0);  // dies in the buffer; the crash counts it
     CrashLocked(crash_seed);
     return Status::kCrashed;
   }
   {
     MaybeProbe write(traits_.write_probe);
-    if (bytes > 0) {
-      const uint64_t blocks =
-          (bytes + traits_.block_bytes - 1) / traits_.block_bytes;
-      const simio::IoResult w = disk_->Write(blocks * traits_.block_bytes);
-      if (!w.ok()) {
-        restore_batch();  // nothing reached the device; the caller may retry
-        stat_io_errors_.fetch_add(1, std::memory_order_relaxed);
-        return Status::kIoError;
+    // One pass per device write. A short write lands the records before
+    // the tear whole; the next pass rewrites the torn record whole, in
+    // place, then the rest.
+    size_t landed = 0;  // records of `batch` whole on the device
+    do {
+      uint64_t bytes = 0;
+      for (size_t i = landed; i < batch.size(); ++i) {
+        bytes += batch[i].bytes;
       }
-      // A mid-batch kill lands only a prefix of the batch: the trigger
-      // value's bytes if it carries one, else what the write transferred.
-      uint64_t mid = fault::Trigger::kNoValue;
-      const bool mid_crash = Fires("/crash_mid_batch", &mid);
-      AppendBatchToDevice(
-          batch, std::min(mid_crash && mid != fault::Trigger::kNoValue
-                              ? mid
-                              : w.bytes,
-                          bytes));
-      if (mid_crash) [[unlikely]] {
+      size_t whole = 0;
+      if (bytes > 0) {
+        const uint64_t blocks =
+            (bytes + traits_.block_bytes - 1) / traits_.block_bytes;
+        const simio::IoResult w = disk_->Write(blocks * traits_.block_bytes);
+        if (!w.ok()) {
+          // Nothing of this pass reached the device; the caller may retry.
+          RestoreToBuffer(batch, landed);
+          stat_io_errors_.fetch_add(1, std::memory_order_relaxed);
+          return Status::kIoError;
+        }
+        // A mid-batch kill lands only a prefix of the batch: the trigger
+        // value's bytes if it carries one, else what the write transferred.
+        uint64_t mid = fault::Trigger::kNoValue;
+        const bool mid_crash = Fires("/crash_mid_batch", &mid);
+        whole = AppendBatchToDevice(
+            batch, landed,
+            std::min(mid_crash && mid != fault::Trigger::kNoValue ? mid
+                                                                  : w.bytes,
+                     bytes));
+        if (mid_crash) [[unlikely]] {
+          CrashLocked(crash_seed);
+          return Status::kCrashed;
+        }
+        landed += whole;
+      }
+      if (landed > 0) {
+        written_lsn_.store(batch[landed - 1].end_lsn,
+                           std::memory_order_release);
+      }
+      if (Fires("/crash_after_write")) [[unlikely]] {
         CrashLocked(crash_seed);
         return Status::kCrashed;
       }
-      stat_batched_records_.fetch_add(batch.size(), std::memory_order_relaxed);
-    }
-    written_lsn_.store(batch_end, std::memory_order_release);
-    if (Fires("/crash_after_write")) [[unlikely]] {
-      CrashLocked(crash_seed);
-      return Status::kCrashed;
-    }
+      if (landed < batch.size()) {
+        // Short: the tear lies in batch[landed], the device image's last
+        // record unless the write transferred nothing of it.
+        if (device_records_.size() > durable_records_ &&
+            device_records_.back().end_lsn == batch[landed].end_lsn) {
+          device_records_.pop_back();
+        }
+        if (whole == 0) {
+          // No progress: hand the rest back rather than spin on the device.
+          RestoreToBuffer(batch, landed);
+          stat_io_errors_.fetch_add(1, std::memory_order_relaxed);
+          return Status::kIoError;
+        }
+      }
+    } while (landed < batch.size());
+    stat_batched_records_.fetch_add(batch.size(), std::memory_order_relaxed);
     if (!do_fsync) {
       return Status::kOk;
     }
@@ -314,6 +432,8 @@ RecoveryResult CommitLog::Recover() {
     result.records_recovered = device_records_.size();
     return result;
   }
+  // Before the flushed LSN moves: see LeadPipelinedRounds.
+  incarnation_.fetch_add(1, std::memory_order_acq_rel);
   size_t good = 0;
   for (const Record& rec : device_records_) {
     if (rec.checksum != RecordChecksum(rec.end_lsn, rec.bytes)) {

@@ -14,6 +14,17 @@
 // rounds. CommitMode::kExclusive is the pre-scale-out baseline: every
 // committer performs its own write+fsync.
 //
+// Pipelined commit (CommitPipelined, group commit only): flush pipelining
+// as Aether calls it. A committer registers (lsn, completion) instead of
+// waiting. If a pipelined leader is active it returns at once; otherwise it
+// becomes that leader and drives rounds through the same election until no
+// completion is pending, running after each round, in LSN order, the
+// completions that round settled. A completion runs on behalf of the
+// registering thread's interval, behind a completion hand-off edge
+// (vprof::ResumedInterval), so the profiler walks the leader's write and
+// fsync into the registrant's critical path. CommitUpTo stays synchronous:
+// the closed-loop callers keep their wait.
+//
 // Lock rule: one write mutex serializes the batch swap, the device write, the
 // fsync, the device image, Crash, Recover and Shutdown. So Crash waits for an
 // in-flight leader, and no pre-crash batch can land after Recover and ack a
@@ -27,20 +38,26 @@
 // buffered records and keeps a seeded-random prefix of the
 // written-but-unsynced tail, whose last record may be torn. Recover()
 // truncates at the first bad checksum. A CommitUpTo that returned kOk is
-// never lost; batches are written in LSN order, so recovery exposes a
-// prefix of whole records in either mode. fsyncgate: a FAILED fsync drops
-// the unsynced window, so it wedges the log (kWedged) until Recover() —
-// a later successful fsync must never ack records that were dropped.
+// never lost, and neither is an LSN a pipelined completion saw kOk for;
+// batches are written in LSN order, so recovery exposes a prefix of whole
+// records in either mode. A short device write lands the records before
+// the tear whole; the flush rewrites the torn record whole, then the rest,
+// so no record is acked before all of it reached the device. fsyncgate: a
+// FAILED fsync drops the unsynced window, so it wedges the log (kWedged)
+// until Recover() — a later successful fsync must never ack records that
+// were dropped.
 #ifndef SRC_COMMITLOG_COMMIT_LOG_H_
 #define SRC_COMMITLOG_COMMIT_LOG_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <vector>
 
 #include "src/simio/disk.h"
 #include "src/vprof/registry.h"
+#include "src/vprof/runtime.h"
 #include "src/vprof/sync.h"
 
 namespace commitlog {
@@ -98,7 +115,12 @@ struct Traits {
   vprof::ProbeSite* wait_probe;   // the election and the wait for the log
   vprof::ProbeSite* write_probe;  // the batch write plus fsync
   vprof::ProbeSite* fsync_probe;  // the fsync alone
+  vprof::ProbeSite* round_probe = nullptr;  // each pipelined leader's round
 };
+
+// The outcome callback of a pipelined commit (CommitLog::CommitPipelined).
+// Runs exactly once.
+using Completion = std::function<void(Status)>;
 
 class CommitLog {
  public:
@@ -114,6 +136,16 @@ class CommitLog {
   // Makes the log durable up to `lsn` in the log's CommitMode. kOk is the
   // durability acknowledgment the recovery invariants protect.
   Status CommitUpTo(uint64_t lsn);
+
+  // Pipelined group commit (see file comment): `done` runs with kOk once
+  // `lsn` is durable, or with the typed status of the round that failed it
+  // — kCrashed also when the log was recovered since the registration,
+  // which may have reused the LSN. It runs on whichever thread leads the
+  // round: the caller, which then leads until nothing is pending, or the
+  // active leader, in which case this returns at once. A log that refuses
+  // entry runs `done` on the caller; under kExclusive the caller commits
+  // synchronously and runs `done`.
+  void CommitPipelined(uint64_t lsn, Completion done);
 
   // What the entry points refuse with: kCrashed, kWedged, kShutdown, or kOk.
   Status EntryStatus() const;
@@ -132,10 +164,11 @@ class CommitLog {
   // states; a no-op report while neither is set.
   RecoveryResult Recover();
 
-  // Refuses new Append/CommitUpTo (kShutdown), then writes+fsyncs the
-  // pending batch unless crashed or wedged. Committers already inside
-  // CommitUpTo drain normally: the gate is only at the entry points.
-  // Idempotent.
+  // Refuses new Append/CommitUpTo/CommitPipelined (kShutdown), then
+  // writes+fsyncs the pending batch unless crashed or wedged. Committers
+  // already inside CommitUpTo drain normally, and a pipelined leader settles
+  // every completion registered before the gate: the gate is only at the
+  // entry points. Idempotent.
   void Shutdown();
 
   bool crashed() const { return crashed_.load(std::memory_order_acquire); }
@@ -176,10 +209,16 @@ class CommitLog {
   bool Fires(const char* point, uint64_t* value = nullptr) const;
   // WriteBatch with write_mu_ held.
   Status WriteBatchLocked(bool do_fsync, bool background);
-  // Appends the batch to the device image, tearing the record that crosses
-  // `intact_bytes` (short write). Requires write_mu_.
-  void AppendBatchToDevice(const std::vector<Record>& batch,
-                           uint64_t intact_bytes);
+  // Appends records [first, batch.size()) to the device image, tearing the
+  // record that crosses `intact_bytes` (short write); returns how many
+  // landed whole. Requires write_mu_.
+  size_t AppendBatchToDevice(const std::vector<Record>& batch, size_t first,
+                             uint64_t intact_bytes);
+  // Puts records [first, batch.size()) back at the front of the insert
+  // buffer, where the next flush finds them.
+  void RestoreToBuffer(const std::vector<Record>& batch, size_t first);
+  // The pipelined leader's loop: rounds until no completion is pending.
+  void LeadPipelinedRounds();
   void CrashLocked(uint64_t seed);  // requires write_mu_
   // Wakes followers of every round so they re-check the log's state.
   void WakeAll();
@@ -203,6 +242,21 @@ class CommitLog {
   uint64_t flush_round_ = 0;
   // Ping-pong follower wake-up events, indexed by flush-round parity.
   vprof::Event flush_events_[2];
+
+  // A commit registered with the pipelined leader.
+  struct PendingCommit {
+    uint64_t lsn = 0;
+    uint64_t incarnation = 0;  // incarnation_ at the registration
+    vprof::HandOff handoff;    // the registrant's interval
+    Completion done;
+  };
+  std::mutex pipe_mu_;  // guards the two fields below
+  bool pipe_leader_ = false;
+  std::vector<PendingCommit> pipe_pending_;
+  // Recoveries so far. Recover reopens the log at the recovered LSN, so a
+  // later LSN can name a new record: a pending commit from an earlier
+  // incarnation is never acked.
+  std::atomic<uint64_t> incarnation_{0};
 
   // See the lock rule in the file comment; also guards the device image.
   mutable std::mutex write_mu_;

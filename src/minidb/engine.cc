@@ -138,26 +138,28 @@ bool Engine::RowInsert(Transaction* trx, Table& table, int64_t key) {
   return AppendRedo(trx, kRedoBytesPerInsert);
 }
 
-bool Engine::Commit(Transaction* trx, bool needs_log_flush) {
+bool Engine::Commit(Transaction* trx, bool needs_log_flush, uint64_t lsn) {
   VPROF_FUNC("trx_commit");
-  if (needs_log_flush) {
-    const uint64_t lsn = log_->next_lsn() - 1;
-    switch (log_->CommitUpTo(lsn)) {
-      case LogStatus::kOk:
-        break;
-      case LogStatus::kIoError:
-        trx->set_error(TxnError::kIoError);
-        return false;
-      case LogStatus::kWedged:
-        trx->set_error(TxnError::kLogWedged);
-        return false;
-      case LogStatus::kCrashed:
-        trx->set_error(TxnError::kLogCrashed);
-        return false;
-      case LogStatus::kShutdown:
-        trx->set_error(TxnError::kShutdown);
-        return false;
-    }
+  return FinishCommit(
+      trx, needs_log_flush ? log_->CommitUpTo(lsn) : LogStatus::kOk);
+}
+
+bool Engine::FinishCommit(Transaction* trx, LogStatus status) {
+  switch (status) {
+    case LogStatus::kOk:
+      break;
+    case LogStatus::kIoError:
+      trx->set_error(TxnError::kIoError);
+      return false;
+    case LogStatus::kWedged:
+      trx->set_error(TxnError::kLogWedged);
+      return false;
+    case LogStatus::kCrashed:
+      trx->set_error(TxnError::kLogCrashed);
+      return false;
+    case LogStatus::kShutdown:
+      trx->set_error(TxnError::kShutdown);
+      return false;
   }
   // The log acked: apply the transaction's balance transfers while its X
   // locks are still held, so the movement is all-or-nothing with respect to
@@ -174,6 +176,15 @@ void Engine::Abort(Transaction* trx) {
   trx->MarkAborted();
   locks_.ReleaseAll(trx);
   aborted_.fetch_add(1, std::memory_order_relaxed);
+}
+
+TxnOutcome Engine::Conclude(Transaction* trx, bool committed,
+                            uint64_t commit_lsn) {
+  if (!committed) {
+    Abort(trx);
+    return TxnOutcome{false, trx->id(), trx->error()};
+  }
+  return TxnOutcome{true, trx->id(), TxnError::kNone, commit_lsn};
 }
 
 // Lock acquisition follows one global table order across all transaction
@@ -296,6 +307,25 @@ bool Engine::RunStockLevel(Transaction* trx, const TxnRequest& request) {
   return true;
 }
 
+bool Engine::RunBody(Transaction* trx, const TxnRequest& request,
+                     bool* needs_log_flush) {
+  switch (request.type) {
+    case TxnType::kNewOrder:
+      return RunNewOrder(trx, request);
+    case TxnType::kPayment:
+      return RunPayment(trx, request);
+    case TxnType::kOrderStatus:
+      *needs_log_flush = false;
+      return RunOrderStatus(trx, request);
+    case TxnType::kDelivery:
+      return RunDelivery(trx, request);
+    case TxnType::kStockLevel:
+      *needs_log_flush = false;
+      return RunStockLevel(trx, request);
+  }
+  return false;
+}
+
 TxnOutcome Engine::Execute(const TxnRequest& request) {
   VPROF_FUNC("run_transaction");
   if (stopped_.load(std::memory_order_acquire)) {
@@ -314,38 +344,43 @@ TxnOutcome Engine::Execute(const TxnRequest& request) {
 
   Transaction trx(next_trx_id_.fetch_add(1, std::memory_order_relaxed),
                   MonotonicNowNs());
-  bool ok = false;
   bool needs_log_flush = true;
-  switch (request.type) {
-    case TxnType::kNewOrder:
-      ok = RunNewOrder(&trx, request);
-      break;
-    case TxnType::kPayment:
-      ok = RunPayment(&trx, request);
-      break;
-    case TxnType::kOrderStatus:
-      ok = RunOrderStatus(&trx, request);
-      needs_log_flush = false;
-      break;
-    case TxnType::kDelivery:
-      ok = RunDelivery(&trx, request);
-      break;
-    case TxnType::kStockLevel:
-      ok = RunStockLevel(&trx, request);
-      needs_log_flush = false;
-      break;
-  }
-
-  if (ok) {
-    ok = Commit(&trx, needs_log_flush);
-  }
-  if (!ok) {
-    Abort(&trx);
-  }
+  bool ok = RunBody(&trx, request, &needs_log_flush);
+  const uint64_t lsn = needs_log_flush ? log_->next_lsn() - 1 : 0;
+  ok = ok && Commit(&trx, needs_log_flush, lsn);
+  const TxnOutcome outcome = Conclude(&trx, ok, lsn);
   if (!enclosed) {
     vprof::EndInterval(sid);
   }
-  return TxnOutcome{ok, trx.id(), ok ? TxnError::kNone : trx.error()};
+  return outcome;
+}
+
+void Engine::ExecutePipelined(const TxnRequest& request, TxnDone done) {
+  VPROF_FUNC("run_transaction");
+  if (stopped_.load(std::memory_order_acquire)) {
+    done(TxnOutcome{false, 0, TxnError::kShutdown});
+    return;
+  }
+  // Shared with the completion, which may outlive this frame.
+  auto trx = std::make_shared<Transaction>(
+      next_trx_id_.fetch_add(1, std::memory_order_relaxed), MonotonicNowNs());
+  bool needs_log_flush = true;
+  bool ok = RunBody(trx.get(), request, &needs_log_flush);
+  if (ok && needs_log_flush) {
+    CommitPipelined(std::move(trx), std::move(done));
+    return;
+  }
+  ok = ok && Commit(trx.get(), /*needs_log_flush=*/false, /*lsn=*/0);
+  done(Conclude(trx.get(), ok, /*commit_lsn=*/0));
+}
+
+void Engine::CommitPipelined(std::shared_ptr<Transaction> trx, TxnDone done) {
+  VPROF_FUNC("trx_commit");
+  const uint64_t lsn = log_->next_lsn() - 1;
+  log_->CommitPipelined(
+      lsn, [this, trx, lsn, done = std::move(done)](LogStatus status) {
+        done(Conclude(trx.get(), FinishCommit(trx.get(), status), lsn));
+      });
 }
 
 void Engine::Stop() {

@@ -16,11 +16,20 @@
 //    |                          `- buf_page_get --- buf_pool_mutex_enter
 //    `- trx_commit ------------- log_write_up_to -- fil_flush
 //                             `- lock_release
+//
+// Two commit paths share one commit tail (apply the deltas, lock_release,
+// count). Execute waits in log_write_up_to, then runs the tail: the
+// closed-loop path every paper bench drives. ExecutePipelined, the wire
+// path, registers the commit with the redo log's pipelined flush and hands
+// the tail to the flush's leader as the completion, so the caller's thread
+// is free during the fsync while the transaction's locks stay held until
+// its commit is durable.
 #ifndef SRC_MINIDB_ENGINE_H_
 #define SRC_MINIDB_ENGINE_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -58,9 +67,15 @@ struct TxnOutcome {
   // deadlocks and log I/O errors are retryable; a crashed log is not until
   // someone calls redo_log().Recover().
   TxnError error = TxnError::kNone;
+  // The LSN the commit made durable (every redo record up to it); 0 when
+  // the transaction needed no log flush or did not commit.
+  uint64_t commit_lsn = 0;
 
   bool retryable() const { return !committed && IsRetryable(error); }
 };
+
+// Receives the outcome of ExecutePipelined.
+using TxnDone = std::function<void(const TxnOutcome&)>;
 
 class Engine {
  public:
@@ -72,6 +87,15 @@ class Engine {
   // Executes one transaction as a semantic interval. Thread-safe; intended
   // to be called from many connection threads.
   TxnOutcome Execute(const TxnRequest& request);
+
+  // Executes one transaction without holding the caller for its commit's
+  // fsync (flush pipelining): the commit is registered with the redo log's
+  // pipelined flush, and `done` receives the outcome exactly once, after
+  // the commit tail ran — on the flush's leader, or on this thread before
+  // the call returns (when it leads, when no flush is needed, on abort).
+  // Joins the caller's semantic interval and begins none: the interval
+  // continues on the thread that runs `done`.
+  void ExecutePipelined(const TxnRequest& request, TxnDone done);
 
   // Graceful shutdown: refuses new transactions (kShutdown), then drains the
   // redo log — group-commit followers already inside Commit collect their
@@ -151,10 +175,27 @@ class Engine {
   // Appends redo, converting a crashed log into trx->error().
   bool AppendRedo(Transaction* trx, uint64_t bytes);
 
-  // Commit forces the redo log per the flush policy; returns false (with
-  // trx->error() set) when the log fails, in which case the caller aborts.
-  bool Commit(Transaction* trx, bool needs_log_flush);
+  // Runs the request's statements; false (with trx->error() set) when one
+  // failed. Clears *needs_log_flush for read-only transaction types.
+  bool RunBody(Transaction* trx, const TxnRequest& request,
+               bool* needs_log_flush);
+
+  // Commit forces the redo log up to `lsn` per the flush policy, then runs
+  // the commit tail; returns false (with trx->error() set) when the log
+  // fails, in which case the caller aborts.
+  bool Commit(Transaction* trx, bool needs_log_flush, uint64_t lsn);
+  // The pipelined commit: registers the commit with the redo log, whose
+  // flush leader runs the commit tail and hands the outcome to `done`.
+  void CommitPipelined(std::shared_ptr<Transaction> trx, TxnDone done);
+  // The commit tail both paths share, once the log answered `status`: on
+  // kOk applies the balance deltas while the X locks are still held,
+  // releases the locks (lock_release) and counts the commit; otherwise
+  // records the log's error. Returns whether the transaction committed.
+  bool FinishCommit(Transaction* trx, LogStatus status);
   void Abort(Transaction* trx);
+  // Aborts a transaction that did not commit; returns its outcome, which
+  // names `commit_lsn` when it committed.
+  TxnOutcome Conclude(Transaction* trx, bool committed, uint64_t commit_lsn);
 
   bool RunNewOrder(Transaction* trx, const TxnRequest& request);
   bool RunPayment(Transaction* trx, const TxnRequest& request);
@@ -183,8 +224,6 @@ class Engine {
   std::atomic<uint64_t> committed_{0};
   std::atomic<uint64_t> aborted_{0};
   std::atomic<bool> stopped_{false};
-  // Per-transaction redo volume accumulates here before commit (thread-local
-  // tracking would be overkill: Append is called per row mutation).
 };
 
 }  // namespace minidb

@@ -1,18 +1,21 @@
 #include "src/minidb/redo_log.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/vprof/probe.h"
 
 namespace minidb {
 
 namespace {
+vprof::ProbeSite g_log_write_up_to{"log_write_up_to"};
 vprof::ProbeSite g_fil_flush{"fil_flush"};
 constexpr commitlog::Traits kRedoTraits{.failpoint_prefix = "redo",
                                         .block_bytes = 512,
                                         .wait_probe = nullptr,
                                         .write_probe = nullptr,
-                                        .fsync_probe = &g_fil_flush};
+                                        .fsync_probe = &g_fil_flush,
+                                        .round_probe = &g_log_write_up_to};
 }  // namespace
 
 RedoLog::RedoLog(FlushPolicy policy, simio::Disk* disk,
@@ -28,7 +31,7 @@ RedoLog::RedoLog(FlushPolicy policy, simio::Disk* disk,
 RedoLog::~RedoLog() { StopFlusher(); }
 
 LogStatus RedoLog::CommitUpTo(uint64_t lsn) {
-  VPROF_FUNC("log_write_up_to");
+  vprof::ScopedProbe probe(g_log_write_up_to);
   if (policy_ == FlushPolicy::kEager) {
     return log_.CommitUpTo(lsn);
   }
@@ -38,6 +41,14 @@ LogStatus RedoLog::CommitUpTo(uint64_t lsn) {
   }
   // kLazyFlush: write (cheap) on the commit path, defer the fsync.
   return log_.WriteBatch(/*do_fsync=*/false, /*background=*/false);
+}
+
+void RedoLog::CommitPipelined(uint64_t lsn, commitlog::Completion done) {
+  if (policy_ == FlushPolicy::kEager) {
+    log_.CommitPipelined(lsn, std::move(done));
+    return;
+  }
+  done(CommitUpTo(lsn));  // a lazy policy does not wait for the fsync
 }
 
 void RedoLog::Shutdown() {

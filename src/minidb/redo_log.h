@@ -47,6 +47,13 @@ class RedoLog {
   // (log_write_up_to). Blocks only under kEager.
   LogStatus CommitUpTo(uint64_t lsn);
 
+  // The pipelined commit (commitlog::CommitLog::CommitPipelined) under
+  // kEager: `done` runs once `lsn` is durable, or failed, on whichever
+  // thread leads the flush, and each round the leader drives is one
+  // log_write_up_to invocation. The lazy policies run CommitUpTo and call
+  // `done` on the caller.
+  void CommitPipelined(uint64_t lsn, commitlog::Completion done);
+
   // Stops the background flusher, then shuts the log down (see
   // commitlog::CommitLog::Shutdown). Idempotent.
   void Shutdown();

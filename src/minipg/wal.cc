@@ -14,7 +14,8 @@ constexpr commitlog::Traits kWalTraits{.failpoint_prefix = "wal",
                                        .block_bytes = 8192,
                                        .wait_probe = &g_acquire_or_wait,
                                        .write_probe = &g_issue_xlog_fsync,
-                                       .fsync_probe = nullptr};
+                                       .fsync_probe = nullptr,
+                                       .round_probe = nullptr};
 }  // namespace
 
 WalUnit::WalUnit(const simio::DiskConfig& disk_config, CommitMode mode)

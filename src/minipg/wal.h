@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/commitlog/commit_log.h"
@@ -56,7 +57,12 @@ class WalUnit {
   // Makes the log durable up to `lsn` (XLogFlush).
   WalStatus Flush(uint64_t lsn);
 
-  // The rest is the shared log's (src/commitlog/commit_log.h).
+  // The rest is the shared log's (src/commitlog/commit_log.h). minipg's
+  // backends flush synchronously; FlushPipelined runs the shared log's
+  // pipelined commit on this unit.
+  void FlushPipelined(uint64_t lsn, commitlog::Completion done) {
+    log_.CommitPipelined(lsn, std::move(done));
+  }
   void Crash(uint64_t seed) { log_.Crash(seed); }
   WalRecoveryResult Recover() { return log_.Recover(); }
   void Shutdown() { log_.Shutdown(); }

@@ -1,5 +1,8 @@
 #include "src/net/frontend.h"
 
+#include <memory>
+#include <utility>
+
 #include "src/httpd/server.h"
 #include "src/minidb/engine.h"
 #include "src/minipg/engine.h"
@@ -16,6 +19,15 @@ Frame BadType(const Frame& request) {
   return reply;
 }
 
+Frame TxnReply(const minidb::TxnOutcome& outcome) {
+  Frame reply;
+  reply.type = MsgType::kTxnReply;
+  reply.status = outcome.committed ? 0 : 1;
+  reply.error = static_cast<uint8_t>(outcome.error);
+  reply.value = outcome.trx_id;
+  return reply;
+}
+
 }  // namespace
 
 NetServer::Handler MakeMinidbHandler(minidb::Engine* engine) {
@@ -23,13 +35,18 @@ NetServer::Handler MakeMinidbHandler(minidb::Engine* engine) {
     if (request.type != MsgType::kTxn) {
       return BadType(request);
     }
-    const minidb::TxnOutcome outcome = engine->Execute(request.txn);
-    Frame reply;
-    reply.type = MsgType::kTxnReply;
-    reply.status = outcome.committed ? 0 : 1;
-    reply.error = static_cast<uint8_t>(outcome.error);
-    reply.value = outcome.trx_id;
-    return reply;
+    Responder responder = NetServer::TakeResponder();
+    if (!responder) {
+      return TxnReply(engine->Execute(request.txn));  // not on a worker
+    }
+    // The worker returns once the commit is registered; the outcome, and
+    // with it the reply, comes from whichever thread completes the commit.
+    auto reply = std::make_shared<Responder>(std::move(responder));
+    engine->ExecutePipelined(request.txn,
+                             [reply](const minidb::TxnOutcome& outcome) {
+                               reply->Send(TxnReply(outcome));
+                             });
+    return Frame{};  // ignored: the responder answers
   };
 }
 

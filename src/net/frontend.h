@@ -1,7 +1,7 @@
 // Handler adapters that put the three engines behind a NetServer.
 //
-// Each adapter maps a request frame to the engine's blocking entry point and
-// shapes the outcome into a reply frame. The engines' entry points join the
+// Each adapter maps a request frame to the engine's entry point and shapes
+// the outcome into a reply frame. The engines' entry points join the
 // enclosing semantic interval (the one the NetServer anchored at socket
 // readability), so the wire hop, the dispatch-queue wait and the engine's
 // internal phases all land in ONE interval per request — which is what lets
@@ -23,7 +23,11 @@ class HttpServer;
 
 namespace net {
 
-// kTxn -> minidb::Engine::Execute. Non-txn requests get kError/kBadType.
+// kTxn -> minidb::Engine::ExecutePipelined: the handler takes the reply
+// over (NetServer::TakeResponder) and the worker returns once the commit is
+// registered, so it is free during the redo flush; the thread that
+// completes the commit sends the reply. Outside a NetServer worker it runs
+// Engine::Execute. Non-txn requests get kError/kBadType.
 NetServer::Handler MakeMinidbHandler(minidb::Engine* engine);
 
 // kTxn -> minipg::Engine::Execute (commit/abort only; minipg reports no trx

@@ -64,6 +64,8 @@ bool IsRequestType(MsgType type) {
 
 }  // namespace
 
+thread_local NetServer::Running* NetServer::current_ = nullptr;
+
 NetServer::NetServer(const NetServerOptions& options, Handler handler)
     : options_(options),
       handler_(std::move(handler)),
@@ -134,8 +136,13 @@ void NetServer::Shutdown() {
     }
   });
   // 2. Drain the dispatch queue: the workers run the remaining tasks, each
-  // posting its reply, before they are joined.
+  // posting its reply, before they are joined. Then wait for the replies
+  // handlers took over, which other threads post.
   pool_->Shutdown();
+  {
+    std::unique_lock<std::mutex> lock(responders_mu_);
+    responders_cv_.wait(lock, [this] { return responders_ == 0; });
+  }
   // 3. Best-effort flush of everything the workers posted, then stop. The
   // loop runs one final posted batch after Stop, so the flush is ordered
   // after every reply handoff.
@@ -378,39 +385,66 @@ void NetServer::HandleFrame(Conn* conn, Frame frame) {
 }
 
 void NetServer::RunTask(vprof::IntervalId sid, Task& task) {
+  Running running{this,
+                  ReplyRoute{task.conn_id, task.request.request_id,
+                             task.request.has_trace_context,
+                             task.request.trace_context, task.recv_time_ns,
+                             task.loop_tid, sid, vprof::HandOff{}}};
+  current_ = &running;
   Frame reply = handler_(task.request);
-  reply.request_id = task.request.request_id;
-  if (task.request.has_trace_context) {
+  current_ = nullptr;
+  if (!running.taken) {
+    SendReply(running.route, std::move(reply));
+  }
+}
+
+Responder NetServer::TakeResponder() {
+  if (current_ == nullptr || current_->taken) {
+    return Responder();
+  }
+  current_->taken = true;
+  NetServer* server = current_->server;
+  {
+    std::lock_guard<std::mutex> lock(server->responders_mu_);
+    ++server->responders_;
+  }
+  ReplyRoute route = current_->route;
+  route.handoff = vprof::HandOffInterval();
+  return Responder(server, std::move(route));
+}
+
+void NetServer::SendReply(const ReplyRoute& route, Frame reply) {
+  reply.request_id = route.request_id;
+  if (route.has_trace_context) {
     // Stamp the backend's half of the span on the reply and hand the full
     // record to the dist layer. reply_time is taken before the encode so
     // it brackets exactly the handler's work.
     const vprof::TimeNs reply_time = vprof::Now();
-    const TraceContext& ctx = task.request.trace_context;
+    const vprof::ThreadId replier = vprof::CurrentThread()->tid();
+    const TraceContext& ctx = route.trace_context;
     reply.has_server_timing = true;
     reply.server_timing.span_id = ctx.span_id;
-    reply.server_timing.recv_time_ns = task.recv_time_ns;
+    reply.server_timing.recv_time_ns = route.recv_time_ns;
     reply.server_timing.reply_time_ns = reply_time;
-    reply.server_timing.worker_tid =
-        static_cast<int32_t>(vprof::CurrentThread()->tid());
+    reply.server_timing.worker_tid = static_cast<int32_t>(replier);
     if (options_.span_sink) {
       ServerSpanRecord span;
       span.origin_service = ctx.origin_service;
       span.origin_interval_id = ctx.interval_id;
       span.span_id = ctx.span_id;
-      span.local_sid = sid;
-      span.recv_time_ns = task.recv_time_ns;
+      span.local_sid = route.sid;
+      span.recv_time_ns = route.recv_time_ns;
       span.reply_time_ns = reply_time;
-      span.loop_tid = task.loop_tid;
-      span.worker_tid = vprof::CurrentThread()->tid();
+      span.loop_tid = route.loop_tid;
+      span.worker_tid = replier;
       options_.span_sink(span);
     }
   }
   std::string bytes;
   EncodeFrame(reply, &bytes);
   // Once the reply buffer is handed off, the response lifecycle on this
-  // request's critical path is done from the worker's point of view: the
-  // pool ends the interval when this returns.
-  loop_.Post([this, conn_id = task.conn_id, bytes = std::move(bytes)] {
+  // request's critical path is done from this thread's point of view.
+  loop_.Post([this, conn_id = route.conn_id, bytes = std::move(bytes)] {
     auto it = conns_.find(conn_id);
     if (it == conns_.end()) {
       stats_->replies_dropped.fetch_add(1, std::memory_order_relaxed);
@@ -419,6 +453,45 @@ void NetServer::RunTask(vprof::IntervalId sid, Task& task) {
     stats_->replies_sent.fetch_add(1, std::memory_order_relaxed);
     QueueBytes(it->second.get(), bytes);
   });
+  vprof::EndInterval(route.sid);
+}
+
+void NetServer::ReleaseResponder() {
+  // Notified under the lock: Shutdown's waiter cannot return, and the
+  // server cannot be destroyed, before this thread lets go of it.
+  std::lock_guard<std::mutex> lock(responders_mu_);
+  if (--responders_ == 0) {
+    responders_cv_.notify_all();
+  }
+}
+
+Responder::Responder(Responder&& other) noexcept
+    : server_(std::exchange(other.server_, nullptr)),
+      route_(std::move(other.route_)) {}
+
+void Responder::Send(Frame reply) {
+  NetServer* server = std::exchange(server_, nullptr);
+  if (server == nullptr) {
+    return;
+  }
+  {
+    vprof::ResumedInterval on_behalf(route_.handoff);
+    server->SendReply(route_, std::move(reply));
+  }
+  server->ReleaseResponder();
+}
+
+void Responder::Drop() {
+  NetServer* server = std::exchange(server_, nullptr);
+  if (server == nullptr) {
+    return;
+  }
+  server->stats_->replies_dropped.fetch_add(1, std::memory_order_relaxed);
+  {
+    vprof::ResumedInterval on_behalf(route_.handoff);
+    vprof::EndInterval(route_.sid);
+  }
+  server->ReleaseResponder();
 }
 
 void NetServer::QueueBytes(Conn* conn, const std::string& bytes) {

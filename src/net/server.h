@@ -12,11 +12,19 @@
 // Semantic-interval anchoring (the reason this layer exists, paper
 // Section 3.1): the interval begins on the event-loop thread the moment a
 // complete request frame becomes readable — the "net:readable" probe wraps
-// parse + dispatch — and ends on the worker after the reply buffer is handed
-// back to the connection. The pool queue's created-by edge lets the
-// critical-path walker jump from the worker back through the dispatch queue
-// into the epoll wakeup, and the enqueue-to-dequeue gap surfaces as the
-// "net:queue_wait" variance factor (CriticalPathOptions::queue_wait_factor).
+// parse + dispatch — and ends on the thread that hands the reply buffer back
+// to the connection: the worker, or, when the handler took the reply over
+// (TakeResponder), whichever thread sends it. The pool queue's created-by
+// edge lets the critical-path walker jump from the worker back through the
+// dispatch queue into the epoll wakeup, and the enqueue-to-dequeue gap
+// surfaces as the "net:queue_wait" variance factor
+// (CriticalPathOptions::queue_wait_factor).
+//
+// Deferred replies: a handler may take over the reply of the request it is
+// handling (NetServer::TakeResponder) and return at once, freeing the
+// worker; any thread sends it later through the same routine that sends
+// the replies handlers return. Shutdown waits until every taken reply has
+// been sent or dropped.
 //
 // Robustness: per-connection state machines are bounded in every dimension —
 // frame size (protocol.h), outbox bytes (slow-peer eviction), connection
@@ -26,9 +34,11 @@
 #define SRC_NET_SERVER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -51,7 +61,7 @@ inline constexpr char kQueueWaitFactor[] = "net:queue_wait";
 
 // One backend-side span: everything dist::TraceStitcher needs to splice this
 // server's work for one RPC into the originating tier's interval. Recorded
-// on the worker thread right before the reply is posted.
+// on the thread that sends the reply, right before the reply is posted.
 struct ServerSpanRecord {
   ServiceId origin_service = ServiceId::kUnknown;
   uint64_t origin_interval_id = 0;  // the front tier's vprof sid
@@ -60,7 +70,7 @@ struct ServerSpanRecord {
   vprof::TimeNs recv_time_ns = 0;   // local fastclock at frame dispatch
   vprof::TimeNs reply_time_ns = 0;  // local fastclock when the reply was built
   vprof::ThreadId loop_tid = vprof::kNoThread;
-  vprof::ThreadId worker_tid = vprof::kNoThread;
+  vprof::ThreadId worker_tid = vprof::kNoThread;  // the thread that replied
 };
 
 struct NetServerOptions {
@@ -86,8 +96,8 @@ struct NetServerOptions {
 
   // Distributed-profiling hook: when set, every request carrying a
   // trace-context extension gets (a) a server-timing extension on its reply
-  // and (b) a ServerSpanRecord delivered here from the worker thread after
-  // the handler ran. Must be thread-safe; keep it cheap (it sits between the
+  // and (b) a ServerSpanRecord delivered here from the thread that sends
+  // the reply. Must be thread-safe; keep it cheap (it sits between the
   // handler and the reply post).
   std::function<void(const ServerSpanRecord&)> span_sink;
 };
@@ -106,7 +116,8 @@ struct NetServerStats {
   uint64_t dispatched = 0;        // handed to the worker pool
   uint64_t rejected = 0;          // shed at the dispatch queue
   uint64_t replies_sent = 0;      // reply frames fully written to a socket
-  uint64_t replies_dropped = 0;   // reply's connection was already gone
+  uint64_t replies_dropped = 0;   // reply's connection was already gone, or
+                                  // a taken reply was never sent
   uint64_t slow_peer_evictions = 0;
   uint64_t idle_evictions = 0;
   uint64_t bytes_in = 0;
@@ -116,10 +127,13 @@ struct NetServerStats {
   uint64_t peak_dispatch_depth = 0;
 };
 
+class Responder;
+
 class NetServer {
  public:
   // Executed on a worker thread; returns the reply frame (request_id is
-  // overwritten with the request's id by the server).
+  // overwritten with the request's id by the server), which is ignored when
+  // the handler took the reply over with TakeResponder.
   using Handler = std::function<Frame(const Frame& request)>;
 
   NetServer(const NetServerOptions& options, Handler handler);
@@ -156,7 +170,35 @@ class NetServer {
   static void RegisterNetCallGraph(vprof::CallGraph* graph,
                                    std::string_view engine_root);
 
+  // Called from a handler: takes over the reply of the request the calling
+  // worker is handling. The handler's returned frame is then ignored and
+  // the request's interval stays open until the responder is sent or
+  // dropped. An empty responder outside a handler, or when already taken.
+  static Responder TakeResponder();
+
  private:
+  friend class Responder;
+
+  // Where a reply goes, and its request's tracing bookkeeping.
+  struct ReplyRoute {
+    uint64_t conn_id = 0;
+    uint64_t request_id = 0;
+    bool has_trace_context = false;
+    TraceContext trace_context;
+    vprof::TimeNs recv_time_ns = 0;
+    vprof::ThreadId loop_tid = vprof::kNoThread;
+    vprof::IntervalId sid = vprof::kNoInterval;
+    vprof::HandOff handoff;  // where a handler took the reply over
+  };
+
+  // The request whose handler the calling worker runs, for TakeResponder.
+  struct Running {
+    NetServer* server = nullptr;
+    ReplyRoute route;
+    bool taken = false;
+  };
+  static thread_local Running* current_;
+
   struct Conn {
     Conn(uint64_t conn_id, EventLoop* loop, Fd fd)
         : id(conn_id), io(loop, std::move(fd)) {}
@@ -188,8 +230,18 @@ class NetServer {
   int64_t NowMs() const;
 
   // --- worker threads -----------------------------------------------------
-  // Runs the handler for the pool and posts the reply to the loop thread.
+  // Runs the handler for the pool and sends its reply, unless the handler
+  // took the reply over.
   void RunTask(vprof::IntervalId sid, Task& task);
+
+  // --- any thread ---------------------------------------------------------
+  // The one send routine of every reply a handler produced, now or later:
+  // stamps the server-timing extension and the span record from the
+  // calling thread, posts the encoded reply to the loop thread, and ends
+  // the request's interval on the calling thread.
+  void SendReply(const ReplyRoute& route, Frame reply);
+  // A responder was sent or dropped.
+  void ReleaseResponder();
 
   NetServerOptions options_;
   Handler handler_;
@@ -208,8 +260,46 @@ class NetServer {
   std::atomic<bool> running_{false};
   std::atomic<bool> shut_down_{false};
 
+  // Taken replies not yet sent or dropped; Shutdown waits for zero.
+  std::mutex responders_mu_;
+  std::condition_variable responders_cv_;
+  size_t responders_ = 0;
+
   struct AtomicStats;
   std::unique_ptr<AtomicStats> stats_;
+};
+
+// The reply to one request, taken over by its handler
+// (NetServer::TakeResponder): bound to the request's connection, request id
+// and semantic interval. Any thread may send it, once. Destroying an unsent
+// responder drops the reply (counted in replies_dropped) and ends the
+// interval.
+class Responder {
+ public:
+  Responder() = default;  // holds no reply
+  Responder(Responder&& other) noexcept;
+  ~Responder() { Drop(); }
+
+  Responder(const Responder&) = delete;
+  Responder& operator=(const Responder&) = delete;
+  Responder& operator=(Responder&&) = delete;
+
+  explicit operator bool() const { return server_ != nullptr; }
+
+  // Sends `reply` as the request's answer (its request_id is overwritten),
+  // then ends the request's interval on the calling thread. A thread that
+  // does not work on that interval yet resumes it first, behind a
+  // completion edge back to the worker that took the reply over.
+  void Send(Frame reply);
+
+ private:
+  friend class NetServer;
+  Responder(NetServer* server, NetServer::ReplyRoute route)
+      : server_(server), route_(std::move(route)) {}
+  void Drop();
+
+  NetServer* server_ = nullptr;
+  NetServer::ReplyRoute route_;
 };
 
 }  // namespace net

@@ -42,6 +42,11 @@ void Disk::Service(double service_us) {
   }
 }
 
+IoResult Disk::Fail(double service_us) {
+  Service(service_us);
+  return IoResult{IoStatus::kError, 0, service_us};
+}
+
 double Disk::StallUs() {
   if (fault::Triggered(fp_stall_)) [[unlikely]] {
     stalls_.fetch_add(1, std::memory_order_relaxed);
@@ -55,11 +60,12 @@ IoResult Disk::Read(uint64_t bytes) {
   const double stall = StallUs();
   if (fault::Triggered(fp_read_error_)) [[unlikely]] {
     read_errors_.fetch_add(1, std::memory_order_relaxed);
-    Service(config_.error_latency_us + stall);
-    return IoResult{IoStatus::kError, 0};
+    return Fail(config_.error_latency_us + stall);
   }
-  Service(SampleServiceUs(config_.read_mu, config_.read_sigma, bytes) + stall);
-  return IoResult{IoStatus::kOk, bytes};
+  const double service =
+      SampleServiceUs(config_.read_mu, config_.read_sigma, bytes) + stall;
+  Service(service);
+  return IoResult{IoStatus::kOk, bytes, service};
 }
 
 IoResult Disk::Write(uint64_t bytes) {
@@ -67,8 +73,7 @@ IoResult Disk::Write(uint64_t bytes) {
   const double stall = StallUs();
   if (fault::Triggered(fp_write_error_)) [[unlikely]] {
     write_errors_.fetch_add(1, std::memory_order_relaxed);
-    Service(config_.error_latency_us + stall);
-    return IoResult{IoStatus::kError, 0};
+    return Fail(config_.error_latency_us + stall);
   }
   uint64_t transferred = bytes;
   uint64_t torn_at = fault::Trigger::kNoValue;
@@ -84,9 +89,11 @@ IoResult Disk::Write(uint64_t bytes) {
     torn_writes_.fetch_add(1, std::memory_order_relaxed);
   }
   buffered_bytes_.fetch_add(transferred, std::memory_order_relaxed);
-  Service(SampleServiceUs(config_.write_mu, config_.write_sigma, transferred) +
-          stall);
-  return IoResult{IoStatus::kOk, transferred};
+  const double service =
+      SampleServiceUs(config_.write_mu, config_.write_sigma, transferred) +
+      stall;
+  Service(service);
+  return IoResult{IoStatus::kOk, transferred, service};
 }
 
 IoResult Disk::Fsync() {
@@ -98,8 +105,7 @@ IoResult Disk::Fsync() {
     // only writes issued after this point.
     buffered_bytes_.store(0, std::memory_order_relaxed);
     fsync_errors_.fetch_add(1, std::memory_order_relaxed);
-    Service(config_.error_latency_us + stall);
-    return IoResult{IoStatus::kError, 0};
+    return Fail(config_.error_latency_us + stall);
   }
   double service = SampleServiceUs(config_.fsync_mu, config_.fsync_sigma, 0);
   {
@@ -110,7 +116,7 @@ IoResult Disk::Fsync() {
   }
   const uint64_t flushed = buffered_bytes_.exchange(0, std::memory_order_relaxed);
   Service(service + stall);
-  return IoResult{IoStatus::kOk, flushed};
+  return IoResult{IoStatus::kOk, flushed, service + stall};
 }
 
 DiskFaultStats Disk::fault_stats() const {

@@ -76,10 +76,13 @@ enum class IoStatus : uint8_t {
 };
 
 // Outcome of one disk operation. `bytes` is the count actually transferred —
-// short of the request on a torn write.
+// short of the request on a torn write. `service_us` is the service time the
+// operation sampled (stall and error latency included): the time it asked
+// the device model to take, whatever the host's scheduler added on top.
 struct IoResult {
   IoStatus status = IoStatus::kOk;
   uint64_t bytes = 0;
+  double service_us = 0.0;
 
   bool ok() const { return status == IoStatus::kOk; }
 };
@@ -133,6 +136,8 @@ class Disk {
   // Samples a lognormal service time (microseconds) plus transfer time.
   double SampleServiceUs(double mu, double sigma, uint64_t bytes);
   void Service(double service_us);
+  // Serves an injected error's latency and returns the failed result.
+  IoResult Fail(double service_us);
   // Injected-stall check shared by all ops; returns the extra microseconds.
   double StallUs();
 

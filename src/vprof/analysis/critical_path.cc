@@ -134,11 +134,21 @@ class Walker {
       // reaches the worker through the completion wake-up, and the span
       // between enqueue and the task's first segment is queueing delay, not
       // execution the worker did for someone else.
+      //
+      // A completion edge is crossed the same way, but its gap is no queue:
+      // from the hand-off until the completion ran, the interval waited on
+      // this thread's own work (the flush a pipelined commit's leader ran).
+      // That stretch of this thread joins the path as a waker chain, as a
+      // group-commit follower's wait joins its leader's.
       if (seg.sid == out_->sid && seg.generator_tid != kNoThread &&
           seg.generator_time >= 0 && seg.generator_time < clip_lo) {
-        out_->queue_wait_ns += static_cast<double>(clip_lo - std::max(seg.generator_time, lo));
-        Walk(seg.generator_tid, std::max(seg.generator_time, lo), lo, true,
-             depth);
+        const TimeNs handed = std::max(seg.generator_time, lo);
+        if (seg.edge_kind == EdgeKind::kCompletion) {
+          Walk(tid, clip_lo, handed, /*target_thread=*/false, depth + 1);
+        } else {
+          out_->queue_wait_ns += static_cast<double>(clip_lo - handed);
+        }
+        Walk(seg.generator_tid, handed, lo, true, depth);
         return;
       }
       cursor = clip_lo;

@@ -5,8 +5,11 @@
 // proceeds backwards in time: same-interval executing segments join the path;
 // blocked segments divert the walk into the waker thread for the blocked
 // span; created-by edges divert it into the producer thread and account the
-// enqueue-to-dequeue gap as queueing delay. The walk stops at the interval's
-// creation timestamp. The result is a set of (thread, time-window) spans on
+// enqueue-to-dequeue gap as queueing delay. A completion edge (a pipelined
+// commit resumed by the flush's leader) walks the completing thread's own
+// timeline over the gap as a waker chain, then continues on the thread that
+// handed the interval off. The walk stops at the interval's creation
+// timestamp. The result is a set of (thread, time-window) spans on
 // the critical path plus categorized wait time.
 #ifndef SRC_VPROF_ANALYSIS_CRITICAL_PATH_H_
 #define SRC_VPROF_ANALYSIS_CRITICAL_PATH_H_

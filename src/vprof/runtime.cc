@@ -185,6 +185,7 @@ void ThreadState::ResetForRun(uint64_t run_epoch) {
   seg_state_ = SegmentState::kExecuting;
   pending_gen_tid_ = kNoThread;
   pending_gen_time_ = -1;
+  pending_gen_kind_ = EdgeKind::kCreatedBy;
   pending_waker_tid_ = kNoThread;
   pending_waker_time_ = -1;
 }
@@ -241,11 +242,14 @@ void ThreadState::CloseSegment(TimeNs now) {
   // relabels via WorkOnBehalf after Pop, so the unlabeled sliver between the
   // two must not consume the edge.
   if (seg_sid_ != kNoInterval) {
+    seg->edge_kind = pending_gen_kind_;
     seg->generator_tid = pending_gen_tid_;
     seg->generator_time = pending_gen_time_;
     pending_gen_tid_ = kNoThread;
     pending_gen_time_ = -1;
+    pending_gen_kind_ = EdgeKind::kCreatedBy;
   } else {
+    seg->edge_kind = EdgeKind::kCreatedBy;
     seg->generator_tid = kNoThread;
     seg->generator_time = -1;
   }
@@ -324,6 +328,21 @@ void ThreadState::AttachGeneratorEdge(ThreadId producer_tid,
   CloseSegment(now);
   pending_gen_tid_ = producer_tid;
   pending_gen_time_ = enqueue_time;
+  EnsureSegmentOpen(now);
+  EndOp();
+}
+
+void ThreadState::ResumeHandedOff(IntervalId sid, ThreadId from_tid,
+                                  TimeNs from_time) {
+  if (!BeginOp()) {
+    return;
+  }
+  const TimeNs now = fastclock::NowNs();
+  CloseSegment(now);
+  pending_gen_tid_ = from_tid;
+  pending_gen_time_ = from_time;
+  pending_gen_kind_ = EdgeKind::kCompletion;
+  current_sid_ = sid;
   EnsureSegmentOpen(now);
   EndOp();
 }
@@ -454,6 +473,32 @@ IntervalId CurrentIntervalId() {
     return kNoInterval;
   }
   return CurrentThread()->current_sid();
+}
+
+HandOff HandOffInterval() {
+  if (!IsTracing()) {
+    return HandOff{};
+  }
+  ThreadState* thread = CurrentThread();
+  return HandOff{thread->current_sid(), thread->tid(), Now()};
+}
+
+ResumedInterval::ResumedInterval(const HandOff& from) {
+  if (from.sid == kNoInterval || !IsTracing()) {
+    return;
+  }
+  ThreadState* thread = CurrentThread();
+  previous_ = thread->current_sid();
+  if (previous_ != from.sid) {
+    thread->ResumeHandedOff(from.sid, from.tid, from.time);
+    switched_ = true;
+  }
+}
+
+ResumedInterval::~ResumedInterval() {
+  if (switched_) {
+    WorkOnBehalf(previous_);
+  }
 }
 
 }  // namespace vprof

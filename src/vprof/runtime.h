@@ -152,6 +152,11 @@ class alignas(kCacheLineSize) ThreadState {
   // freshly dequeued task (paper's 4-tuple).
   void AttachGeneratorEdge(ThreadId producer_tid, TimeNs enqueue_time);
 
+  // Switches to interval `sid`, which `from_tid` handed off at `from_time`:
+  // the segment opened here carries a completion edge back to the hand-off
+  // (EdgeKind::kCompletion). One op, one timestamp.
+  void ResumeHandedOff(IntervalId sid, ThreadId from_tid, TimeNs from_time);
+
   // Records a semantic-interval begin/end annotation on this thread and
   // switches it to work on behalf of `next_sid`: one op, one timestamp.
   void RecordIntervalEvent(IntervalId sid, IntervalEventKind kind,
@@ -232,9 +237,10 @@ class alignas(kCacheLineSize) ThreadState {
   TimeNs seg_start_ = -1;
   SegmentState seg_state_ = SegmentState::kExecuting;
   IntervalId seg_sid_ = kNoInterval;
-  // Pending created-by edge for the segment being opened.
+  // Pending created-by (or completion) edge for the segment being opened.
   ThreadId pending_gen_tid_ = kNoThread;
   TimeNs pending_gen_time_ = -1;
+  EdgeKind pending_gen_kind_ = EdgeKind::kCreatedBy;
   // Waker reported by an inner nested wait, consumed by the outermost
   // EndBlocked.
   ThreadId pending_waker_tid_ = kNoThread;
@@ -309,6 +315,37 @@ void WorkOnBehalf(IntervalId sid);
 
 // The interval the calling thread currently works on behalf of.
 IntervalId CurrentIntervalId();
+
+// An interval in transit between threads: which interval, the thread that
+// stopped working on it, and when. A thread that registers a completion
+// (a pipelined commit, a deferred reply) captures it; the thread that runs
+// the completion resumes it.
+struct HandOff {
+  IntervalId sid = kNoInterval;
+  ThreadId tid = kNoThread;
+  TimeNs time = -1;
+};
+
+// The calling thread's interval, handed off now. Carries kNoInterval when
+// not tracing or when the thread works on no interval.
+HandOff HandOffInterval();
+
+// Works on behalf of a handed-off interval for the scope's lifetime, then
+// returns to the interval the thread worked on before. The first segment
+// carries a completion edge back to the hand-off, which the critical-path
+// walker follows into this thread's own timeline (critical_path.h). A no-op
+// when `from` carries no interval or the thread already works on it.
+class ResumedInterval {
+ public:
+  explicit ResumedInterval(const HandOff& from);
+  ~ResumedInterval();
+  ResumedInterval(const ResumedInterval&) = delete;
+  ResumedInterval& operator=(const ResumedInterval&) = delete;
+
+ private:
+  bool switched_ = false;
+  IntervalId previous_ = kNoInterval;
+};
 
 // RAII wrapper: begins a semantic interval on construction and ends it on
 // destruction. If the thread is already inside an interval, the scope joins

@@ -53,7 +53,11 @@ uint64_t Trace::interval_count() const {
 namespace {
 
 constexpr uint32_t kMagic = 0x56505246;  // "VPRF"
-constexpr uint32_t kVersion = 2;         // v2: IntervalEvent carries a label
+// v2: IntervalEvent carries a label. v3: Segment carries its generator
+// edge's kind, in a byte v2 left as padding. Both share one record layout.
+constexpr uint32_t kVersion = 3;
+constexpr uint32_t kOldestVersion = 2;
+static_assert(sizeof(Segment) == 56, "v2 and v3 segment records are 56 bytes");
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -109,6 +113,7 @@ void Encode(const Segment& seg, char* out) {
   Put(out, offsetof(Segment, end), seg.end);
   Put(out, offsetof(Segment, sid), seg.sid);
   Put(out, offsetof(Segment, state), seg.state);
+  Put(out, offsetof(Segment, edge_kind), seg.edge_kind);
   Put(out, offsetof(Segment, waker_tid), seg.waker_tid);
   Put(out, offsetof(Segment, waker_time), seg.waker_time);
   Put(out, offsetof(Segment, generator_tid), seg.generator_tid);
@@ -215,9 +220,11 @@ bool Valid(const Invocation& inv, size_t index, uint64_t name_count) {
 }
 
 bool Valid(const Segment& seg, size_t, uint64_t) {
-  return seg.state == SegmentState::kExecuting ||
-         seg.state == SegmentState::kBlocked ||
-         seg.state == SegmentState::kQueueWait;
+  return (seg.state == SegmentState::kExecuting ||
+          seg.state == SegmentState::kBlocked ||
+          seg.state == SegmentState::kQueueWait) &&
+         (seg.edge_kind == EdgeKind::kCreatedBy ||
+          seg.edge_kind == EdgeKind::kCompletion);
 }
 
 bool Valid(const IntervalEvent& e, size_t, uint64_t) {
@@ -242,15 +249,28 @@ bool ReadAt(int fd, uint64_t offset, void* data, size_t size) {
   return true;
 }
 
+// A v2 file's segments hold padding where v3 keeps the edge kind; every v2
+// generator edge is a created-by edge.
+void Upgrade(uint32_t version, std::vector<Segment>* segments) {
+  if (version == 2) {
+    for (Segment& seg : *segments) {
+      seg.edge_kind = EdgeKind::kCreatedBy;
+    }
+  }
+}
+template <typename T>
+void Upgrade(uint32_t, std::vector<T>*) {}
+
 // Fills a vector whose storage SkipVectorChecked reserved, and validates
 // every record.
 template <typename T>
 TraceLoadStatus ReadRecords(int fd, const Extent& extent, uint64_t name_count,
-                            std::vector<T>* v) {
+                            uint32_t version, std::vector<T>* v) {
   v->resize(extent.count);
   if (!ReadAt(fd, extent.offset, v->data(), v->size() * sizeof(T))) {
     return TraceLoadStatus::kTruncated;  // the file shrank under the reader
   }
+  Upgrade(version, v);
   for (size_t i = 0; i < v->size(); ++i) {
     if (!Valid((*v)[i], i, name_count)) {
       return TraceLoadStatus::kCorrupt;
@@ -280,7 +300,7 @@ TraceLoadStatus LoadTraceImpl(std::FILE* f, Trace* trace) {
   if (!ReadPod(f, &version)) {
     return TraceLoadStatus::kTruncated;
   }
-  if (version != kVersion) {
+  if (version < kOldestVersion || version > kVersion) {
     return TraceLoadStatus::kBadVersion;
   }
   if (!ReadPod(f, &trace->duration)) {
@@ -347,14 +367,15 @@ TraceLoadStatus LoadTraceImpl(std::FILE* f, Trace* trace) {
     switch (block % kVectorsPerThread) {
       case 0:
         statuses[block] =
-            ReadRecords(fd, extent, name_count, &thread.invocations);
+            ReadRecords(fd, extent, name_count, version, &thread.invocations);
         break;
       case 1:
-        statuses[block] = ReadRecords(fd, extent, name_count, &thread.segments);
+        statuses[block] =
+            ReadRecords(fd, extent, name_count, version, &thread.segments);
         break;
       default:
-        statuses[block] =
-            ReadRecords(fd, extent, name_count, &thread.interval_events);
+        statuses[block] = ReadRecords(fd, extent, name_count, version,
+                                      &thread.interval_events);
         break;
     }
   });

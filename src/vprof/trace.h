@@ -6,7 +6,10 @@
 //                                                     segment they terminate)
 //   4. created-by edges     <tid, ts, tid', ts'>     (attached to the segment
 //                                                     that starts processing
-//                                                     the dequeued task)
+//                                                     the dequeued task; a
+//                                                     completion hand-off
+//                                                     uses the same fields,
+//                                                     see EdgeKind)
 #ifndef SRC_VPROF_TRACE_H_
 #define SRC_VPROF_TRACE_H_
 
@@ -36,13 +39,18 @@ struct Segment {
   TimeNs end = -1;
   IntervalId sid = kNoInterval;
   SegmentState state = SegmentState::kExecuting;
+  // What the generator edge below records. It sits in the padding after
+  // `state`, so the record stays 56 bytes.
+  EdgeKind edge_kind = EdgeKind::kCreatedBy;
 
   // For kBlocked/kQueueWait segments: who unblocked this thread, and when.
   ThreadId waker_tid = kNoThread;
   TimeNs waker_time = -1;
 
   // For the first executing segment of a dequeued task: who enqueued the task
-  // (the "created-by" producer) and when.
+  // (the "created-by" producer) and when. For the first segment of a resumed
+  // completion (EdgeKind::kCompletion): who handed the interval off, and
+  // when.
   ThreadId generator_tid = kNoThread;
   TimeNs generator_time = -1;
 };
@@ -90,7 +98,8 @@ struct Trace {
 };
 
 // Binary (de)serialization for storing traces on disk. Returns false on I/O
-// or format errors.
+// or format errors. SaveTrace writes format v3; the loaders also read v2,
+// whose segments carry no edge kind (every generator edge is created-by).
 bool SaveTrace(const Trace& trace, const std::string& path);
 bool LoadTrace(const std::string& path, Trace* trace);
 

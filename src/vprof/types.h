@@ -42,6 +42,17 @@ enum class SegmentState : uint8_t {
   kQueueWait = 2,  // waiting to dequeue from an empty task/message queue
 };
 
+// What a segment's generator edge records (Segment::generator_tid/_time).
+enum class EdgeKind : uint8_t {
+  // The segment starts a task another thread enqueued: the gap since the
+  // enqueue is queueing delay (paper Section 3.3.2).
+  kCreatedBy = 0,
+  // The segment resumes an interval another thread handed off when it
+  // registered a completion (a pipelined commit): across the gap the
+  // interval waited on this thread's own work, such as the flush it led.
+  kCompletion = 1,
+};
+
 enum class IntervalEventKind : uint8_t {
   kBegin = 0,
   kEnd = 1,

@@ -5,8 +5,10 @@
 // lands on it, and runs the handler fixed at construction.
 //
 // Two ways in:
-//   - Submit hands over an interval the producer began; the worker ends it
-//     once the handler returns (NetServer's dispatch).
+//   - Submit hands over an interval the producer began; the handler ends
+//     it, on the worker or on whichever thread it hands the interval to
+//     (NetServer's dispatch, whose handler may hand a reply, and with it
+//     the interval, to another thread).
 //   - SubmitAndWait is the closed loop: it begins the interval, blocks until
 //     a worker has run the handler, and ends the interval on the calling
 //     thread (httpd's in-process listener).
@@ -62,9 +64,9 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  // Queues `task` for interval `sid`, which the worker ends after the
-  // handler. Returns false when shed (queue at max_depth, or Shutdown has
-  // begun); the interval then stays the caller's.
+  // Queues `task` for interval `sid`, which the handler ends. Returns false
+  // when shed (queue at max_depth, or Shutdown has begun); the interval
+  // then stays the caller's.
   bool Submit(IntervalId sid, T task) {
     return queue_.PushIfBelow(Job{sid, std::move(task), nullptr}, max_depth_);
   }
@@ -113,12 +115,10 @@ class WorkerPool {
     while (std::optional<Job> job = queue_.Pop()) {
       WorkOnBehalf(job->sid);
       handler_(job->sid, job->task);
-      if (job->done == nullptr) {
-        EndInterval(job->sid);
-      } else {
+      if (job->done != nullptr) {
         job->done->Set();
-        WorkOnBehalf(kNoInterval);
       }
+      WorkOnBehalf(kNoInterval);
     }
   }
 

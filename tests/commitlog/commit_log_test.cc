@@ -9,14 +9,17 @@
 // kOk is never lost, whatever commit-path crash point fires; recovery
 // truncates at the first bad checksum, so it exposes a prefix of whole
 // records, in either CommitMode; a write error is retryable, and a failed
-// fsync wedges the log until Recover().
+// fsync wedges the log until Recover(). The pipelined commit keeps the same
+// invariants for the outcomes its completions receive.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <iterator>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -70,6 +73,9 @@ class WalAdapter : public minipg::WalUnit {
 
   uint64_t Append(uint64_t bytes) { return Insert(bytes); }
   Status Commit(uint64_t lsn) { return Flush(lsn); }
+  void CommitPipelined(uint64_t lsn, commitlog::Completion done) {
+    FlushPipelined(lsn, std::move(done));
+  }
   uint64_t next_lsn() const { return insert_lsn(); }
   uint64_t fsyncs() const { return disk().fsyncs(); }
   // The unit's counters under the core's names.
@@ -295,34 +301,102 @@ TYPED_TEST(CommitLogTest, TornTailTruncationIsSeedDeterministic) {
   EXPECT_EQ(a.records_recovered + a.records_lost, kRecords);
 }
 
-// A short device write, with no crash failpoint, tears the record that
-// crosses the tear point, and recovery truncates there: nothing at or past
-// the tear survives, not even a record that landed whole behind it.
-TYPED_TEST(CommitLogTest, ShortDiskWriteYieldsTornRecordOnRecovery) {
-  TypeParam log(FastDisk("log_shortwrite"));
-  const uint64_t intact = log.Append(600);
-  EXPECT_EQ(log.Commit(intact), Status::kOk);
-  {
-    // 1000 bytes of the next batch reach the device: its first record
-    // whole, and 400 bytes of its second.
-    fault::ScopedFailpoint fp("log_shortwrite/torn_write",
-                              fault::Trigger::AlwaysWithValue(1000));
-    for (int i = 0; i < 4; ++i) {
-      log.Append(600);
-    }
-    EXPECT_EQ(log.Commit(log.next_lsn() - 1), Status::kOk);
+// The outcomes pipelined commits' completions received, in the order they
+// ran.
+class Outcomes {
+ public:
+  commitlog::Completion For(uint64_t lsn) {
+    return [this, lsn](Status status) {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_.emplace_back(lsn, status);
+    };
   }
-  EXPECT_EQ(log.Commit(log.Append(600)), Status::kOk);
+  std::vector<std::pair<uint64_t, Status>> Take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::move(done_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::pair<uint64_t, Status>> done_;
+};
+
+// Commits `lsn` synchronously, or through the pipelined commit, which on a
+// log with no other committer leads its own round and completes before it
+// returns.
+template <typename Log>
+Status CommitVia(Log& log, bool pipelined, uint64_t lsn) {
+  if (!pipelined) {
+    return log.Commit(lsn);
+  }
+  Outcomes outcomes;
+  log.CommitPipelined(lsn, outcomes.For(lsn));
+  const auto done = outcomes.Take();
+  EXPECT_EQ(done.size(), 1u);
+  return done.empty() ? Status::kCrashed : done[0].second;
+}
+
+// A short device write, with no crash failpoint, lands the records before
+// the tear whole; the flush rewrites the torn record whole, then the rest,
+// before it acks. So the log's invariant holds: every LSN acked kOk is at
+// or below the recovered LSN.
+TYPED_TEST(CommitLogTest, ShortDiskWriteNeverAcksATornRecord) {
+  for (const bool pipelined : {false, true}) {
+    SCOPED_TRACE(pipelined ? "pipelined" : "synchronous");
+    TypeParam log(FastDisk("log_shortwrite"));
+    std::vector<uint64_t> acked;
+    auto commit = [&](uint64_t lsn) {
+      const Status status = CommitVia(log, pipelined, lsn);
+      if (status == Status::kOk) {
+        acked.push_back(lsn);
+      }
+      return status;
+    };
+    EXPECT_EQ(commit(log.Append(600)), Status::kOk);
+    {
+      // Every write reaches the device only 1,000 bytes in: the next
+      // batch's first record whole, 400 bytes of its second.
+      fault::ScopedFailpoint fp("log_shortwrite/torn_write",
+                                fault::Trigger::AlwaysWithValue(1000));
+      for (int i = 0; i < 4; ++i) {
+        log.Append(600);
+      }
+      EXPECT_EQ(commit(log.next_lsn() - 1), Status::kOk);
+    }
+    EXPECT_EQ(commit(log.Append(600)), Status::kOk);
+    log.Crash(/*seed=*/5);
+    const RecoveryResult recovered = log.Recover();
+    ASSERT_EQ(acked.size(), 3u);
+    for (const uint64_t lsn : acked) {
+      EXPECT_LE(lsn, recovered.recovered_lsn) << "acked LSN lost";
+    }
+    EXPECT_EQ(recovered.records_recovered, 6u);
+    EXPECT_EQ(recovered.torn_truncated, 0u);
+
+    // The log still works.
+    const uint64_t fresh = log.Append(32);
+    ASSERT_NE(fresh, 0u);
+    EXPECT_EQ(commit(fresh), Status::kOk);
+  }
+}
+
+// A device that transfers nothing whole: the flush hands the batch back as a
+// write error instead of acking or spinning, and a later commit lands it.
+TYPED_TEST(CommitLogTest, ShortWriteWithNoWholeRecordIsAWriteError) {
+  TypeParam log(FastDisk("log_shortnone"));
+  const uint64_t lsn = log.Append(600);
+  {
+    fault::ScopedFailpoint fp("log_shortnone/torn_write",
+                              fault::Trigger::AlwaysWithValue(100));
+    EXPECT_EQ(log.Commit(lsn), Status::kIoError);
+  }
+  EXPECT_FALSE(log.crashed());
+  EXPECT_EQ(log.Commit(lsn), Status::kOk);
   log.Crash(/*seed=*/5);
   const RecoveryResult recovered = log.Recover();
-  EXPECT_EQ(recovered.recovered_lsn, intact + 600);
-  EXPECT_EQ(recovered.records_recovered, 2u);
-  EXPECT_EQ(recovered.torn_truncated, 2u);
-
-  // The log still works.
-  const uint64_t fresh = log.Append(32);
-  ASSERT_NE(fresh, 0u);
-  EXPECT_EQ(log.Commit(fresh), Status::kOk);
+  EXPECT_EQ(recovered.recovered_lsn, lsn);
+  EXPECT_EQ(recovered.records_recovered, 1u);
+  EXPECT_EQ(recovered.torn_truncated, 0u);
 }
 
 // A device write error is not a crash: the batch goes back to the buffer
@@ -424,6 +498,153 @@ TYPED_TEST(CommitLogTest, CrashDuringFlushLosesNoAck) {
   EXPECT_EQ(log.Commit(b), Status::kOk);
   log.Crash(/*seed=*/4);
   EXPECT_EQ(log.Recover().records_lost, 0u);
+}
+
+// Pipelined commits from several threads: every completion runs exactly
+// once, with kOk, after its LSN is durable, and the rounds batch them.
+TYPED_TEST(CommitLogTest, PipelinedCommitsSettleEveryCompletionOnce) {
+  TypeParam log(FastDisk("log_pipe"));
+  Outcomes outcomes;
+  std::atomic<bool> early{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 50; ++i) {
+        const uint64_t lsn = log.Append(128);
+        log.CommitPipelined(lsn, [&, lsn, done = outcomes.For(lsn)](Status s) {
+          if (log.flushed_lsn() < lsn) {
+            early.store(true);
+          }
+          done(s);
+        });
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  // A registrant returns at once only while a leader runs, and the leader
+  // returns once nothing is pending: with every committer gone, every
+  // completion has run.
+  const auto done = outcomes.Take();
+  ASSERT_EQ(done.size(), 200u);
+  std::vector<uint64_t> lsns;
+  for (const auto& [lsn, status] : done) {
+    EXPECT_EQ(status, Status::kOk);
+    lsns.push_back(lsn);
+  }
+  std::sort(lsns.begin(), lsns.end());
+  EXPECT_EQ(std::unique(lsns.begin(), lsns.end()), lsns.end());
+  EXPECT_FALSE(early.load()) << "a completion ran before its LSN was durable";
+  EXPECT_LT(log.fsyncs(), 200u);
+}
+
+// A stalled round with pipelined commits registered behind it: the leader
+// thread leads `first`'s round and then settles the commits the test
+// thread registers while its device write stalls.
+template <typename Log>
+struct StalledPipeline {
+  StalledPipeline(Log& log, const std::string& scope, int behind) {
+    fault::Activate(scope + "/stall", fault::Trigger::OneShot());
+    lsns.push_back(log.Append(100));
+    leader = std::thread(
+        [&log, this] { log.CommitPipelined(lsns[0], outcomes.For(lsns[0])); });
+    while (fault::TriggerCount(scope + "/stall") != 1) {
+      std::this_thread::yield();
+    }
+    for (int i = 0; i < behind; ++i) {
+      lsns.push_back(log.Append(100));
+      log.CommitPipelined(lsns.back(), outcomes.For(lsns.back()));
+    }
+  }
+  // Joins the leader, which returns once every completion has run.
+  std::vector<std::pair<uint64_t, Status>> Settle() {
+    leader.join();
+    return outcomes.Take();
+  }
+
+  std::vector<uint64_t> lsns;
+  Outcomes outcomes;
+  std::thread leader;
+};
+
+simio::DiskConfig StallingDisk(const std::string& scope) {
+  simio::DiskConfig config = FastDisk(scope);
+  config.stall_us = 200000.0;
+  return config;
+}
+
+// A crash with completions pending: none reports kOk for an LSN above the
+// recovered one, and each of the others reports the crash.
+TYPED_TEST(CommitLogTest, PipelinedCrashNeverAcksPastRecovery) {
+  TypeParam log(StallingDisk("log_pipe_crash"));
+  log.set_crash_seed(7);
+  StalledPipeline<TypeParam> pipeline(log, "log_pipe_crash", 4);
+  log.Crash(/*seed=*/7);  // waits for the stalled round's write and fsync
+  const RecoveryResult recovered = log.Recover();
+  const auto done = pipeline.Settle();
+  ASSERT_EQ(done.size(), 5u);
+  for (const auto& [lsn, status] : done) {
+    if (status == Status::kOk) {
+      EXPECT_LE(lsn, recovered.recovered_lsn) << "acked LSN lost";
+    } else {
+      EXPECT_EQ(status, Status::kCrashed);
+    }
+  }
+}
+
+// A failed fsync wedges the log: the round's own commit and every commit
+// pending behind it get kWedged, none kOk.
+TYPED_TEST(CommitLogTest, PipelinedFailedFsyncWedgesEveryPendingCompletion) {
+  TypeParam log(StallingDisk("log_pipe_wedge"));
+  fault::Activate("log_pipe_wedge/fsync_error", fault::Trigger::OneShot());
+  StalledPipeline<TypeParam> pipeline(log, "log_pipe_wedge", 3);
+  const auto done = pipeline.Settle();
+  ASSERT_EQ(done.size(), 4u);
+  for (const auto& [lsn, status] : done) {
+    EXPECT_EQ(status, Status::kWedged) << "lsn " << lsn;
+  }
+  EXPECT_TRUE(log.wedged());
+  EXPECT_EQ(log.Recover().recovered_lsn, 0u);  // nothing was ever durable
+}
+
+// A write error fails the round's commit with kIoError and puts its record
+// back; the next round, led for the commits pending behind it, lands it.
+TYPED_TEST(CommitLogTest, PipelinedWriteErrorIsRetriedByTheNextRound) {
+  TypeParam log(StallingDisk("log_pipe_ioerr"));
+  fault::Activate("log_pipe_ioerr/write_error", fault::Trigger::OneShot());
+  StalledPipeline<TypeParam> pipeline(log, "log_pipe_ioerr", 3);
+  const auto done = pipeline.Settle();
+  ASSERT_EQ(done.size(), 4u);
+  for (const auto& [lsn, status] : done) {
+    EXPECT_EQ(status,
+              lsn == pipeline.lsns[0] ? Status::kIoError : Status::kOk)
+        << "lsn " << lsn;
+  }
+  EXPECT_FALSE(log.crashed());
+  EXPECT_EQ(log.flushed_lsn(), pipeline.lsns.back());
+  EXPECT_EQ(log.stats().io_errors, 1u);
+  log.Crash(/*seed=*/3);
+  const RecoveryResult recovered = log.Recover();
+  EXPECT_EQ(recovered.recovered_lsn, pipeline.lsns.back());
+  EXPECT_EQ(recovered.records_recovered, 4u);
+}
+
+// Shutdown while commits are pending behind a stalled round: each was
+// registered before the gate, so each gets kOk; a commit after the gate is
+// refused on the caller.
+TYPED_TEST(CommitLogTest, PipelinedShutdownAcksCommitsRegisteredBeforeIt) {
+  TypeParam log(StallingDisk("log_pipe_stop"));
+  StalledPipeline<TypeParam> pipeline(log, "log_pipe_stop", 3);
+  log.Shutdown();
+  const auto done = pipeline.Settle();
+  ASSERT_EQ(done.size(), 4u);
+  for (const auto& [lsn, status] : done) {
+    EXPECT_EQ(status, Status::kOk) << "lsn " << lsn;
+  }
+  EXPECT_EQ(log.flushed_lsn(), pipeline.lsns.back());
+  EXPECT_EQ(CommitVia(log, /*pipelined=*/true, pipeline.lsns.back()),
+            Status::kShutdown);
 }
 
 // The torn-batch sweeps tear the group-commit leader's batch write at EVERY

@@ -289,6 +289,74 @@ TEST_F(ChaosStormTest, MinidbMidBatchCrashCyclesUnderConcurrentLoad) {
   EXPECT_EQ(post.error, minidb::TxnError::kShutdown);
 }
 
+// The same kill-and-recover cycles through the pipelined commit, the wire
+// path's: each worker's commits complete on whichever worker leads the
+// flush, and the acks are counted in the completions. After every cycle,
+// with the workers joined and so every completion run, the acked prefix is
+// durable and the balance total is 0.
+TEST_F(ChaosStormTest, MinidbPipelinedMidBatchCrashCyclesUnderConcurrentLoad) {
+  minidb::EngineConfig config = minidb::EngineConfig::MemoryResident();
+  config.warehouses = 4;
+  config.log_disk = FastDisk("chaos_md_pipe_log");
+  config.data_disk = FastDisk("chaos_md_pipe_data");
+  minidb::Engine engine(config);
+  engine.redo_log().set_crash_seed(99);
+
+  std::atomic<uint64_t> acked{0};
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    SCOPED_TRACE("cycle " + std::to_string(cycle));
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> max_acked_lsn{0};
+    const auto done = [&](const minidb::TxnOutcome& outcome) {
+      if (!outcome.committed) {
+        return;
+      }
+      acked.fetch_add(1, std::memory_order_relaxed);
+      uint64_t seen = max_acked_lsn.load(std::memory_order_relaxed);
+      while (outcome.commit_lsn > seen &&
+             !max_acked_lsn.compare_exchange_weak(seen, outcome.commit_lsn)) {
+      }
+    };
+    std::vector<std::thread> workers;
+    for (int t = 0; t < 4; ++t) {
+      workers.emplace_back([&engine, &stop, &done, cycle, t] {
+        workload::TpccGenerator generator(workload::TpccOptions{}, 4);
+        statkit::Rng rng(3000 + 10 * static_cast<uint64_t>(cycle) +
+                         static_cast<uint64_t>(t));
+        while (!stop.load(std::memory_order_relaxed)) {
+          engine.ExecutePipelined(generator.Next(rng), done);
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    fault::Activate("redo/crash_mid_batch", fault::Trigger::OneShotWithValue(
+                                                137u * (cycle + 1u)));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!engine.redo_log().crashed() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const bool crashed = engine.redo_log().crashed();
+    fault::Deactivate("redo/crash_mid_batch");
+    stop.store(true);
+    const workload::InvariantResult joined =
+        workload::CheckThreadsJoin(&workers, 10000);
+    ASSERT_TRUE(joined.ok) << joined.detail;
+    ASSERT_TRUE(crashed) << "crash point never hit";
+    const minidb::RecoveryResult recovered = engine.redo_log().Recover();
+    const workload::InvariantResult durable = workload::CheckAckedPrefixDurable(
+        max_acked_lsn.load(), recovered.recovered_lsn);
+    EXPECT_TRUE(durable.ok) << durable.detail;
+    const workload::InvariantResult balance =
+        workload::CheckBalanceConservation(engine);
+    EXPECT_TRUE(balance.ok) << balance.detail;
+  }
+  engine.Stop();
+  EXPECT_GT(acked.load(), 0u);
+  EXPECT_EQ(acked.load(), engine.committed_count());
+}
+
 TEST_F(ChaosStormTest, MinipgMidBatchCrashCyclesUnderConcurrentLoad) {
   minipg::PgConfig config;
   config.wal_units = 2;

@@ -1,14 +1,19 @@
 // NetServer end-to-end over real loopback sockets: request/reply for all
 // three engine adapters, the httpd adapter's single hand-off, pipelining
 // with out-of-order reply matching, dispatch-queue shedding (503),
-// protocol-violation handling, and idle eviction.
+// protocol-violation handling, idle eviction, and replies a handler takes
+// over and another thread sends (Responder).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <map>
+#include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/httpd/server.h"
@@ -282,6 +287,319 @@ TEST(NetServerTest, IdleConnectionsAreSweptOut) {
   client.Close();
   server.Shutdown();
   EXPECT_GE(server.stats().idle_evictions, 1u);
+}
+
+// A thread that sends the replies handlers hand it, each once `release`
+// lets it: value = request id * 7.
+class Completer {
+ public:
+  Completer()
+      : thread_([this] {
+          tid_.store(vprof::CurrentThread()->tid());
+          Run();
+        }) {}
+  ~Completer() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+  void Add(Responder responder, uint64_t request_id) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      queue_.emplace_back(std::move(responder), request_id);
+    }
+    cv_.notify_all();
+  }
+  // Lets the first `n` replies go.
+  void Release(size_t n) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = n;
+    }
+    cv_.notify_all();
+  }
+  size_t sent() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return sent_;
+  }
+  vprof::ThreadId tid() const { return tid_.load(); }
+
+ private:
+  void Run() {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (true) {
+      cv_.wait(lock, [this] {
+        return stop_ || (!queue_.empty() && sent_ < released_);
+      });
+      if (stop_) {
+        return;  // unsent responders drop as the queue dies
+      }
+      auto [responder, request_id] = std::move(queue_.front());
+      queue_.pop_front();
+      lock.unlock();
+      Frame reply;
+      reply.type = MsgType::kTxnReply;
+      reply.value = request_id * 7;
+      responder.Send(reply);
+      lock.lock();
+      ++sent_;
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<std::pair<Responder, uint64_t>> queue_;
+  size_t released_ = 0;
+  size_t sent_ = 0;
+  bool stop_ = false;
+  std::atomic<vprof::ThreadId> tid_{vprof::kNoThread};
+  std::thread thread_;
+};
+
+// Declared after the server: lets every held reply go before the server's
+// destructor waits for them, should a test end early.
+class ReleaseAllOnExit {
+ public:
+  explicit ReleaseAllOnExit(Completer* completer) : completer_(completer) {}
+  ~ReleaseAllOnExit() { completer_->Release(SIZE_MAX); }
+
+ private:
+  Completer* completer_;
+};
+
+// A handler that hands every reply to `completer` and returns a frame the
+// server must ignore.
+NetServer::Handler Deferring(Completer* completer,
+                             std::atomic<uint64_t>* returned) {
+  return [completer, returned](const Frame& request) {
+    Responder responder = NetServer::TakeResponder();
+    EXPECT_TRUE(responder);
+    EXPECT_FALSE(NetServer::TakeResponder()) << "taken twice";
+    completer->Add(std::move(responder), request.request_id);
+    returned->fetch_add(1);
+    Frame ignored;
+    ignored.type = MsgType::kError;
+    return ignored;
+  };
+}
+
+template <typename Pred>
+bool WaitFor(Pred pred) {
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
+}
+
+TEST(NetServerTest, DeferredReplySentFromAnotherThreadAfterTheHandler) {
+  EXPECT_FALSE(NetServer::TakeResponder()) << "no request outside a handler";
+  Completer completer;
+  std::atomic<uint64_t> returned{0};
+  NetServerOptions options;
+  options.workers = 1;
+  NetServer server(options, Deferring(&completer, &returned));
+  const ReleaseAllOnExit release_all(&completer);
+  ASSERT_TRUE(server.Start());
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+
+  constexpr uint64_t kRequests = 3;
+  for (uint64_t id = 1; id <= kRequests; ++id) {
+    ASSERT_TRUE(client.Send(TxnRequestFrame(id)));
+    // The worker is free again before the reply exists.
+    ASSERT_TRUE(WaitFor([&] { return returned.load() == id; }));
+    EXPECT_EQ(completer.sent(), id - 1);
+    completer.Release(id);
+    Frame reply;
+    ASSERT_TRUE(client.Recv(&reply));
+    EXPECT_EQ(reply.type, MsgType::kTxnReply);
+    EXPECT_EQ(reply.request_id, id);
+    EXPECT_EQ(reply.value, id * 7);
+  }
+  client.Close();
+  server.Shutdown();
+  const NetServerStats stats = server.stats();
+  EXPECT_EQ(stats.replies_sent, kRequests);
+  EXPECT_EQ(stats.replies_dropped, 0u);
+}
+
+TEST(NetServerTest, DeferredReplySentInsideTheHandler) {
+  NetServer server(NetServerOptions{}, [](const Frame& request) {
+    Responder responder = NetServer::TakeResponder();
+    Frame reply;
+    reply.type = MsgType::kTxnReply;
+    reply.value = request.request_id + 100;
+    responder.Send(reply);
+    responder.Send(reply);  // sent already: a no-op
+    Frame ignored;
+    ignored.type = MsgType::kError;
+    return ignored;
+  });
+  ASSERT_TRUE(server.Start());
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  for (uint64_t id = 1; id <= 3; ++id) {
+    Frame reply;
+    ASSERT_TRUE(client.Call(TxnRequestFrame(id), &reply));
+    EXPECT_EQ(reply.type, MsgType::kTxnReply);
+    EXPECT_EQ(reply.request_id, id);
+    EXPECT_EQ(reply.value, id + 100);
+  }
+  Frame extra;
+  EXPECT_FALSE(client.Recv(&extra, 200)) << "one reply per request";
+  client.Close();
+  server.Shutdown();
+  EXPECT_EQ(server.stats().replies_sent, 3u);
+}
+
+TEST(NetServerTest, DeferredReplyToAClosedConnectionIsDropped) {
+  Completer completer;
+  std::atomic<uint64_t> returned{0};
+  NetServer server(NetServerOptions{}, Deferring(&completer, &returned));
+  const ReleaseAllOnExit release_all(&completer);
+  ASSERT_TRUE(server.Start());
+  {
+    BlockingClient client;
+    ASSERT_TRUE(client.Connect(server.port()));
+    ASSERT_TRUE(client.Send(TxnRequestFrame(1)));
+    ASSERT_TRUE(WaitFor([&] { return returned.load() == 1; }));
+    client.Close();
+  }
+  // The reply goes out only once the server has let go of the connection.
+  ASSERT_TRUE(WaitFor([&] { return server.stats().closed == 1; }));
+  completer.Release(1);
+  ASSERT_TRUE(WaitFor([&] { return completer.sent() == 1; }));
+  server.Shutdown();
+  const NetServerStats stats = server.stats();
+  EXPECT_EQ(stats.replies_sent, 0u);
+  EXPECT_EQ(stats.replies_dropped, 1u);
+}
+
+TEST(NetServerTest, UnsentResponderIsDropped) {
+  NetServer server(NetServerOptions{}, [](const Frame&) {
+    Responder responder = NetServer::TakeResponder();
+    Responder moved = std::move(responder);
+    EXPECT_FALSE(responder);
+    EXPECT_TRUE(moved);
+    return Frame{};  // `moved` dies unsent
+  });
+  ASSERT_TRUE(server.Start());
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  ASSERT_TRUE(client.Send(TxnRequestFrame(1)));
+  Frame reply;
+  EXPECT_FALSE(client.Recv(&reply, 300));
+  client.Close();
+  server.Shutdown();
+  EXPECT_EQ(server.stats().replies_dropped, 1u);
+  EXPECT_EQ(server.stats().replies_sent, 0u);
+}
+
+TEST(NetServerTest, ShutdownWaitsForOutstandingReplies) {
+  Completer completer;
+  std::atomic<uint64_t> returned{0};
+  NetServerOptions options;
+  options.workers = 2;
+  NetServer server(options, Deferring(&completer, &returned));
+  const ReleaseAllOnExit release_all(&completer);
+  ASSERT_TRUE(server.Start());
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  constexpr uint64_t kRequests = 3;
+  for (uint64_t id = 1; id <= kRequests; ++id) {
+    ASSERT_TRUE(client.Send(TxnRequestFrame(id)));
+  }
+  ASSERT_TRUE(WaitFor([&] { return returned.load() == kRequests; }));
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(100ms);
+    completer.Release(kRequests);
+  });
+  server.Shutdown();  // returns only after the completer sent all three
+  EXPECT_EQ(completer.sent(), kRequests);
+  releaser.join();
+  EXPECT_EQ(server.stats().replies_sent, kRequests);
+  std::set<uint64_t> ids;
+  Frame reply;
+  while (ids.size() < kRequests && client.Recv(&reply, 2000)) {
+    ids.insert(reply.request_id);
+  }
+  EXPECT_EQ(ids.size(), kRequests);
+  client.Close();
+}
+
+TEST(NetServerTest, TracedDeferredReplySpanComesFromTheSendingThread) {
+  Completer completer;
+  std::atomic<uint64_t> returned{0};
+  std::mutex spans_mu;
+  std::vector<ServerSpanRecord> spans;
+  NetServerOptions options;
+  options.workers = 1;
+  options.span_sink = [&](const ServerSpanRecord& span) {
+    std::lock_guard<std::mutex> lock(spans_mu);
+    spans.push_back(span);
+  };
+  NetServer server(options, Deferring(&completer, &returned));
+  const ReleaseAllOnExit release_all(&completer);
+  ASSERT_TRUE(server.Start());
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+
+  vprof::StartTracing();
+  Frame request = TxnRequestFrame(5);
+  request.has_trace_context = true;
+  request.trace_context.interval_id = 77;
+  request.trace_context.span_id = 9;
+  request.trace_context.origin_service = ServiceId::kFront;
+  ASSERT_TRUE(client.Send(request));
+  ASSERT_TRUE(WaitFor([&] { return returned.load() == 1; }));
+  completer.Release(1);
+  Frame reply;
+  ASSERT_TRUE(client.Recv(&reply));
+  const vprof::Trace trace = vprof::StopTracing();
+  client.Close();
+  server.Shutdown();
+
+  const vprof::ThreadId sender = completer.tid();
+  const vprof::ThreadId worker = server.ProfiledTids().back();
+  ASSERT_NE(sender, worker);
+  ASSERT_TRUE(reply.has_server_timing);
+  EXPECT_EQ(reply.server_timing.span_id, 9u);
+  EXPECT_EQ(reply.server_timing.worker_tid, sender);
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].worker_tid, sender);
+  EXPECT_EQ(spans[0].origin_interval_id, 77u);
+  const vprof::IntervalId sid = spans[0].local_sid;
+  ASSERT_NE(sid, vprof::kNoInterval);
+
+  // The interval ends on the sending thread, whose first segment of it
+  // carries a completion edge back to the worker that took the reply over.
+  int ends_on_sender = 0;
+  int completion_edges = 0;
+  for (const vprof::ThreadTrace& thread : trace.threads) {
+    for (const vprof::IntervalEvent& e : thread.interval_events) {
+      if (e.sid == sid && e.kind == vprof::IntervalEventKind::kEnd) {
+        EXPECT_EQ(thread.tid, sender);
+        ++ends_on_sender;
+      }
+    }
+    for (const vprof::Segment& seg : thread.segments) {
+      if (seg.sid == sid && seg.edge_kind == vprof::EdgeKind::kCompletion) {
+        EXPECT_EQ(thread.tid, sender);
+        EXPECT_EQ(seg.generator_tid, worker);
+        ++completion_edges;
+      }
+    }
+  }
+  EXPECT_EQ(ends_on_sender, 1);
+  EXPECT_EQ(completion_edges, 1);
 }
 
 TEST(NetServerTest, ShutdownIsIdempotentAndDrainsInFlight) {

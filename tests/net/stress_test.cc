@@ -127,12 +127,13 @@ TEST(NetStressTest, ShutdownRacesInFlightRequests) {
 }
 
 TEST(NetStressTest, EngineStopUnderLoadAnswersEveryone) {
-  // workers=1 keeps minidb's btree single-writer (TSan-clean); the race
-  // under test is Engine::Stop against requests mid-dispatch.
+  // The race under test is Engine::Stop against requests mid-dispatch. Two
+  // workers, so a commit's completion, and its reply, can run on the worker
+  // leading the redo flush while the other keeps serving.
   minidb::EngineConfig config = minidb::EngineConfig::MemoryResident();
   minidb::Engine engine(config);
   NetServerOptions options;
-  options.workers = 1;
+  options.workers = 2;
   NetServer server(options, MakeMinidbHandler(&engine));
   ASSERT_TRUE(server.Start());
 

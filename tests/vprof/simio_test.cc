@@ -34,6 +34,9 @@ TEST(DiskTest, CountsOperations) {
   EXPECT_EQ(disk.fsyncs(), 1u);
 }
 
+// The timing cases compare the service times the disk sampled, not the
+// wall-clock time of the calls: a host stall during a sleep would otherwise
+// decide them.
 TEST(DiskTest, FsyncSlowerThanWrite) {
   DiskConfig config;
   config.fsync_spike_prob = 0.0;
@@ -41,8 +44,8 @@ TEST(DiskTest, FsyncSlowerThanWrite) {
   double write_total = 0.0;
   double fsync_total = 0.0;
   for (int i = 0; i < 20; ++i) {
-    write_total += ElapsedUs([&] { disk.Write(256); });
-    fsync_total += ElapsedUs([&] { disk.Fsync(); });
+    write_total += disk.Write(256).service_us;
+    fsync_total += disk.Fsync().service_us;
   }
   EXPECT_GT(fsync_total, write_total);
 }
@@ -57,31 +60,31 @@ TEST(DiskTest, TransferTimeScalesWithBytes) {
   double small = 0.0;
   double large = 0.0;
   for (int i = 0; i < 10; ++i) {
-    small += ElapsedUs([&] { disk.Read(100); });
-    large += ElapsedUs([&] { disk.Read(100000); });  // +1000us transfer
+    small += disk.Read(100).service_us;
+    large += disk.Read(100000).service_us;  // +999us transfer
   }
-  EXPECT_GT(large, small + 5000.0);
+  // Ten reads' transfer difference, 9,990 us; the lognormal bases (e^1
+  // with sigma 0.01, about 2.7 us each) differ by far less than 1 us.
+  EXPECT_NEAR(large - small, 9990.0, 1.0);
 }
 
 TEST(DiskTest, DeterministicSeedGivesSameCounts) {
-  // The RNG stream is seed-driven: two disks with the same seed spike on the
-  // same fsyncs. We can't observe spikes directly, so compare total time
-  // loosely: identical op sequences should take similar simulated service
-  // time (sampled identically).
+  // The RNG stream is seed-driven: two disks with the same seed sample the
+  // same service time, spike included, for each operation of the sequence.
   DiskConfig config;
   config.fsync_mu = 2.0;
   config.seed = 7;
   Disk a(config);
   Disk b(config);
-  double ta = 0.0;
-  double tb = 0.0;
+  std::vector<double> ta;
+  std::vector<double> tb;
   for (int i = 0; i < 10; ++i) {
-    ta += ElapsedUs([&] { a.Fsync(); });
+    ta.push_back(a.Fsync().service_us);
   }
   for (int i = 0; i < 10; ++i) {
-    tb += ElapsedUs([&] { b.Fsync(); });
+    tb.push_back(b.Fsync().service_us);
   }
-  EXPECT_NEAR(ta, tb, 0.5 * std::max(ta, tb) + 2000.0);
+  EXPECT_EQ(ta, tb);
 }
 
 TEST(DiskTest, SerializedAccessQueues) {
@@ -242,10 +245,12 @@ TEST(DiskFaultTest, StallFaultAddsLatency) {
   config.stall_us = 3000.0;
   config.fault_scope = "disk_stall_test";
   Disk disk(config);
-  const double base = ElapsedUs([&] { disk.Read(16); });
+  const double base = disk.Read(16).service_us;
   fault::ScopedFailpoint fp("disk_stall_test/stall", fault::Trigger::Always());
-  const double stalled = ElapsedUs([&] { disk.Read(16); });
-  EXPECT_GT(stalled, base + 2000.0);
+  const double stalled = disk.Read(16).service_us;
+  // The stall adds exactly stall_us; the two base samples (e^1 with sigma
+  // 0.01) differ by a small fraction of a microsecond.
+  EXPECT_NEAR(stalled - base, 3000.0, 0.5);
   EXPECT_EQ(disk.fault_stats().stalls, 1u);
 }
 

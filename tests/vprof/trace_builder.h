@@ -97,6 +97,17 @@ class TraceBuilder {
     return *this;
   }
 
+  // Executing segment that resumes an interval `from` handed off at
+  // `handoff_time`: the first segment of a completion (EdgeKind::kCompletion).
+  TraceBuilder& ExecCompletion(vprof::ThreadId tid, vprof::IntervalId sid,
+                               vprof::TimeNs ts, vprof::TimeNs te,
+                               vprof::ThreadId from,
+                               vprof::TimeNs handoff_time) {
+    ExecGenerated(tid, sid, ts, te, from, handoff_time);
+    Thread(tid).segments.back().edge_kind = vprof::EdgeKind::kCompletion;
+    return *this;
+  }
+
   // Adds an invocation; returns its index on the thread (for parent links).
   int Invoke(vprof::ThreadId tid, const std::string& func, vprof::TimeNs fs,
              vprof::TimeNs fe, int parent = -1,

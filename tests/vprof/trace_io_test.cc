@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/vprof/analysis/critical_path.h"
 #include "src/vprof/analysis/pool.h"
+#include "src/vprof/analysis/variance_tree.h"
 #include "src/vprof/trace.h"
 #include "tests/vprof/trace_builder.h"
 
@@ -57,6 +59,7 @@ TEST(TraceIoTest, RoundTrip) {
   const int parent = tb.Invoke(0, "io_root", 10, 490, -1, 1);
   tb.Invoke(0, "io_child", 20, 120, parent, 1);
   tb.ExecGenerated(1, 1, 0, 10, 0, 5);
+  tb.ExecCompletion(1, 1, 10, 20, 0, 8);
   const Trace original = tb.Build(12345);
 
   const std::string path = TempPath("trace_roundtrip.bin");
@@ -83,6 +86,7 @@ TEST(TraceIoTest, RoundTrip) {
     for (size_t j = 0; j < a.segments.size(); ++j) {
       EXPECT_EQ(a.segments[j].start, b.segments[j].start);
       EXPECT_EQ(a.segments[j].state, b.segments[j].state);
+      EXPECT_EQ(a.segments[j].edge_kind, b.segments[j].edge_kind);
       EXPECT_EQ(a.segments[j].waker_tid, b.segments[j].waker_tid);
       EXPECT_EQ(a.segments[j].generator_tid, b.segments[j].generator_tid);
     }
@@ -123,6 +127,7 @@ Trace WithDirtyPadding(const Trace& clean) {
       d.segments[i].end = c.segments[i].end;
       d.segments[i].sid = c.segments[i].sid;
       d.segments[i].state = c.segments[i].state;
+      d.segments[i].edge_kind = c.segments[i].edge_kind;
       d.segments[i].waker_tid = c.segments[i].waker_tid;
       d.segments[i].waker_time = c.segments[i].waker_time;
       d.segments[i].generator_tid = c.segments[i].generator_tid;
@@ -287,6 +292,70 @@ TEST(TraceIoTest, InvalidSegmentStateIsRejected) {
   ASSERT_TRUE(SaveTrace(trace, path));
   Trace loaded;
   EXPECT_EQ(LoadTraceChecked(path, &loaded), TraceLoadStatus::kCorrupt);
+}
+
+TEST(TraceIoTest, InvalidEdgeKindIsRejected) {
+  TraceBuilder tb;
+  tb.Begin(0, 1, 0).End(0, 1, 100);
+  tb.Exec(0, 1, 0, 100);
+  Trace trace = tb.Build();
+  trace.threads[0].segments[0].edge_kind = static_cast<EdgeKind>(2);
+  const std::string path = TempPath("bad_edge_kind.bin");
+  ASSERT_TRUE(SaveTrace(trace, path));
+  Trace loaded;
+  EXPECT_EQ(LoadTraceChecked(path, &loaded), TraceLoadStatus::kCorrupt);
+}
+
+// A v2 file has the v3 layout, with padding where v3 keeps the edge kind:
+// whatever that byte holds, every edge loads as created-by, and the trace
+// analyses as it did before v3.
+TEST(TraceIoTest, Version2FileLoadsAndAnalysesAsBefore) {
+  const Trace original = MakeSampleTrace();
+  Trace stray = original;
+  for (ThreadTrace& thread : stray.threads) {
+    for (Segment& seg : thread.segments) {
+      seg.edge_kind = EdgeKind::kCompletion;  // a nonzero padding byte
+    }
+  }
+  const std::string path = TempPath("trace_v2.bin");
+  ASSERT_TRUE(SaveTrace(stray, path));
+  std::vector<char> bytes = ReadFile(path);
+  ASSERT_EQ(bytes[4], 3);  // the version follows the 4-byte magic
+  bytes[4] = 2;
+  WriteFile(path, bytes, bytes.size());
+
+  Trace loaded;
+  ASSERT_EQ(LoadTraceChecked(path, &loaded), TraceLoadStatus::kOk);
+  ASSERT_EQ(loaded.threads.size(), original.threads.size());
+  for (size_t t = 0; t < loaded.threads.size(); ++t) {
+    ASSERT_EQ(loaded.threads[t].segments.size(),
+              original.threads[t].segments.size());
+    for (const Segment& seg : loaded.threads[t].segments) {
+      EXPECT_EQ(seg.edge_kind, EdgeKind::kCreatedBy);
+    }
+  }
+  const TraceIndex loaded_index(loaded);
+  const TraceIndex original_index(original);
+  const std::vector<IntervalBreakdown> a = BuildBreakdowns(loaded_index);
+  const std::vector<IntervalBreakdown> b = BuildBreakdowns(original_index);
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.size(), 1u);
+  EXPECT_EQ(a[0].queue_wait_ns, b[0].queue_wait_ns);
+  EXPECT_EQ(a[0].blocked_wait_ns, b[0].blocked_wait_ns);
+  ASSERT_EQ(a[0].windows.size(), b[0].windows.size());
+  for (size_t i = 0; i < a[0].windows.size(); ++i) {
+    EXPECT_EQ(a[0].windows[i].tid, b[0].windows[i].tid);
+    EXPECT_EQ(a[0].windows[i].lo, b[0].windows[i].lo);
+    EXPECT_EQ(a[0].windows[i].hi, b[0].windows[i].hi);
+  }
+  const VarianceAnalysis va_loaded(loaded);
+  const VarianceAnalysis va_original(original);
+  ASSERT_EQ(va_loaded.node_count(), va_original.node_count());
+  for (size_t n = 0; n < va_loaded.node_count(); ++n) {
+    const NodeId id = static_cast<NodeId>(n);
+    EXPECT_EQ(va_loaded.NodeLabel(id), va_original.NodeLabel(id));
+    EXPECT_EQ(va_loaded.Series(id)[0], va_original.Series(id)[0]);
+  }
 }
 
 TEST(TraceIoTest, InvalidIntervalEventKindIsRejected) {

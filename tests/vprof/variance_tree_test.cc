@@ -179,6 +179,109 @@ TEST(VarianceAnalysisTest, WaitTimeLandsInRootBody) {
   EXPECT_DOUBLE_EQ(va.total_blocked_wait_ns(), 500.0);
 }
 
+// A pipelined commit on a hand-built trace. Interval 1 is read on the
+// loop thread (0), runs on worker 1, which registers its commit at t=95
+// and leaves; the flush's leader (thread 2, working on its own interval 2)
+// runs log_write_up_to over [90, 310], fil_flush over [150, 290], then
+// completes interval 1 behind a completion edge back to (1, 95).
+Trace BuildPipelinedCommitTrace(EdgeKind completion_edge) {
+  TraceBuilder tb;
+  tb.Func("net:queue_wait");
+  tb.Begin(0, 1, 0);
+  tb.Exec(0, 1, 0, 10);
+  tb.Invoke(0, "net:readable", 0, 10, -1, 1);
+  tb.ExecGenerated(1, 1, 20, 100, /*producer=*/0, /*enqueue_time=*/10);
+  tb.Exec(1, kNoInterval, 100, 400);
+  const int run = tb.Invoke(1, "run_transaction", 20, 100, -1, 1);
+  tb.Invoke(1, "row_upd", 25, 60, run, 1);
+  tb.Invoke(1, "trx_commit", 80, 100, run, 1);
+  tb.Begin(2, 2, 0);
+  tb.Exec(2, 2, 0, 310);
+  tb.ExecCompletion(2, 1, 310, 330, /*from=*/1, /*handoff_time=*/95);
+  tb.Thread(2).segments.back().edge_kind = completion_edge;
+  tb.End(2, 1, 330);
+  tb.Exec(2, 2, 330, 500);
+  tb.End(2, 2, 500);
+  const int own = tb.Invoke(2, "run_transaction", 0, 500, -1, 2);
+  const int commit = tb.Invoke(2, "trx_commit", 50, 500, own, 2);
+  const int round = tb.Invoke(2, "log_write_up_to", 90, 310, commit, 2);
+  tb.Invoke(2, "fil_flush", 150, 290, round, 2);
+  tb.Invoke(2, "lock_release", 312, 325, commit, 1);
+  return tb.Build();
+}
+
+// The series of the node at `path` (labels from the root down).
+double PathTime(const VarianceAnalysis& va,
+                const std::vector<std::string>& path, size_t interval) {
+  NodeId node = kRootNode;
+  for (const std::string& label : path) {
+    NodeId next = -1;
+    for (const NodeId child : va.node(node).children) {
+      if (va.NodeLabel(child) == label) {
+        next = child;
+      }
+    }
+    if (next < 0) {
+      return -1.0;
+    }
+    node = next;
+  }
+  return va.Series(node)[interval];
+}
+
+TEST(VarianceAnalysisTest, CompletionEdgeCreditsTheGapToTheLeadersFlush) {
+  const Trace trace = BuildPipelinedCommitTrace(EdgeKind::kCompletion);
+  const TraceIndex index(trace);
+  const IntervalBreakdown b = BuildBreakdown(index, index.Intervals()[0]);
+  EXPECT_EQ(b.sid, 1u);
+  // Only the dispatch queue is queueing; the gap from the registration
+  // (95) to the completion (310) is the leader's work.
+  EXPECT_DOUBLE_EQ(b.queue_wait_ns, 10.0);
+  EXPECT_DOUBLE_EQ(b.blocked_wait_ns, 0.0);
+  EXPECT_DOUBLE_EQ(b.descheduled_ns, 0.0);
+  double on_path = b.queue_wait_ns;
+  for (const PathWindow& w : b.windows) {
+    on_path += static_cast<double>(w.hi - w.lo);
+  }
+  EXPECT_DOUBLE_EQ(on_path, 330.0);
+
+  CriticalPathOptions options;
+  options.queue_wait_factor = "net:queue_wait";
+  const VarianceAnalysis analysis(trace, options);
+  ASSERT_EQ(analysis.interval_count(), 2u);
+  const std::vector<std::string> round = {"run_transaction", "trx_commit",
+                                          "log_write_up_to"};
+  // The gap [95, 310] on the leader: log_write_up_to from 95 on, of which
+  // fil_flush [150, 290].
+  EXPECT_DOUBLE_EQ(PathTime(analysis, round, 0), 215.0);
+  std::vector<std::string> flush = round;
+  flush.push_back("fil_flush");
+  EXPECT_DOUBLE_EQ(PathTime(analysis, flush, 0), 140.0);
+  EXPECT_DOUBLE_EQ(PathTime(analysis, {"net:queue_wait"}, 0), 10.0);
+  // Worker 1's part [20, 95] plus the leader's [95, 330].
+  EXPECT_DOUBLE_EQ(PathTime(analysis, {"run_transaction"}, 0), 310.0);
+  EXPECT_DOUBLE_EQ(
+      PathTime(analysis, {"run_transaction", "trx_commit", "lock_release"}, 0),
+      13.0);
+}
+
+TEST(VarianceAnalysisTest, CreatedByEdgeAtTheSameSpotIsQueueWait) {
+  // The same hand-off recorded as a created-by edge (what a v2 trace can
+  // hold) counts the gap as queueing and walks none of the leader's flush.
+  const Trace trace = BuildPipelinedCommitTrace(EdgeKind::kCreatedBy);
+  const TraceIndex index(trace);
+  const IntervalBreakdown b = BuildBreakdown(index, index.Intervals()[0]);
+  EXPECT_DOUBLE_EQ(b.queue_wait_ns, 10.0 + 215.0);
+  CriticalPathOptions options;
+  options.queue_wait_factor = "net:queue_wait";
+  const VarianceAnalysis analysis(trace, options);
+  EXPECT_DOUBLE_EQ(PathTime(analysis,
+                            {"run_transaction", "trx_commit",
+                             "log_write_up_to"},
+                            0),
+                   0.0);
+}
+
 TEST(VarianceAnalysisTest, BreadthIsSquaredWidestFanout) {
   const Trace trace = BuildTwoChildTrace({500, 600});
   VarianceAnalysis va(trace);

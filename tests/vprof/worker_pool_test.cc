@@ -29,6 +29,7 @@ TEST_F(WorkerPoolTest, TaskRunsOnBehalfOfItsIntervalWithCreatedByEdge) {
   WorkerPool<int> pool(1, 0, [&](IntervalId sid, int&) {
     seen.store(CurrentIntervalId());
     EXPECT_EQ(CurrentIntervalId(), sid);
+    EndInterval(sid);
   });
   const ThreadId producer = CurrentThread()->tid();
   const IntervalId sid = BeginInterval();
@@ -52,7 +53,7 @@ TEST_F(WorkerPoolTest, TaskRunsOnBehalfOfItsIntervalWithCreatedByEdge) {
     }
   }
   EXPECT_EQ(edges, 1);
-  EXPECT_EQ(trace.interval_count(), 1u);  // the worker ended it
+  EXPECT_EQ(trace.interval_count(), 1u);  // the handler ended it
 }
 
 TEST_F(WorkerPoolTest, TaskFindingMaxDepthQueuedIsShedAndNeverRuns) {
